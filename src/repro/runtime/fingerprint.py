@@ -73,7 +73,7 @@ def launch_fingerprint(
     shapes: Mapping[str, Sequence[int]],
 ) -> tuple:
     """The hashable identity of one launch's tracker-independent plan."""
-    cluster = getattr(api, "cluster", None)
+    cluster = api.cluster
     return (
         ck.kernel.name,
         (grid.x, grid.y, grid.z),
@@ -81,7 +81,7 @@ def launch_fingerprint(
         tuple(sorted(scalars.items())),
         tuple(sorted((name, tuple(shape)) for name, shape in shapes.items())),
         config_plan_key(api.config),
-        getattr(api, "_placement_offset", None) or 0,
+        api._placement_offset or 0,
         None if cluster is None else (cluster.n_nodes, cluster.gpus_per_node),
     )
 
@@ -108,18 +108,11 @@ def plan_estimate_key(plan: "LaunchPlan") -> tuple:
 
     The launch fingerprint pins the kernel, launch shape and partition
     list; the transfer signature (source, destination, size per copy) adds
-    the tracker-dependent half the estimate prices. Plans built outside the
-    staged launch path (no fingerprint attached) fall back to an equivalent
-    structural key. Buffer identities never enter the key, so a ping-pong
-    iteration hits the memo from its second steady-state pass on.
+    the tracker-dependent half the estimate prices. Buffer identities never
+    enter the key, so a ping-pong iteration hits the memo from its second
+    steady-state pass on.
     """
-    base = plan.fingerprint
-    if base is None:
-        base = (
-            plan.ck.kernel.name,
-            (plan.grid.x, plan.grid.y, plan.grid.z),
-            (plan.block.x, plan.block.y, plan.block.z),
-            tuple(sorted(plan.scalars.items())),
-            tuple((k.gpu, k.part.n_blocks) for k in plan.kernels),
-        )
-    return (base, tuple((t.owner, t.gpu, t.nbytes) for t in plan.transfers))
+    return (
+        plan.fingerprint,
+        tuple((t.owner, t.gpu, t.nbytes) for t in plan.transfers),
+    )

@@ -11,14 +11,19 @@ Replaces a single-GPU launch with four tasks:
    concurrently with the asynchronous kernels).
 
 The orchestration itself is delegated to the launch scheduler
-(``repro.sched``): the launch is first compiled into a per-launch task DAG
-(one node per segment transfer / kernel partition / tracker update, edges
-from the enumerated read/write sets) and then issued under the configured
-policy — ``sequential`` reproduces the paper's barrier-structured loops
-exactly, ``overlap``/``overlap+p2p`` pipeline transfers against compute.
+(``repro.sched``): :func:`launch_partitioned` compiles the launch into a
+per-launch task DAG (one node per segment transfer / kernel partition /
+tracker update, edges from the enumerated read/write sets; built by
+``repro.sched.graph`` from a cached skeleton plus a live or replayed
+residual) and submits it to the one executor
+(``repro.sched.executor.PipelineExecutor``), which issues it under the
+configured policy — ``sequential`` reproduces the paper's
+barrier-structured loops exactly, ``overlap``/``overlap+p2p`` pipeline
+transfers against compute.
 
-Kernels the compiler rejected for partitioning fall back to single-GPU
-execution on device 0 (whole read buffers synchronized there first).
+Kernels the compiler rejected for partitioning take :func:`launch_fallback`:
+single-GPU execution on device 0 (whole read buffers synchronized there
+first), issued directly with no plan.
 """
 
 from __future__ import annotations
@@ -163,11 +168,11 @@ def launch_partitioned(
                 replay_query_counts(skel, by_name)
         else:
             api.stats.residual_cache_misses += 1
-            plan, record = instantiate_plan(api, skel, by_name, capture=True)
+            plan, record = instantiate_plan(api, skel, by_name)
             if rcache.put(rkey, record):
                 api.stats.residual_cache_evictions += 1
     else:
-        plan = instantiate_plan(api, skel, by_name)
+        plan, _ = instantiate_plan(api, skel, by_name)
     if prof:
         times["residual"] = perf_counter() - t
         t = perf_counter()
@@ -222,7 +227,7 @@ def launch_fallback(
     by_name, scalars = split_launch_args(kernel, args)
     shapes = resolve_array_shapes(kernel, scalars)
     gpu = api.devices[0].device_id
-    launch_index = getattr(api, "_launch_index", None)
+    launch_index = api._launch_index
 
     read_names = set(ck.info.reads) | set(ck.info.writes)  # conservative
     if api.config.tracking_enabled:
@@ -236,7 +241,7 @@ def launch_fallback(
             api.stats.tracker_ops += 1
             api.stats.tracker_query_ops += 1
             copies, avoided, avoided_inter = plan_stale_copies_tiered(
-                segments, gpu, getattr(api, "cluster", None)
+                segments, gpu, api.cluster
             )
             api.stats.redundant_bytes_avoided += avoided
             api.stats.redundant_bytes_avoided_inter += avoided_inter

@@ -1,18 +1,21 @@
-"""Buffer synchronization and tracker updates (paper §8.3, extended).
+"""Buffer synchronization building blocks (paper §8.3, extended).
 
-``buffer_synchronize`` brings one GPU's instance of a virtual buffer up to
-date for one partition: the partition's *read set* is enumerated with the
-generated code (§6), the tracker is queried for each interval, and every
-segment without a valid copy on the target is copied over from the
-*nearest* valid copy. With :attr:`~repro.runtime.config.RuntimeConfig.\
-shared_copies` enabled the copy also *registers* the target as a sharer of
-the segment, so the next launch skips it — the remedy for the redundant
-re-broadcast traffic §8.3 calls out. With the flag off the tracker keeps
-the paper's sole-owner behaviour: copies never update ownership and shared
-data is re-transferred every launch.
-
-``buffer_update`` marks one GPU's partition *write set* in the tracker,
-invalidating every sharer copy of the written ranges (MSI).
+Synchronizing one GPU's instance of a virtual buffer for one partition
+means: enumerate the partition's *read set* with the generated code (§6,
+:func:`byte_ranges`), query the tracker for each interval, and copy every
+segment without a valid copy on the target over from the *nearest* valid
+copy (:func:`plan_stale_copies_tiered`, optionally trimmed to the exact
+read set by :func:`trim_copies`). The launch planner (``repro.sched.graph``)
+composes these per partition; the executor issues the planned copies. With
+:attr:`~repro.runtime.config.RuntimeConfig.shared_copies` enabled each copy
+also *registers* the target as a sharer of the segment
+(:func:`register_sharer`), so the next launch skips it — the remedy for the
+redundant re-broadcast traffic §8.3 calls out. With the flag off the
+tracker keeps the paper's sole-owner behaviour: copies never update
+ownership and shared data is re-transferred every launch. A partition's
+*write set* is marked by the executor straight on the tracker
+(``update_many``), invalidating every sharer copy of the written ranges
+(MSI).
 
 Source selection (:func:`pick_source`) prefers, in order: a valid copy on
 the destination's own cluster node (avoiding the network fabric), the
@@ -22,14 +25,13 @@ paper's newest-owner rule whenever no sharers exist.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
 
 from repro.compiler.enumerators import Enumerator
 from repro.compiler.strategy import Partition
 from repro.cuda.dim3 import Dim3
 from repro.runtime.tracker import Segment
 from repro.runtime.vbuffer import VirtualBuffer
-from repro.sim.trace import Category
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.api import MultiGpuApi
@@ -37,12 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "byte_ranges",
     "pick_source",
-    "plan_stale_copies",
     "plan_stale_copies_tiered",
     "trim_copies",
-    "merge_stale_segments",
-    "buffer_synchronize",
-    "buffer_update",
 ]
 
 
@@ -103,7 +101,7 @@ def plan_stale_copies_tiered(
     fabric (the owner — the sole-owner source — lives on another node).
 
     The returned segments carry the chosen *source* in their ``owner``
-    field — the shape both the sequential loop and the DAG builder issue.
+    field — the shape the plan builder turns into transfer tasks.
     """
     merged: List[Segment] = []
     avoided = avoided_inter = 0
@@ -120,14 +118,6 @@ def plan_stale_copies_tiered(
         else:
             merged.append(Segment(seg.start, seg.end, src))
     return merged, avoided, avoided_inter
-
-
-def plan_stale_copies(
-    segments: Sequence[Segment], gpu: int, cluster=None
-) -> Tuple[List[Segment], int]:
-    """Back-compat: :func:`plan_stale_copies_tiered` without the tier split."""
-    copies, avoided, _ = plan_stale_copies_tiered(segments, gpu, cluster)
-    return copies, avoided
 
 
 def trim_copies(
@@ -162,68 +152,6 @@ def trim_copies(
     return trimmed, overapprox, overapprox_inter
 
 
-def merge_stale_segments(segments, gpu: int, cluster=None):
-    """Tracker segments without a valid copy on ``gpu``, coalesced into copies.
-
-    Back-compat wrapper around :func:`plan_stale_copies` (drops the
-    redundant-byte count).
-    """
-    return plan_stale_copies(segments, gpu, cluster)[0]
-
-
-def buffer_synchronize(
-    api: "MultiGpuApi",
-    vb: VirtualBuffer,
-    enum: Enumerator,
-    partition: Partition,
-    block: Dim3,
-    grid: Dim3,
-    scalars: Mapping[str, int],
-    shape: Sequence[int],
-    elem_size: int,
-    gpu: int,
-) -> None:
-    """Make ``gpu``'s instance current for the partition's read set."""
-    ranges, emitted = byte_ranges(
-        enum, partition, block, grid, scalars, shape, elem_size, stats=api.stats
-    )
-    api.stats.enumerator_calls += 1
-    api.stats.ranges_emitted += emitted
-    api.stats.tracker_ops += len(ranges)
-    api.stats.tracker_query_ops += len(ranges)
-    segments = vb.tracker.query_many(ranges)
-    if api.spec:
-        # One aggregated host interval covering: the enumerator call, the
-        # per-emitted-range callback work, and one tracker query per range.
-        api.host_pattern_cost(
-            api.spec.enumerator_call_cost
-            + api.spec.per_range_cost * emitted
-            + api.spec.tracker_op_cost * max(len(ranges), len(segments))
-        )
-    copies, avoided, avoided_inter = plan_stale_copies_tiered(
-        segments, gpu, getattr(api, "cluster", None)
-    )
-    api.stats.redundant_bytes_avoided += avoided
-    api.stats.redundant_bytes_avoided_inter += avoided_inter
-    for seg in copies:
-        api.stats.sync_transfers += 1
-        api.stats.sync_bytes += seg.nbytes
-        if api.config.transfers_enabled:
-            if api.functional:
-                vb.bytes_on(gpu)[seg.start : seg.end] = vb.bytes_on(seg.owner)[
-                    seg.start : seg.end
-                ]
-            if api.machine:
-                api.machine.transfer(
-                    seg.owner,
-                    gpu,
-                    seg.nbytes,
-                    category=Category.TRANSFERS,
-                    label=f"sync:{enum.array}",
-                )
-            register_sharer(api, vb, seg.start, seg.end, gpu)
-
-
 def register_sharer(
     api: "MultiGpuApi",
     vb: VirtualBuffer,
@@ -237,8 +165,8 @@ def register_sharer(
     No-op unless shared-copy tracking is enabled; charges one tracker
     operation of the ``share`` class for host-cost accounting. The
     pipelined executor passes ``charge=False`` — it registers sharers
-    eagerly at submit time but charges the host cost at flush, next to the
-    copy's simulated issue, preserving ``execute_plan``'s charge order.
+    eagerly at submit time but charges the host cost at flush, right behind
+    the copy's simulated issue.
     """
     if not (api.config.shared_copies and api.config.tracking_enabled):
         return
@@ -246,32 +174,3 @@ def register_sharer(
     api.stats.tracker_share_ops += 1
     if charge and api.spec:
         api.host_pattern_cost(api.spec.tracker_op_cost)
-
-
-def buffer_update(
-    api: "MultiGpuApi",
-    vb: VirtualBuffer,
-    enum: Enumerator,
-    partition: Partition,
-    block: Dim3,
-    grid: Dim3,
-    scalars: Mapping[str, int],
-    shape: Sequence[int],
-    elem_size: int,
-    gpu: int,
-) -> None:
-    """Mark the partition's write set as owned by ``gpu`` in the tracker."""
-    ranges, emitted = byte_ranges(
-        enum, partition, block, grid, scalars, shape, elem_size, stats=api.stats
-    )
-    api.stats.enumerator_calls += 1
-    api.stats.ranges_emitted += emitted
-    api.stats.tracker_ops += len(ranges)
-    api.stats.tracker_update_ops += len(ranges)
-    if api.spec:
-        api.host_pattern_cost(
-            api.spec.enumerator_call_cost
-            + api.spec.per_range_cost * emitted
-            + api.spec.tracker_op_cost * len(ranges)
-        )
-    api.stats.tracker_invalidate_ops += vb.tracker.update_many(ranges, gpu)

@@ -7,7 +7,7 @@ policies (``sequential`` | ``overlap`` | ``overlap+p2p``). See
 ``docs/scheduler.md`` for construction rules and the policy matrix.
 """
 
-from repro.sched.executor import DataflowLog, execute_plan
+from repro.sched.executor import DataflowLog
 from repro.sched.graph import (
     KernelTask,
     LaunchPlan,
@@ -23,7 +23,6 @@ from repro.sched.policy import SCHEDULES, SchedulePolicy, select_policy
 
 __all__ = [
     "DataflowLog",
-    "execute_plan",
     "KernelTask",
     "LaunchPlan",
     "PlanSkeleton",

@@ -1,11 +1,18 @@
 """Issue a launch plan onto the (simulated) machine, per policy.
 
-The executor walks one :class:`~repro.sched.graph.LaunchPlan` and performs
+The executor walks one :class:`~repro.sched.graph.LaunchPlan` through the
+three loops of the paper's Figure 4 — synchronize read sets, launch
+partitions, update write trackers — twice, because none of the bookkeeping
+touches the machine:
 
-* the **functional** work (numpy segment copies, interpreter kernel runs,
-  tracker updates) — identical byte-for-byte in every policy, in the same
-  host order, which is what makes the three policies bitwise-equivalent;
-* the **simulated** work — where the policies differ:
+* :func:`apply_plan_functional`, at submit time, does the **functional**
+  work (stats, numpy segment copies, sharer registrations, interpreter
+  kernel runs, tracker updates) — identical byte-for-byte in every policy,
+  in the same host order, which is what makes the three policies
+  bitwise-equivalent;
+* :func:`issue_plan_sim`, when the :class:`PipelineExecutor` window
+  flushes, does the **simulated** work (host pattern charges, transfer
+  issues, the barrier, kernel launches) — where the policies differ:
 
   - ``sequential`` replays Figure 4 exactly: barrier-coupled transfers
     (:meth:`SimMachine.transfer`), a global device barrier, then the
@@ -50,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "DataflowLog",
-    "execute_plan",
     "apply_plan_functional",
     "issue_plan_sim",
     "PipelineExecutor",
@@ -196,68 +202,6 @@ class DataflowLog:
         ] + self.instance_free(t.vb.vb_id, t.gpu, t.start, t.end, wave)
 
 
-def _issue_transfer(
-    api: "MultiGpuApi", policy: SchedulePolicy, t: TransferTask, label: str
-) -> Optional[float]:
-    """Functional copy plus simulated issue of one stale-segment transfer."""
-    api.stats.sync_transfers += 1
-    api.stats.sync_bytes += t.nbytes
-    cluster = getattr(api, "cluster", None)
-    if cluster is not None and not cluster.same_node(t.owner, t.gpu):
-        api.stats.inter_node_transfers += 1
-        api.stats.inter_node_bytes += t.nbytes
-    if not api.config.transfers_enabled:
-        return None
-    if api.functional:
-        t.vb.bytes_on(t.gpu)[t.start : t.end] = t.vb.bytes_on(t.owner)[t.start : t.end]
-    if api.machine is None:
-        return None
-    launch = getattr(api, "_launch_index", None)
-    wave = getattr(api, "_dataflow_wave", None)
-    if policy.overlap:
-        end = api.machine.stream_transfer(
-            t.owner,
-            t.gpu,
-            t.nbytes,
-            deps=api.dataflow.copy_deps(t, wave),
-            category=Category.TRANSFERS,
-            label=label,
-            p2p=True if policy.p2p else None,
-            launch=launch,
-        )
-    else:
-        end = api.machine.transfer(
-            t.owner, t.gpu, t.nbytes, category=Category.TRANSFERS, label=label,
-            launch=launch,
-        )
-    # Dataflow events are recorded under every policy so that adjacent
-    # launches of an adaptive (auto) run may mix policies soundly: an
-    # overlap launch must see the copies its sequential predecessor issued.
-    api.dataflow.note_read(t.vb.vb_id, t.owner, t.start, t.end, end)
-    api.dataflow.note_write(t.vb.vb_id, t.gpu, t.start, t.end, end)
-    return end
-
-
-def _charge_read_sync(api: "MultiGpuApi", rs: ReadSync) -> None:
-    """Host-cost and stats accounting of one read-enumerator evaluation."""
-    api.stats.enumerator_calls += 1
-    api.stats.ranges_emitted += rs.emitted
-    api.stats.tracker_ops += len(rs.ranges)
-    api.stats.tracker_query_ops += len(rs.ranges)
-    api.stats.redundant_bytes_avoided += rs.avoided
-    api.stats.redundant_bytes_avoided_inter += rs.avoided_inter
-    api.stats.overapprox_bytes_avoided += rs.overapprox
-    api.stats.overapprox_bytes_avoided_inter += rs.overapprox_inter
-    if api.spec:
-        # One aggregated host interval covering: the enumerator call, the
-        # per-emitted-range callback work, and one tracker query per range.
-        api.host_pattern_cost(
-            api.spec.enumerator_call_cost
-            + api.spec.per_range_cost * rs.emitted
-            + api.spec.tracker_op_cost * max(len(rs.ranges), rs.n_segments)
-        )
-
-
 def _sequential_barrier(
     api: "MultiGpuApi",
     plan: LaunchPlan,
@@ -274,7 +218,7 @@ def _sequential_barrier(
     when the global barrier ran.
     """
     machine = api.machine
-    cluster = getattr(api, "cluster", None)
+    cluster = api.cluster
     if cluster is None or cluster.n_nodes <= 1:
         machine.synchronize()  # all_devs_synchronize()
         return None
@@ -325,135 +269,23 @@ def _kernel_issue_order(
     return order
 
 
-def execute_plan(api: "MultiGpuApi", plan: LaunchPlan, policy: SchedulePolicy) -> None:
-    """Run one launch plan end to end under the given policy."""
-    ck = plan.ck
-    machine = api.machine
-    transfer_events: Dict[int, float] = {}
-    node_barriers: Optional[Dict[int, float]] = None
-
-    # ---- transfer phase (Figure 4 lines 2-8) ----------------------------
-    if api.config.tracking_enabled:
-        for syncs in plan.reads:
-            if api.spec:
-                api.host_pattern_cost(api.spec.partition_setup_cost)
-            for rs in syncs:
-                _charge_read_sync(api, rs)
-                for t in rs.transfers:
-                    end = _issue_transfer(api, policy, t, label=f"sync:{rs.array}")
-                    if api.config.transfers_enabled:
-                        register_sharer(api, t.vb, t.start, t.end, t.gpu)
-                    if end is not None:
-                        transfer_events[t.node] = end
-        if machine and policy.barrier:
-            node_barriers = _sequential_barrier(api, plan, transfer_events)
-
-    # ---- kernel phase (Figure 4 lines 10-19) ----------------------------
-    for barrier_event, ktask in _kernel_issue_order(api, plan, node_barriers):
-        if barrier_event is not None and machine:
-            machine.wait_until(barrier_event, label="node-barrier", charge=False)
-        if api.spec:
-            api.host_pattern_cost(api.spec.partition_setup_cost)
-        if api.functional:
-            _run_partition(api, plan, ktask)
-        if machine:
-            duration = 0.0
-            if api.kernel_cost is not None:
-                # Cost the *original* kernel: the partition clone only adds
-                # loop-invariant offset arithmetic that any real backend
-                # hoists (the paper measures a median 2.1 % single-GPU
-                # slowdown, i.e. the clone itself is not slower).
-                duration = api.kernel_cost(
-                    ck.kernel, ktask.part.n_blocks, plan.block, plan.scalars
-                )
-            wave = getattr(api, "_dataflow_wave", None)
-            deps: List[float] = []
-            if policy.overlap:
-                deps = [
-                    transfer_events[n]
-                    for n in ktask.transfer_deps
-                    if n in transfer_events
-                ]
-                for vb, runs in ktask.reads:
-                    for lo, hi in runs:
-                        deps.append(
-                            api.dataflow.write_event(vb.vb_id, ktask.gpu, lo, hi, wave)
-                        )
-                for vb, runs in ktask.writes:
-                    for lo, hi in runs:
-                        deps.extend(
-                            api.dataflow.instance_free(vb.vb_id, ktask.gpu, lo, hi, wave)
-                        )
-            end = machine.launch_kernel(
-                ktask.gpu, duration, label=ck.partitioned.name, deps=deps,
-                launch=getattr(api, "_launch_index", None),
-            )
-            # Recorded under every policy (see _issue_transfer).
-            for vb, runs in ktask.reads:
-                for lo, hi in runs:
-                    api.dataflow.note_read(vb.vb_id, ktask.gpu, lo, hi, end, wave)
-            for vb, runs in ktask.writes:
-                for lo, hi in runs:
-                    api.dataflow.note_write(vb.vb_id, ktask.gpu, lo, hi, end, wave)
-        api.stats.partition_launches += 1
-
-    # ---- tracker-update phase (Figure 4 lines 21-26) --------------------
-    # Host-side bookkeeping: runs concurrently with the asynchronous
-    # kernels in every policy, in partition order, so the final tracker
-    # state never depends on the schedule.
-    if api.config.tracking_enabled:
-        for ups in plan.updates:
-            if api.spec:
-                api.host_pattern_cost(api.spec.partition_setup_cost)
-            for up in ups:
-                api.stats.enumerator_calls += 1
-                api.stats.ranges_emitted += up.emitted
-                api.stats.tracker_ops += len(up.ranges)
-                api.stats.tracker_update_ops += len(up.ranges)
-                if api.spec:
-                    api.host_pattern_cost(
-                        api.spec.enumerator_call_cost
-                        + api.spec.per_range_cost * up.emitted
-                        + api.spec.tracker_op_cost * len(up.ranges)
-                    )
-                api.stats.tracker_invalidate_ops += up.vb.tracker.update_many(
-                    up.ranges, up.gpu
-                )
-
-
-# ---------------------------------------------------------------------------
-# Pipelined execution: eager functional phase + deferred simulated issue
-# ---------------------------------------------------------------------------
-#
-# ``execute_plan`` above interleaves bookkeeping (stats, numpy copies,
-# interpreter runs, tracker mutations) with simulated machine work. None of
-# the bookkeeping touches the machine, so one launch can be split into
-#
-#   apply_plan_functional(api, plan)        # at submit time
-#   issue_plan_sim(api, plan, policy, ...)  # at window flush
-#
-# with a machine-interaction sequence *identical* to ``execute_plan`` — the
-# host charges, issue overheads, barriers and device ops replay in the same
-# order with the same magnitudes. That identity is what makes
-# ``pipeline_window=1`` reproduce the per-launch trace event for event (a
-# property test pins it), while windows > 1 merely delay the whole issue
-# sequence of launches k..k+w-1 until the window closes, letting a fused
-# flush reorder transfer issue halo-first on clusters.
-#
-# Keeping the functional phase eager is essential for correctness: launch
-# k+1's plan is *built* (tracker queries!) at submit time, so launch k's
-# tracker updates and sharer registrations must already be applied — only
-# the simulated clock lags behind.
-
-
 def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
     """The submit-time half of one launch: everything but the machine.
 
-    Performs, in ``execute_plan``'s order, the stats accounting, functional
-    segment copies, sharer registrations, kernel interpretation and tracker
-    updates — and *no* simulated-machine interaction (no host charges, no
-    device ops). Pairs with :func:`issue_plan_sim`.
+    Figure 4's three loops as bookkeeping: per partition, account each
+    read-enumerator evaluation and copy its stale segments (lines 2-8,
+    registering the destination as a sharer); interpret every partition
+    (lines 10-19); mark each partition's write set in the trackers (lines
+    21-26, in partition order, so the final tracker state never depends on
+    the schedule). *No* simulated-machine interaction — no host charges, no
+    device ops; :func:`issue_plan_sim` issues those when the window flushes.
+
+    This half must stay eager: launch k+1's plan is *built* (tracker
+    queries!) at submit time, so launch k's tracker updates and sharer
+    registrations must already be applied — only the simulated clock lags
+    behind.
     """
+    cluster = api.cluster
     if api.config.tracking_enabled:
         for syncs in plan.reads:
             for rs in syncs:
@@ -468,7 +300,6 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
                 for t in rs.transfers:
                     api.stats.sync_transfers += 1
                     api.stats.sync_bytes += t.nbytes
-                    cluster = getattr(api, "cluster", None)
                     if cluster is not None and not cluster.same_node(t.owner, t.gpu):
                         api.stats.inter_node_transfers += 1
                         api.stats.inter_node_bytes += t.nbytes
@@ -497,8 +328,10 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
 
 
 def _charge_read_sync_sim(api: "MultiGpuApi", rs: ReadSync) -> None:
-    """Host-cost half of :func:`_charge_read_sync` (stats already counted)."""
+    """Host cost of one read-enumerator evaluation (stats counted at submit)."""
     if api.spec:
+        # One aggregated host interval covering: the enumerator call, the
+        # per-emitted-range callback work, and one tracker query per range.
         api.host_pattern_cost(
             api.spec.enumerator_call_cost
             + api.spec.per_range_cost * rs.emitted
@@ -515,7 +348,7 @@ def _issue_transfer_sim(
     launch: Optional[int],
     wave: Optional[int] = None,
 ) -> None:
-    """Simulated-issue half of :func:`_issue_transfer` (+ sharer host cost)."""
+    """Simulated issue of one stale-segment copy (+ its sharer host cost)."""
     if not api.config.transfers_enabled:
         return
     if api.machine is not None:
@@ -535,11 +368,14 @@ def _issue_transfer_sim(
                 t.owner, t.gpu, t.nbytes, category=Category.TRANSFERS, label=label,
                 launch=launch,
             )
+        # Dataflow events are recorded under every policy so that adjacent
+        # launches of an adaptive (auto) run may mix policies soundly: an
+        # overlap launch must see the copies its sequential predecessor issued.
         api.dataflow.note_read(t.vb.vb_id, t.owner, t.start, t.end, end)
         api.dataflow.note_write(t.vb.vb_id, t.gpu, t.start, t.end, end)
         events[t.node] = end
     # The sharer registration itself happened at submit; its tracker-op
-    # host charge belongs here, after the copy's issue, as in execute_plan.
+    # host charge belongs here, right after the copy's issue.
     if api.config.shared_copies and api.config.tracking_enabled and api.spec:
         api.host_pattern_cost(api.spec.tracker_op_cost)
 
@@ -555,19 +391,23 @@ def issue_plan_sim(
 ) -> None:
     """The flush-time half of one launch: simulated host charges + device ops.
 
-    Replays exactly the machine-interaction sequence of :func:`execute_plan`
-    — pattern-cost charges, transfer issues, the sequential barrier, kernel
-    launches, update-phase charges — for a plan whose functional half was
-    already applied by :func:`apply_plan_functional`. ``launch`` tags every
-    device op for per-launch trace attribution; ``wave`` is the launch's
-    dependence wave captured at submit time (see :class:`DataflowLog`).
+    Figure 4's three loops on the simulated machine, for a plan whose
+    functional half :func:`apply_plan_functional` already applied: per
+    partition, the setup and read-enumerator pattern charges with each
+    stale-segment copy issued behind its charge (lines 2-8) and, under a
+    ``barrier`` policy, the device barrier; per partition, the setup charge
+    and the kernel launch (lines 10-19); per partition, the update-phase
+    pattern charges (lines 21-26), which run on the host concurrently with
+    the asynchronous kernels. ``launch`` tags every device op for per-launch
+    trace attribution; ``wave`` is the launch's dependence wave captured at
+    submit time (see :class:`DataflowLog`).
 
     ``transfer_order`` overrides the transfer *issue* order (the pipelined
     executor passes the halo-first tiers on clusters): the per-read-sync
     pattern charges are then batched ahead of the reordered copies, since
     every one of them precedes every copy in the fused view. With
-    ``transfer_order=None`` the legacy interleaved order is preserved
-    exactly.
+    ``transfer_order=None`` copies issue in plan order, each right behind
+    its read sync's charge.
     """
     machine = api.machine
     transfer_events: Dict[int, float] = {}
@@ -607,6 +447,10 @@ def issue_plan_sim(
         if machine:
             duration = 0.0
             if api.kernel_cost is not None:
+                # Cost the *original* kernel: the partition clone only adds
+                # loop-invariant offset arithmetic that any real backend
+                # hoists (the paper measures a median 2.1 % single-GPU
+                # slowdown, i.e. the clone itself is not slower).
                 duration = api.kernel_cost(
                     ck.kernel, ktask.part.n_blocks, plan.block, plan.scalars
                 )
@@ -630,6 +474,7 @@ def issue_plan_sim(
             end = machine.launch_kernel(
                 ktask.gpu, duration, label=ck.partitioned.name, deps=deps, launch=launch
             )
+            # Recorded under every policy (see _issue_transfer_sim).
             for vb, runs in ktask.reads:
                 for lo, hi in runs:
                     api.dataflow.note_read(vb.vb_id, ktask.gpu, lo, hi, end, wave)
@@ -689,9 +534,7 @@ class PipelineExecutor:
         """
         apply_plan_functional(self.api, plan)
         self.pending.append(
-            plan,
-            getattr(self.api, "_launch_index", self.depth),
-            wave=getattr(self.api, "_dataflow_wave", None),
+            plan, self.api._launch_index, wave=self.api._dataflow_wave
         )
         self._policies.append(policy)
         if self.depth >= self.window:
@@ -707,7 +550,7 @@ class PipelineExecutor:
 
     def _transfer_order(self, plan: LaunchPlan):
         """Halo-first issue order for one plan, or None to keep plan order."""
-        cluster = getattr(self.api, "cluster", None)
+        cluster = self.api.cluster
         if cluster is None or self.window <= 1:
             return None
         from repro.cluster.gang import transfer_priority_tiers

@@ -16,19 +16,22 @@ explicit task DAG:
   final tracker state is bit-identical to the sequential orchestration.
 
 Building the plan performs the same enumerator scans and tracker queries
-the sequential loops would, in the same order — the host-side *cost* of
-each step is recorded on the task and charged by the executor at issue
-time, so the ``sequential`` policy reproduces the legacy host-time
-evolution exactly while ``overlap`` merely re-orders device work.
+Figure 4's loops would, in the same order — the host-side *cost* of each
+step is recorded on the task and charged by the executor at issue time, so
+the ``sequential`` policy reproduces the paper's host-time evolution
+exactly while ``overlap`` merely re-orders device work.
 
 Construction is staged: everything that depends only on the *launch
 fingerprint* (partition intervals, enumerated read/write byte ranges,
 merged event runs, DAG shape) lives in a :class:`PlanSkeleton` built by
 :func:`build_plan_skeleton` and cacheable across launches, while the
 tracker-dependent residual — which stale segments actually need copying —
-is applied per launch by :func:`instantiate_plan`. The unstaged
-:func:`build_launch_plan` composes the two and remains the single-call
-entry point.
+is a buffer-free :class:`ResidualRecord`. One materialiser turns
+``(skeleton, buffer binding, record)`` into plan nodes; its two feeders
+differ only in where the record comes from: :func:`instantiate_plan`
+derives it from the live trackers, :func:`instantiate_plan_replay` takes a
+memoized one. The unstaged :func:`build_launch_plan` composes fingerprint,
+skeleton and live residual and remains the single-call entry point.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from repro.compiler.strategy import Partition
 from repro.cuda.api import resolve_array_shapes, split_launch_args
 from repro.cuda.dim3 import Dim3
 from repro.poly.intervals import subtract_intervals
+from repro.runtime.fingerprint import launch_fingerprint
 from repro.runtime.sync import byte_ranges, plan_stale_copies_tiered, trim_copies
 from repro.runtime.vbuffer import VirtualBuffer
 
@@ -81,11 +85,10 @@ def launch_partitions(api: "MultiGpuApi", ck: CompiledKernel, grid: Dim3) -> Lis
     network. Single-node runtimes use the flat balanced split; a 1-node
     cluster produces the identical partition list by construction.
     """
-    cluster = getattr(api, "cluster", None)
-    if cluster is not None:
+    if api.cluster is not None:
         from repro.cluster.partition import hierarchical_partitions
 
-        parts = hierarchical_partitions(ck.strategy, grid, cluster)
+        parts = hierarchical_partitions(ck.strategy, grid, api.cluster)
     else:
         parts = ck.strategy.partitions(grid, api.config.n_gpus)
     # Placement hint (task-graph frontend): rotate the partition->device
@@ -96,7 +99,7 @@ def launch_partitions(api: "MultiGpuApi", ck: CompiledKernel, grid: Dim3) -> Lis
     # device runs which partition: functional results and tracker state
     # are device-id-keyed and identical under every rotation-consistent
     # mode (the hint is task metadata, applied in every execution mode).
-    offset = getattr(api, "_placement_offset", None)
+    offset = api._placement_offset
     if offset:
         k = offset % len(parts)
         parts = parts[-k:] + parts[:-k]
@@ -207,14 +210,14 @@ class LaunchPlan:
     scalars: Mapping[str, int]
     shapes: Mapping[str, Sequence[int]]
     parts: List[Partition]
+    #: Launch fingerprint (repro.runtime.fingerprint) of the skeleton this
+    #: plan was instantiated from; keys the time-estimate memo.
+    fingerprint: tuple
     #: Per non-empty partition (in device order): its read-enumerator syncs.
     reads: List[List[ReadSync]] = field(default_factory=list)
     kernels: List[KernelTask] = field(default_factory=list)
     #: Per non-empty partition (in device order): its tracker updates.
     updates: List[List[WriteUpdate]] = field(default_factory=list)
-    #: Launch fingerprint (repro.runtime.fingerprint) of the skeleton this
-    #: plan was instantiated from; keys the time-estimate memo.
-    fingerprint: Optional[tuple] = None
 
     @property
     def transfers(self) -> List[TransferTask]:
@@ -478,7 +481,7 @@ class PlanSkeleton:
     :func:`instantiate_plan` derives against live tracker state.
     """
 
-    fingerprint: Optional[tuple]
+    fingerprint: tuple
     ck: CompiledKernel
     grid: Dim3
     block: Dim3
@@ -528,7 +531,7 @@ REPLAY_PLAN_BINDINGS = 8
 
 @dataclass(frozen=True)
 class ResidualRecord:
-    """The memoized tracker-dependent half of one launch's plan.
+    """The tracker-dependent half of one launch's plan.
 
     One entry per read scan, in skeleton partition/scan order:
     ``(copies, n_segments, avoided, avoided_inter, overapprox,
@@ -536,8 +539,8 @@ class ResidualRecord:
     trimmed) stale-copy list as ``(start, end, src)`` byte tuples.
     Deliberately *buffer-free* — no VirtualBuffer references — so a
     ping-pong loop's alternating buffer bindings replay the same record;
-    :func:`instantiate_plan_replay` rebinds live buffers through the
-    launch's ``by_name`` mapping.
+    materialising a plan rebinds live buffers through the launch's
+    ``by_name`` mapping.
 
     ``plans`` additionally memoizes the fully-built :class:`LaunchPlan` per
     concrete buffer binding (tuple of array vb_ids): the executor treats
@@ -559,7 +562,7 @@ def build_plan_skeleton(
     block: Dim3,
     scalars: Mapping[str, int],
     *,
-    fingerprint: Optional[tuple] = None,
+    fingerprint: tuple,
     validate: bool = False,
     stats=None,
 ) -> PlanSkeleton:
@@ -644,133 +647,22 @@ def build_plan_skeleton(
     return skel
 
 
-def instantiate_plan(
-    api: "MultiGpuApi", skel: PlanSkeleton, by_name: Mapping[str, object],
-    *, capture: bool = False,
-):
-    """The tracker-dependent residual: a concrete plan from one skeleton.
-
-    Pure bookkeeping: no data moves, no simulated time is charged, and the
-    trackers are only *queried* (all queries happen before any of this
-    launch's updates, exactly like Figure 4's loop structure). Host costs
-    are charged later by the executor, per policy, using the emit/segment
-    counts recorded on the skeleton. Node numbering — transfers of each
-    partition, then its kernel — is identical to the unstaged builder by
-    construction, whichever launch built the skeleton.
-
-    With ``capture=True`` returns ``(plan, record)`` where ``record`` is the
-    :class:`ResidualRecord` the replay cache memoizes; the default returns
-    just the plan.
-    """
-    assert not skel.fallback, "fallback skeletons never instantiate plans"
-    plan = LaunchPlan(
-        skel.ck, skel.grid, skel.block, by_name, skel.scalars, skel.shapes,
-        skel.parts, fingerprint=skel.fingerprint,
-    )
-    cluster = getattr(api, "cluster", None)
-    irredundant = api.config.irredundant_transfers
-    next_node = 0
-    captured: List[tuple] = []
-
-    for sp in skel.partitions:
-        syncs: List[ReadSync] = []
-        transfer_nodes: List[int] = []
-        reads_vbs: List[Tuple[VirtualBuffer, List[Tuple[int, int]]]] = []
-        for scan in sp.reads:
-            vb = by_name[scan.array]
-            segments = vb.tracker.query_many(scan.ranges)
-            copies, avoided, avoided_inter = plan_stale_copies_tiered(
-                segments, sp.gpu, cluster
-            )
-            overapprox = overapprox_inter = 0
-            if irredundant and copies:
-                keep = scan.keep
-                if keep is _KEEP_UNKNOWN:
-                    from repro.analysis.dataflow import runtime_exact_read_ranges
-
-                    keep = runtime_exact_read_ranges(
-                        api, skel.ck.info, scan.enum, sp.part, skel.grid,
-                        skel.block, skel.scalars, skel.shapes[scan.array],
-                        scan.elem_size,
-                    )
-                    scan.keep = keep
-                if keep is not None:
-                    copies, overapprox, overapprox_inter = trim_copies(
-                        copies, keep, sp.gpu, cluster
-                    )
-            rs = ReadSync(
-                sp.gpu, scan.array, vb, scan.enum, scan.ranges, scan.emitted,
-                len(segments), avoided, avoided_inter, overapprox, overapprox_inter,
-            )
-            for seg in copies:
-                task = TransferTask(
-                    next_node, sp.gpu, seg.owner, vb, scan.array, seg.start, seg.end
-                )
-                next_node += 1
-                rs.transfers.append(task)
-                transfer_nodes.append(task.node)
-            if capture:
-                captured.append(
-                    (
-                        tuple((seg.start, seg.end, seg.owner) for seg in copies),
-                        len(segments), avoided, avoided_inter,
-                        overapprox, overapprox_inter,
-                    )
-                )
-            syncs.append(rs)
-            reads_vbs.append((vb, scan.event_runs))
-        plan.reads.append(syncs)
-
-        ktask = KernelTask(next_node, sp.gpu_idx, sp.gpu, sp.part)
-        next_node += 1
-        ktask.transfer_deps = transfer_nodes
-        ktask.reads = reads_vbs
-        plan.kernels.append(ktask)
-
-        ups: List[WriteUpdate] = []
-        for scan in sp.writes:
-            vb = by_name[scan.array]
-            if scan.ranges is None:
-                ktask.writes.append((vb, [(0, vb.nbytes)]))
-            else:
-                ups.append(
-                    WriteUpdate(
-                        sp.gpu, scan.array, vb, scan.enum, scan.ranges, scan.emitted
-                    )
-                )
-                ktask.writes.append((vb, scan.event_runs))
-        plan.updates.append(ups)
-
-    if capture:
-        return plan, ResidualRecord(tuple(captured))
-    return plan
-
-
-def instantiate_plan_replay(
-    api: "MultiGpuApi",
-    skel: PlanSkeleton,
-    by_name: Mapping[str, object],
-    record: ResidualRecord,
+def _materialise_plan(
+    skel: PlanSkeleton, by_name: Mapping[str, object], record: ResidualRecord
 ) -> LaunchPlan:
-    """Rebuild a concrete plan from a memoized residual — no tracker queries.
+    """Plan nodes from a skeleton, a buffer binding and a residual record.
 
-    The replay-cache hit path: structurally identical to
-    :func:`instantiate_plan`, but every tracker-derived quantity — the
-    stale-copy list, segment counts, avoided/overapprox counters — comes
-    from ``record`` instead of ``query_many`` + ``plan_stale_copies_tiered``
-    (+ ``trim_copies``). Sound because the cache key's footprint digest was
-    recomputed against the live trackers this launch: equal digests mean the
-    queries *would have* returned the same segments. Buffer identities are
-    rebound through ``by_name``, so a ping-pong loop's alternating bindings
-    replay one record. The per-range ``op_counts`` charge of ``query_many``
-    is mirrored so tracker accounting stays bit-identical with replay on or
-    off.
+    The only constructor of plan nodes. Pure bookkeeping: no tracker is
+    touched and nothing is charged — host costs are charged later by the
+    executor, per policy, from the emit/segment counts carried on the
+    nodes. Node numbering — transfers of each partition, then its kernel —
+    follows skeleton scan order, so it is the same whichever launch built
+    the skeleton and wherever the record came from.
     """
     assert not skel.fallback, "fallback skeletons never instantiate plans"
-    replay_query_counts(skel, by_name)
     plan = LaunchPlan(
         skel.ck, skel.grid, skel.block, by_name, skel.scalars, skel.shapes,
-        skel.parts, fingerprint=skel.fingerprint,
+        skel.parts, skel.fingerprint,
     )
     next_node = 0
     entries = iter(record.scans)
@@ -822,6 +714,76 @@ def instantiate_plan_replay(
     return plan
 
 
+def instantiate_plan(
+    api: "MultiGpuApi", skel: PlanSkeleton, by_name: Mapping[str, object]
+) -> Tuple[LaunchPlan, ResidualRecord]:
+    """The live residual: ``(plan, record)`` against current tracker state.
+
+    Derives the :class:`ResidualRecord` the way Figure 4's first loop
+    resolves dependencies — per partition and read scan, one tracker
+    ``query_many``, stale-copy planning with nearest-source selection and,
+    under ``irredundant_transfers``, trimming to the exact read set — then
+    materialises it. The trackers are only *queried*, and all queries
+    happen before any of this launch's updates. The record is what the
+    replay cache memoizes.
+    """
+    cluster = api.cluster
+    irredundant = api.config.irredundant_transfers
+    scans: List[tuple] = []
+    for sp in skel.partitions:
+        for scan in sp.reads:
+            segments = by_name[scan.array].tracker.query_many(scan.ranges)
+            copies, avoided, avoided_inter = plan_stale_copies_tiered(
+                segments, sp.gpu, cluster
+            )
+            overapprox = overapprox_inter = 0
+            if irredundant and copies:
+                keep = scan.keep
+                if keep is _KEEP_UNKNOWN:
+                    from repro.analysis.dataflow import runtime_exact_read_ranges
+
+                    keep = runtime_exact_read_ranges(
+                        api, skel.ck.info, scan.enum, sp.part, skel.grid,
+                        skel.block, skel.scalars, skel.shapes[scan.array],
+                        scan.elem_size,
+                    )
+                    scan.keep = keep
+                if keep is not None:
+                    copies, overapprox, overapprox_inter = trim_copies(
+                        copies, keep, sp.gpu, cluster
+                    )
+            scans.append(
+                (
+                    tuple((seg.start, seg.end, seg.owner) for seg in copies),
+                    len(segments), avoided, avoided_inter,
+                    overapprox, overapprox_inter,
+                )
+            )
+    record = ResidualRecord(tuple(scans))
+    return _materialise_plan(skel, by_name, record), record
+
+
+def instantiate_plan_replay(
+    api: "MultiGpuApi",
+    skel: PlanSkeleton,
+    by_name: Mapping[str, object],
+    record: ResidualRecord,
+) -> LaunchPlan:
+    """The recorded residual: a plan from a memoized record, no tracker queries.
+
+    The replay-cache hit path. Sound because the cache key's footprint
+    digest was recomputed against the live trackers this launch: equal
+    digests mean ``query_many`` + ``plan_stale_copies_tiered``
+    (+ ``trim_copies``) *would have* produced this record. Buffer
+    identities are rebound through ``by_name``, so a ping-pong loop's
+    alternating bindings replay one record. The per-range ``op_counts``
+    charge of ``query_many`` is mirrored so tracker accounting stays
+    bit-identical with replay on or off.
+    """
+    replay_query_counts(skel, by_name)
+    return _materialise_plan(skel, by_name, record)
+
+
 def replay_query_counts(skel: PlanSkeleton, by_name: Mapping[str, object]) -> None:
     """Mirror ``query_many``'s per-range op charge for a replayed launch.
 
@@ -842,13 +804,13 @@ def build_launch_plan(
 ) -> LaunchPlan:
     """Build the per-launch DAG from the enumerators and tracker queries.
 
-    Composes :func:`build_plan_skeleton` and :func:`instantiate_plan`
-    without consulting any cache — the uncached path the staged launcher
-    (and every property test) measures the cached path against.
+    Composes :func:`~repro.runtime.fingerprint.launch_fingerprint`,
+    :func:`build_plan_skeleton` and :func:`instantiate_plan` without
+    consulting any cache — the uncached path the staged launcher (and every
+    property test) measures the cached path against.
     """
-    from repro.runtime.fingerprint import launch_fingerprint
-
     by_name, scalars = split_launch_args(ck.kernel, args)
-    skel = build_plan_skeleton(api, ck, grid, block, scalars)
-    skel.fingerprint = launch_fingerprint(api, ck, grid, block, scalars, skel.shapes)
-    return instantiate_plan(api, skel, by_name)
+    shapes = resolve_array_shapes(ck.kernel, scalars)
+    key = launch_fingerprint(api, ck, grid, block, scalars, shapes)
+    skel = build_plan_skeleton(api, ck, grid, block, scalars, fingerprint=key)
+    return instantiate_plan(api, skel, by_name)[0]

@@ -35,7 +35,6 @@ __all__ = [
     "AUTO_P2P_MIN_RATIO",
     "auto_schedule_name",
     "estimate_plan_times",
-    "auto_select_policy",
     "estimate_window_times",
     "auto_select_policy_window",
 ]
@@ -124,22 +123,19 @@ def estimate_plan_times(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, 
     """
     from repro.runtime.fingerprint import plan_estimate_key
 
-    cache = getattr(api, "_estimate_cache", None)
-    key = None
-    if cache is not None:
-        key = plan_estimate_key(plan)
-        hit = cache.get(key)
-        if hit is not None:
-            api.stats.estimate_cache_hits += 1
-            return hit
-        api.stats.estimate_cache_misses += 1
+    cache = api._estimate_cache
+    key = plan_estimate_key(plan)
+    hit = cache.get(key)
+    if hit is not None:
+        api.stats.estimate_cache_hits += 1
+        return hit
+    api.stats.estimate_cache_misses += 1
     spec = api.spec
     if spec is None:
         result = float(sum(t.nbytes for t in plan.transfers)), 0.0
-        if cache is not None:
-            cache[key] = result
+        cache[key] = result
         return result
-    cluster = getattr(api, "cluster", None)
+    cluster = api.cluster
     transfer = 0.0
     for t in plan.transfers:
         if cluster is not None and not cluster.same_node(t.owner, t.gpu):
@@ -153,15 +149,8 @@ def estimate_plan_times(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, 
                 plan.ck.kernel, k.part.n_blocks, plan.block, plan.scalars
             )
     result = (transfer, compute)
-    if cache is not None:
-        cache[key] = result
+    cache[key] = result
     return result
-
-
-def auto_select_policy(api: "MultiGpuApi", plan: "LaunchPlan") -> SchedulePolicy:
-    """The concrete policy one launch runs under when ``schedule="auto"``."""
-    transfer, compute = estimate_plan_times(api, plan)
-    return _POLICIES[auto_schedule_name(transfer, compute)]
 
 
 def estimate_window_times(
@@ -184,8 +173,8 @@ def auto_select_policy_window(
 
     The decision ratio uses the *summed* estimates, so a transfer-light
     iteration buffered next to transfer-heavy ones no longer flips the
-    policy launch by launch. For a single-plan window this is exactly
-    :func:`auto_select_policy`.
+    policy launch by launch; a single-plan window decides on that plan's
+    own estimate.
     """
     transfer, compute = estimate_window_times(api, plans)
     return _POLICIES[auto_schedule_name(transfer, compute)]

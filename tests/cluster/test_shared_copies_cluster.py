@@ -60,6 +60,13 @@ class TestPickSource:
         # For GPU 2, sharers 2 and 3 are both local and neither owns.
         assert pick_source(seg, 2, cluster) == 2
 
+    def test_sole_owner_is_the_only_source(self):
+        # The γ D2H gather builds sharer-less segments: even a remote owner
+        # is the source, whatever node the destination is on.
+        cluster = k80_cluster(2, 2)
+        assert pick_source(Segment(0, 100, 3), -1, cluster) == 3
+        assert pick_source(Segment(0, 100, 3), 0, cluster) == 3
+
 
 def _run_broadcast(shared, iterations=4):
     aligned, broadcast = _redundancy_kernels(N)

@@ -23,9 +23,9 @@ from repro.harness.overhead import (
 )
 
 
-def _small_study():
+def _small_study(iterations=8):
     return launch_overhead_study(
-        workloads=["hotspot"], n_gpus=4, sizes={"hotspot": (256, 8)}
+        workloads=["hotspot"], n_gpus=4, sizes={"hotspot": (256, iterations)}
     )
 
 
@@ -55,7 +55,12 @@ class TestStudy:
             assert stage in point.replay_us and stage in point.nocache_us
 
     def test_real_study_passes_own_checks(self):
-        points = _small_study()
+        # 24 iterations: a replay's first sight of each ping-pong binding
+        # materialises a plan, and averaged over only seven replays those
+        # two leave the residual stage ~3x below warm — the
+        # MIN_REPLAY_REDUCTION bar itself, so host noise flipped the check
+        # (it failed inside full tier-1 runs before and after PR 19).
+        points = _small_study(iterations=24)
         assert overhead_failures(points) == []
 
     def test_as_dict_round_trip(self):

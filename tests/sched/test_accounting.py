@@ -45,6 +45,12 @@ def test_disabled_categories_record_no_time(schedule):
     beta_patterns = beta_api.machine.trace.busy_time(Category.PATTERNS)
     gamma_patterns = gamma_api.machine.trace.busy_time(Category.PATTERNS)
     assert 0.0 < gamma_patterns < beta_patterns
+    # With the tracker off the D2H gather follows the static linear
+    # distribution: one equal chunk from each device, in device order.
+    d2h = [iv for iv in gamma_api.machine.trace.intervals if iv.label == "d2h"]
+    assert [iv.resource for iv in d2h] == [f"lane{i}" for i in range(N_GPUS)]
+    assert [iv.duration for iv in d2h] == pytest.approx([d2h[0].duration] * N_GPUS)
+    assert gamma_api.stats.d2h_bytes == beta_api.stats.d2h_bytes
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)

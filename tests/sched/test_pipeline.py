@@ -6,25 +6,28 @@ Three layers of guarantees:
   cross-launch edges — on a 1-halo stencil, launch k+1 depends on another
   device's launch-k work only through the thin seam transfers, never
   kernel-to-kernel;
-* ``pipeline_window=1`` replays the legacy per-launch ``execute_plan``
-  trace event for event (the refactor into functional-submit +
-  simulated-flush halves is observationally invisible);
+* ``pipeline_window=1`` reproduces, event for event, the per-launch
+  Figure 4 traces recorded in ``golden/window_one_traces.json`` (flat node
+  under each policy, plus a 2x2 cluster for the per-node gang barrier);
 * every host-visible operation is a flush point, so buffered launches can
   never leak past an observation of the simulated clock or tracker state.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cluster.engine import ClusterSimMachine
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.device import HOST
-from repro.harness.calibration import K80_NODE_SPEC
+from repro.harness.calibration import K80_NODE_SPEC, k80_cluster
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
-from repro.sched.executor import apply_plan_functional, execute_plan
+from repro.sched.executor import apply_plan_functional
 from repro.sched.graph import PipelinedPlan, build_launch_plan
-from repro.sched.policy import select_policy
 from repro.sim.engine import SimMachine
 from repro.workloads.hotspot import BLOCK, build_hotspot_kernel
 
@@ -40,10 +43,10 @@ def _grid():
     return Dim3(x=(N + BLOCK.x - 1) // BLOCK.x, y=(N + BLOCK.y - 1) // BLOCK.y)
 
 
-def _prepared_api(**cfg):
+def _prepared_api(machine=None, **cfg):
     kernel = build_hotspot_kernel(N)
     app = compile_app([kernel])
-    api = MultiGpuApi(app, RuntimeConfig(n_gpus=N_GPUS, **cfg))
+    api = MultiGpuApi(app, RuntimeConfig(n_gpus=N_GPUS, **cfg), machine=machine)
     a = api.cudaMalloc(NBYTES)
     b = api.cudaMalloc(NBYTES)
     data = np.random.default_rng(0).random((N, N)).astype(np.float32)
@@ -117,61 +120,73 @@ def test_pipelined_plan_append_rejects_reordered_launches():
     assert len(window) == 1
 
 
-@pytest.mark.parametrize("schedule", ["sequential", "overlap", "overlap+p2p"])
-def test_window_one_matches_legacy_execute_plan(schedule):
-    """The submit/flush split replays ``execute_plan`` event for event."""
-    iterations = 3
+GOLDEN = Path(__file__).parent / "golden" / "window_one_traces.json"
 
-    def run_pipelined():
-        machine = SimMachine(K80_NODE_SPEC.with_gpus(N_GPUS))
-        kernel = build_hotspot_kernel(N)
-        app = compile_app([kernel])
-        api = MultiGpuApi(
-            app,
-            RuntimeConfig(n_gpus=N_GPUS, schedule=schedule, pipeline_window=1),
-            machine=machine,
+def _flat_node():
+    return SimMachine(K80_NODE_SPEC.with_gpus(N_GPUS))
+
+
+def _cluster_2x2():
+    return ClusterSimMachine(k80_cluster(2, 2))
+
+
+#: Golden case -> (machine factory, RuntimeConfig overrides). The cluster
+#: cases pin what the flat ones cannot reach: the per-node gang barrier, the
+#: barrier-ordered kernel issue and the sharer charge behind each copy.
+GOLDEN_CASES = {
+    "flat-sequential": (_flat_node, dict(schedule="sequential")),
+    "flat-overlap": (_flat_node, dict(schedule="overlap")),
+    "flat-overlap+p2p": (_flat_node, dict(schedule="overlap+p2p")),
+    "2x2-sequential-shared": (
+        _cluster_2x2, dict(schedule="sequential", shared_copies=True)
+    ),
+    "2x2-overlap+p2p-shared": (
+        _cluster_2x2, dict(schedule="overlap+p2p", shared_copies=True)
+    ),
+}
+
+
+def _golden_record(case):
+    """Three ping-pong hotspot launches at window 1, as the fixture stores them."""
+    make_machine, cfg = GOLDEN_CASES[case]
+    machine = make_machine()
+    api, ck, src, dst = _prepared_api(machine, pipeline_window=1, **cfg)
+    for _ in range(3):
+        api.launch(ck.kernel, _grid(), BLOCK, [src, dst])
+        src, dst = dst, src
+    return {
+        "intervals": [
+            [iv.resource, iv.start, iv.end, iv.category.value, iv.label, iv.launch]
+            for iv in machine.trace.intervals
+        ],
+        "elapsed": machine.elapsed(),
+        "sync_bytes": api.stats.sync_bytes,
+        "partition_launches": api.stats.partition_launches,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_window_one_matches_golden_trace(case):
+    """The submit/flush executor reproduces the recorded Figure 4 schedule.
+
+    Exact equality, floats included: JSON round-trips them and the timing
+    path never sums floats in an order that could vary. The flat cases were
+    recorded from the monolithic ``execute_plan`` this executor replaced (PR 11),
+    the 2x2 cases from the live path at the same commit.
+    When a change moves the simulated schedule *on purpose*, regenerate::
+
+        PYTHONPATH=src python - <<'EOF'
+        import json
+        import tests.sched.test_pipeline as t
+        body = ",\\n".join(
+            json.dumps(case) + ": "
+            + json.dumps(t._golden_record(case)).replace("], [", "],\\n[")
+            for case in t.GOLDEN_CASES
         )
-        a = api.cudaMalloc(NBYTES)
-        b = api.cudaMalloc(NBYTES)
-        data = np.random.default_rng(1).random((N, N)).astype(np.float32)
-        api.cudaMemcpy(a, data, NBYTES, MemcpyKind.HostToDevice)
-        api.cudaMemset(b, 0, NBYTES)
-        src, dst = a, b
-        for _ in range(iterations):
-            api.launch(kernel, _grid(), BLOCK, [src, dst])
-            src, dst = dst, src
-        return api, machine
-
-    def run_legacy():
-        machine = SimMachine(K80_NODE_SPEC.with_gpus(N_GPUS))
-        kernel = build_hotspot_kernel(N)
-        app = compile_app([kernel])
-        api = MultiGpuApi(
-            app, RuntimeConfig(n_gpus=N_GPUS, schedule=schedule), machine=machine
-        )
-        a = api.cudaMalloc(NBYTES)
-        b = api.cudaMalloc(NBYTES)
-        data = np.random.default_rng(1).random((N, N)).astype(np.float32)
-        api.cudaMemcpy(a, data, NBYTES, MemcpyKind.HostToDevice)
-        api.cudaMemset(b, 0, NBYTES)
-        ck = app.kernel(kernel.name)
-        policy = select_policy(schedule)
-        src, dst = a, b
-        for i in range(iterations):
-            # The pre-pipelining launch path: build the plan, execute it
-            # monolithically, per launch.
-            api._launch_index = next(api._launch_counter)
-            plan = build_launch_plan(api, ck, _grid(), BLOCK, [src, dst])
-            execute_plan(api, plan, policy)
-            src, dst = dst, src
-        return api, machine
-
-    api_p, machine_p = run_pipelined()
-    api_l, machine_l = run_legacy()
-    assert machine_p.trace.intervals == machine_l.trace.intervals
-    assert machine_p.elapsed() == machine_l.elapsed()
-    assert api_p.stats.sync_bytes == api_l.stats.sync_bytes
-    assert api_p.stats.partition_launches == api_l.stats.partition_launches
+        t.GOLDEN.write_text("{\\n" + body + "\\n}\\n")
+        EOF
+    """
+    assert _golden_record(case) == json.loads(GOLDEN.read_text())[case]
 
 
 def test_host_visible_ops_flush_the_window():
