@@ -8,6 +8,11 @@ scalar arguments. Kernel time on one device then follows the roofline
 
 This replaces measuring real kernels on the paper's K80s; only relative
 magnitudes matter for reproducing the speedup *shapes*.
+
+The per-thread cost is a pure function of the kernel and of the scalars its
+``For`` bounds mention, so the IR is walked once per such binding and the
+result reused for every later launch and partition (a launch's duration is
+then closed-form in its block count).
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ from typing import Dict, Mapping, Tuple
 
 from repro.cuda.dim3 import Dim3
 from repro.cuda.exec.interpreter import eval_scalar_expr
-from repro.cuda.ir.exprs import BinOp, Call, Expr, Load, Select, UnOp
-from repro.cuda.ir.kernel import ArrayParam, Kernel
+from repro.cuda.ir.exprs import BinOp, Call, Expr, Load, LocalRef, Param, Select, UnOp
+from repro.cuda.ir.kernel import Kernel
 from repro.cuda.ir.stmts import Assign, Body, For, If, Let, Store
+from repro.cuda.ir.visitors import walk_body, walk_expr
 from repro.errors import AnalysisError
 from repro.sim.topology import MachineSpec
 
@@ -68,6 +74,10 @@ class KernelCostModel:
 
     def __init__(self, spec: MachineSpec) -> None:
         self.spec = spec
+        # id(kernel) -> (kernel, names its For bounds mention, {their values:
+        # cost}). Keyed on identity because ``Kernel.__hash__`` walks the
+        # whole IR; the entry holds the kernel so its id cannot be reused.
+        self._memo: Dict[int, Tuple[Kernel, Tuple[str, ...], Dict[tuple, ThreadCost]]] = {}
 
     # -- IR walking --------------------------------------------------------------
 
@@ -141,8 +151,32 @@ class KernelCostModel:
     # -- public API ----------------------------------------------------------------
 
     def thread_cost(self, kernel: Kernel, scalars: Mapping[str, object]) -> ThreadCost:
-        elem_sizes: Dict[str, int] = {p.name: p.dtype.size for p in kernel.array_params}
-        return self._body_cost(kernel.body, scalars, elem_sizes)
+        """Per-thread work of ``kernel``; one IR walk per loop-bound binding.
+
+        Only ``_trip_count`` reads ``scalars``, and only the names a ``For``
+        bound mentions, so launches that differ in any other scalar (an
+        ``alpha``, a time step) share one entry. Values are keyed with their
+        type: ``n=5`` and ``n=5.0`` compare equal but divide differently.
+        """
+        entry = self._memo.get(id(kernel))
+        if entry is None:
+            names = {
+                e.name
+                for stmt in walk_body(kernel.body)
+                if isinstance(stmt, For)
+                for bound in (stmt.lo, stmt.hi)
+                for e in walk_expr(bound)
+                if isinstance(e, (Param, LocalRef))
+            }
+            entry = self._memo[id(kernel)] = (kernel, tuple(sorted(names)), {})
+        _, names, costs = entry
+        # Most kernels' bounds mention no scalar: allocate nothing on a hit.
+        key = tuple([(type(v), v) for v in map(scalars.get, names)]) if names else ()
+        cost = costs.get(key)
+        if cost is None:
+            elem_sizes: Dict[str, int] = {p.name: p.dtype.size for p in kernel.array_params}
+            cost = costs[key] = self._body_cost(kernel.body, scalars, elem_sizes)
+        return cost
 
     def __call__(
         self,

@@ -29,13 +29,13 @@ first), issued directly with no plan.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro.compiler.pipeline import CompiledKernel
 from repro.cuda.api import resolve_array_shapes, split_launch_args
 from repro.cuda.dim3 import Dim3
 from repro.cuda.exec.interpreter import run_kernel
-from repro.cuda.ir.kernel import ArrayParam, ScalarParam, partition_field_name
+from repro.cuda.ir.kernel import ArrayParam, ScalarParam
 from repro.errors import PartitioningError, RuntimeApiError
 from repro.runtime.sync import plan_stale_copies_tiered, register_sharer
 from repro.runtime.vbuffer import VirtualBuffer
@@ -158,7 +158,7 @@ def launch_partitioned(
             binding = tuple(by_name[p.name].vb_id for p in kernel.array_params)
             plan = record.plans.get(binding)
             if plan is None:
-                plan = instantiate_plan_replay(api, skel, by_name, record)
+                plan = instantiate_plan_replay(skel, by_name, record)
                 if len(record.plans) >= REPLAY_PLAN_BINDINGS:
                     record.plans.clear()
                 record.plans[binding] = plan

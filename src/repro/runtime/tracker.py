@@ -304,6 +304,10 @@ class SegmentTracker:
         window_lo, window_hi = ranges[0][0], ranges[-1][1]
         self._check_range(window_lo, window_hi)
         existing = self._query_nocount(window_lo, window_hi)
+        if len(existing) == 1 and existing[0].owner == owner and not existing[0].sharers:
+            # The writer already solely owns the whole window (a ping-pong
+            # loop's steady state): the rebuild would reproduce the tree.
+            return 0
 
         invalidated = 0
         shared = [(s.start, s.end) for s in existing if s.sharers]

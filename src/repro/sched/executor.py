@@ -117,15 +117,16 @@ class DataflowLog:
             return
         # Cross-wave domination is unsound: a same-wave query skips the
         # dominating record but must still see the dominated one.
-        kept = [
-            r
-            for r in records
-            if not (lo <= r[0] and r[1] <= hi and r[2] <= event and r[3] == wave)
-        ]
-        kept.append((lo, hi, event, wave))
-        if len(kept) > _MAX_EVENT_INTERVALS:
+        n = 0
+        for r in records:
+            if not (lo <= r[0] and r[1] <= hi and r[2] <= event and r[3] == wave):
+                records[n] = r
+                n += 1
+        del records[n:]
+        records.append((lo, hi, event, wave))
+        if len(records) > _MAX_EVENT_INTERVALS:
             by_wave: Dict[Optional[int], List[_Event]] = {}
-            for r in kept:
+            for r in records:
                 by_wave.setdefault(r[3], []).append(r)
             kept = [
                 (
@@ -150,23 +151,17 @@ class DataflowLog:
                         None,
                     )
                 ]
-        table[key] = kept
+            table[key] = kept
 
     @staticmethod
     def _query(
         table: Dict[_Key, List[_Event]], key: _Key, lo: int, hi: int, wave: Optional[int]
     ) -> float:
-        records = table.get(key)
-        if not records:
-            return 0.0
-        return max(
-            (
-                e
-                for l, h, e, w in records
-                if l < hi and h > lo and (w is None or w != wave)
-            ),
-            default=0.0,
-        )
+        latest = 0.0  # events are simulated times, never negative
+        for l, h, e, w in table.get(key, ()):
+            if e > latest and l < hi and h > lo and (w is None or w != wave):
+                latest = e
+        return latest
 
     def note_write(
         self, vb_id: int, dev: int, lo: int, hi: int, event: float,

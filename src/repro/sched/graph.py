@@ -764,10 +764,7 @@ def instantiate_plan(
 
 
 def instantiate_plan_replay(
-    api: "MultiGpuApi",
-    skel: PlanSkeleton,
-    by_name: Mapping[str, object],
-    record: ResidualRecord,
+    skel: PlanSkeleton, by_name: Mapping[str, object], record: ResidualRecord
 ) -> LaunchPlan:
     """The recorded residual: a plan from a memoized record, no tracker queries.
 

@@ -32,7 +32,7 @@ CUDA stream on top of these events for the runtime's async memcpy path.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 from repro.constants import HOST
@@ -70,17 +70,27 @@ class SimStream:
 
 
 class _Lane:
-    """A transfer resource with busy intervals and first-fit gap search."""
+    """A transfer resource with busy intervals and first-fit gap search.
 
-    __slots__ = ("busy",)
+    ``busy`` is sorted and pairwise disjoint (every reservation starts where
+    :meth:`next_fit` said it fits), so the interval ends are sorted too;
+    ``_ends`` mirrors them for bisection (``bisect(key=)`` needs 3.10).
+    """
+
+    __slots__ = ("busy", "_ends")
 
     def __init__(self) -> None:
         self.busy: List[Tuple[float, float]] = []
+        self._ends: List[float] = []
 
     def next_fit(self, earliest: float, duration: float) -> float:
         """Earliest start >= ``earliest`` with a free gap of ``duration``."""
         t = earliest
-        for start, end in self.busy:
+        busy = self.busy
+        # An interval ending at or before ``earliest`` can neither offer a
+        # gap nor push ``t``: start at the first one ending after it.
+        for i in range(bisect_right(self._ends, earliest), len(busy)):
+            start, end = busy[i]
             if t + duration <= start:
                 return t
             if end > t:
@@ -88,13 +98,16 @@ class _Lane:
         return t
 
     def reserve(self, start: float, end: float) -> None:
-        insort(self.busy, (start, end))
+        i = bisect_right(self.busy, (start, end))
+        self.busy.insert(i, (start, end))
+        self._ends.insert(i, end)
         if len(self.busy) > 512:
             # Compact: merge fully past intervals to bound the list.
             horizon = self.busy[len(self.busy) // 2][0]
             merged = [iv for iv in self.busy if iv[1] > horizon]
             prefix_end = max((iv[1] for iv in self.busy if iv[1] <= horizon), default=0.0)
             self.busy = [(0.0, prefix_end)] + merged if prefix_end > 0 else merged
+            self._ends = [iv[1] for iv in self.busy]
 
     @property
     def avail(self) -> float:
@@ -294,6 +307,13 @@ class SimMachine:
             if proposal == start:
                 break
             start = proposal
+        else:
+            # Reserving anyway would overlap an existing interval, and the
+            # lanes' bisection relies on them staying disjoint.
+            raise SimulationError(
+                f"copy {label!r} {src}->{dst} ({nbytes} B): no common gap on its "
+                f"{len(lanes)} resources after 1000 first-fit rounds"
+            )
         end = start + duration
         for lane, dur in lanes:
             lane.reserve(start, start + dur)

@@ -141,8 +141,90 @@ def test_sole_owner_mode_reproduces_legacy_tracker(ops):
     assert tr.op_count == n_ops  # the legacy single counter
 
 
+# One op: (kind, a, b, device, cuts). Kind 0 = add_sharer over [a, b); 1 =
+# update_many over [a, b) cut into ranges with gaps; 2 = the ping-pong steady
+# state, made on purpose: the device first takes [a, b) whole, then rewrites
+# ranges inside it, so update_many sees one sole-owner segment of the writer.
+twin_ops_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, SIZE - 1),
+        st.integers(0, SIZE - 1),
+        st.integers(0, 3),
+        st.lists(st.integers(0, SIZE), max_size=6),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _cut(lo, hi, cuts):
+    """Sorted, non-overlapping ranges inside [lo, hi); every other piece is a gap."""
+    points = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+    return list(zip(points, points[1:]))[::2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=twin_ops_strategy)
+def test_update_many_equals_per_range_updates(ops):
+    """Property: the batched write (fast path included) is the per-range write.
+
+    A twin tracker is driven by one :meth:`SegmentTracker.update` per range;
+    segments, return values and every op count must agree after each step.
+    """
+    batched, twin = SegmentTracker(SIZE, 0), SegmentTracker(SIZE, 0)
+    for kind, a, b, dev, cuts in ops:
+        lo, hi = min(a, b), max(a, b)
+        if kind == 0:
+            batched.add_sharer(lo, hi, dev)
+            twin.add_sharer(lo, hi, dev)
+        else:
+            if kind == 2:
+                batched.update(lo, hi, dev)
+                twin.update(lo, hi, dev)
+            ranges = _cut(lo, hi, cuts)
+            assert batched.update_many(ranges, dev) == sum(
+                twin.update(x, y, dev) for x, y in ranges
+            )
+        assert batched.segments() == twin.segments()
+        assert batched.op_counts == twin.op_counts
+        batched.check_invariants()
+
+
 class TestOpClasses:
     """Unit tests for the per-class operation accounting."""
+
+    def test_update_many_inside_own_segment_leaves_the_tree_alone(self):
+        """The writer already solely owns the window: counted, not rebuilt."""
+        tr = SegmentTracker(100, 0)
+        tr.update(10, 90, 3)
+        before = tr.segments()
+
+        def frozen(*args):
+            raise AssertionError("a no-op write must not touch the tree")
+
+        tr._map.insert = tr._map.delete = frozen
+        assert tr.update_many([(20, 30), (40, 50), (60, 60)], 3) == 0
+        assert tr.op_counts["update"] == 3  # the whole-range write + two non-empty ranges
+        assert tr.op_counts["invalidate"] == 0
+        assert tr.segments() == before
+
+    def test_update_many_inside_shared_or_foreign_segment_still_rebuilds(self):
+        tr = SegmentTracker(100, 0)
+        assert tr.update_many([(40, 50)], 2) == 0  # one sole-owner segment, not the writer's
+        assert tr.segments() == [Segment(0, 40, 0), Segment(40, 50, 2), Segment(50, 100, 0)]
+        tr = SegmentTracker(100, 0)
+        tr.add_sharer(0, 100, 1)
+        assert tr.update_many([(20, 30)], 0) == 1  # own segment, but a sharer loses its copy
+        assert tr.update_many([(40, 50)], 2) == 1  # somebody else's segment
+        assert tr.segments() == [
+            Segment(0, 20, 0, frozenset({1})),
+            Segment(20, 30, 0),
+            Segment(30, 40, 0, frozenset({1})),
+            Segment(40, 50, 2),
+            Segment(50, 100, 0, frozenset({1})),
+        ]
+        tr.check_invariants()
 
     def test_query_classes(self):
         tr = SegmentTracker(100, 0)

@@ -13,13 +13,21 @@ Plus the scheduler's own ordering guarantee: overlap is never slower than
 sequential, and overlap+p2p never slower than overlap.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.compiler.costmodel import KernelCostModel
+from repro.compiler.pipeline import compile_app
+from repro.harness.calibration import K80_NODE_SPEC
 from repro.harness.experiments import measure_breakdown, run_timed
+from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.sched.policy import SCHEDULES
+from repro.sim.engine import SimMachine
 from repro.sim.trace import Category
 from repro.workloads.common import table1_configs
+from repro.workloads.hotspot import HotspotWorkload
 
 CFG = next(c for c in table1_configs("hotspot") if c.size_label == "small")
 N_GPUS = 4
@@ -78,3 +86,54 @@ def test_overlap_never_slower():
     seq_frac = seq_x["hidden"] / (seq_x["hidden"] + seq_x["exposed"])
     ovl_frac = ovl_x["hidden"] / (ovl_x["hidden"] + ovl_x["exposed"])
     assert ovl_frac > seq_frac
+
+
+# -- the submit stage recomputes nothing launch-invariant: a count, not a clock ----
+
+
+class _ForgetfulCostModel(KernelCostModel):
+    """Walks the kernel IR on every call, as the model did before it memoized."""
+
+    def thread_cost(self, kernel, scalars):
+        self._memo.clear()
+        return super().thread_cost(kernel, scalars)
+
+
+def test_steady_loop_walks_the_kernel_ir_once(monkeypatch):
+    """40 replayed hotspot launches on 16 GPUs cost the kernel once, not 640 times.
+
+    The count is exact and machine-independent, unlike the microseconds it
+    stands for; and the memoized run must be the forgetful run, float for
+    float: counters, simulated clock and every trace interval.
+    """
+    launches, n_gpus = 40, 16
+    workload = HotspotWorkload(replace(CFG, iterations=launches))
+    spec = K80_NODE_SPEC.with_gpus(n_gpus)
+    walks = []
+    body_cost = KernelCostModel._body_cost
+
+    def counting(self, body, scalars, elem_sizes):
+        if body is workload.kernel.body:  # the root entry, not the recursion
+            walks.append(type(self))
+        return body_cost(self, body, scalars, elem_sizes)
+
+    monkeypatch.setattr(KernelCostModel, "_body_cost", counting)
+
+    def run(model_cls):
+        api = MultiGpuApi(
+            compile_app([workload.kernel]),
+            RuntimeConfig(n_gpus=n_gpus, schedule="overlap+p2p", pipeline_window=1),
+            machine=SimMachine(spec),
+            kernel_cost=model_cls(spec),
+            functional=False,
+        )
+        workload.run(api, None)
+        assert api.stats.residual_cache_hits == launches - 1
+        return api
+
+    memoized, forgetful = run(KernelCostModel), run(_ForgetfulCostModel)
+    assert walks.count(KernelCostModel) == 1  # one (kernel, loop-bound binding)
+    assert walks.count(_ForgetfulCostModel) == n_gpus * launches
+    assert memoized.stats == forgetful.stats
+    assert memoized.elapsed() == forgetful.elapsed()
+    assert memoized.machine.trace.intervals == forgetful.machine.trace.intervals

@@ -1,6 +1,10 @@
 """Unit tests for the timing engine (scheduler, lanes, staging bus)."""
 
+import random
+from bisect import insort
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import HOST
 from repro.errors import SimulationError
@@ -38,6 +42,62 @@ class TestLane:
         assert lane.avail == 0.0
         lane.reserve(2.0, 4.0)
         assert lane.avail == 4.0
+
+
+class _LinearLane:
+    """The lane as it was before bisection: scan from index 0. The oracle."""
+
+    def __init__(self):
+        self.busy = []
+
+    def next_fit(self, earliest, duration):
+        t = earliest
+        for start, end in self.busy:
+            if t + duration <= start:
+                return t
+            if end > t:
+                t = end
+        return t
+
+    def reserve(self, start, end):
+        insort(self.busy, (start, end))
+        if len(self.busy) > 512:
+            horizon = self.busy[len(self.busy) // 2][0]
+            merged = [iv for iv in self.busy if iv[1] > horizon]
+            prefix_end = max((iv[1] for iv in self.busy if iv[1] <= horizon), default=0.0)
+            self.busy = [(0.0, prefix_end)] + merged if prefix_end > 0 else merged
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lookback=st.sampled_from([0.0, 4.0, 64.0, 1e9]))
+def test_bisected_lane_equals_linear_scan(seed, lookback):
+    """Random next_fit/reserve interleavings: bisecting skips nothing that matters.
+
+    ``lookback`` is how far before the lane's drain time a copy may become
+    ready: 0 appends, small values backfill recent gaps, 1e9 probes the whole
+    list (and the merged prefix compaction leaves at the front). Durations
+    are multiples of 1/8 so that exact fits (``t + duration == start``) and
+    abutting intervals occur. 1200 steps cross the 512-interval compaction
+    at least twice.
+    """
+    rng = random.Random(seed)
+    lane, oracle = _Lane(), _LinearLane()
+    compactions = 0
+    for _ in range(1200):
+        earliest = max(0.0, oracle.busy[-1][1] - rng.random() * lookback) if oracle.busy else 0.0
+        earliest = round(earliest * 8) / 8 + rng.choice([0.0, 0.0, 0.125, 1.5])
+        duration = rng.choice([0.125, 0.25, 0.5, 1.0, 3.0])
+        start = lane.next_fit(earliest, duration)
+        assert start == oracle.next_fit(earliest, duration)
+        if rng.random() < 0.9:
+            before = len(lane.busy)
+            lane.reserve(start, start + duration)
+            oracle.reserve(start, start + duration)
+            compactions += len(lane.busy) < before
+            assert lane.busy == oracle.busy
+            assert lane._ends == [end for _, end in lane.busy]
+    assert compactions >= 2
+    assert all(a[0] < a[1] <= b[0] for a, b in zip(lane.busy, lane.busy[1:]))  # sorted, disjoint
 
 
 class TestKernels:
@@ -124,6 +184,19 @@ class TestTransfers:
         m = SimMachine(SPEC)
         m.transfer(0, 1, 0, synchronous=True)
         assert m.now == 0.0
+
+    def test_first_fit_that_never_converges_raises(self):
+        """A copy with no common gap must not be reserved on top of another."""
+
+        class Drifting(_Lane):
+            def next_fit(self, earliest, duration):
+                return earliest + 1.0  # never agrees with the proposal
+
+        m = SimMachine(SPEC)
+        m._lanes[0] = Drifting()
+        with pytest.raises(SimulationError, match="'halo' -1->0 .* 1000 first-fit rounds"):
+            m.transfer(HOST, 0, 1024, label="halo")
+        assert m._lanes[0].busy == [] and m._bus.busy == []
 
     def test_negative_bytes_rejected(self):
         m = SimMachine(SPEC)
