@@ -120,7 +120,7 @@ class Enumerator:
     _cache: Dict[Tuple, Tuple[List[FlatRange], int, bool]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Whether cache misses may scan through the vectorized numpy backend
+    #: Whether cache misses may scan through the compiled box program
     #: (repro.poly.vectorize). False pins the scalar scanner — the ablation
     #: path — and is also set when an interpreted table is requested.
     specialize: bool = True
@@ -130,8 +130,8 @@ class Enumerator:
     #: memo predates (and survives) ``plan_cache=False``.
     memo: bool = True
     #: Vectorized-backend state: "unbuilt" until the first miss, then
-    #: "ready" or "disabled" (program construction or a scan raised
-    #: VectorizeError; scalar fallback from then on).
+    #: "ready" or "disabled" (program construction raised VectorizeError;
+    #: scalar fallback from then on).
     _vec_state: str = field(default="unbuilt", repr=False, compare=False)
     _vec: Optional[object] = field(default=None, repr=False, compare=False)
 
@@ -248,7 +248,7 @@ class Enumerator:
     def _scan_vectorized(
         self, params: Tuple[int, ...], strides: Sequence[int]
     ) -> Optional[Tuple[List[FlatRange], int]]:
-        """One scan through the memoized numpy program; None means fall back."""
+        """One scan through the memoized box program; None means fall back."""
         if not self.specialize or self._vec_state == "disabled":
             return None
         if self._vec_state == "unbuilt":
@@ -259,11 +259,7 @@ class Enumerator:
                 self._vec_state = "disabled"
                 return None
             self._vec_state = "ready"
-        try:
-            return self._vec.run(params, strides)
-        except VectorizeError:
-            self._vec_state = "disabled"
-            return None
+        return self._vec.run(params, strides)
 
 
 def merge_ranges(ranges: List[FlatRange]) -> List[FlatRange]:

@@ -197,23 +197,33 @@ def interpret(node: Node, env: Dict[str, int], emit: EmitFn) -> None:
 # -- python source rendering --------------------------------------------------
 
 
-def expr_to_py(expr: Expr) -> str:
-    """Render an expression as Python source (helpers ``_fdiv``/``_cdiv``)."""
+def expr_to_py(expr: Expr, *, array: bool = False) -> str:
+    """Render an expression as Python source.
+
+    With ``array=True`` the operands may be numpy arrays: ``EMin``/``EMax``
+    become nested ``_np.minimum``/``_np.maximum`` calls; every other
+    operator already broadcasts.
+    """
     if isinstance(expr, EConst):
         return repr(expr.value)
     if isinstance(expr, EVar):
         return expr.name
     if isinstance(expr, EAdd):
-        return "(" + " + ".join(expr_to_py(t) for t in expr.terms) + ")"
+        return "(" + " + ".join(expr_to_py(t, array=array) for t in expr.terms) + ")"
     if isinstance(expr, EMul):
-        return f"({expr.coeff} * {expr_to_py(expr.operand)})"
+        return f"({expr.coeff} * {expr_to_py(expr.operand, array=array)})"
     if isinstance(expr, EFDiv):
         # divisor > 0, so Python's // is floor division already.
-        return f"({expr_to_py(expr.operand)} // {expr.divisor})"
+        return f"({expr_to_py(expr.operand, array=array)} // {expr.divisor})"
     if isinstance(expr, ECDiv):
-        return f"(-((-({expr_to_py(expr.operand)})) // {expr.divisor}))"
-    if isinstance(expr, EMin):
-        return "min(" + ", ".join(expr_to_py(o) for o in expr.operands) + ")"
-    if isinstance(expr, EMax):
-        return "max(" + ", ".join(expr_to_py(o) for o in expr.operands) + ")"
+        return f"(-((-({expr_to_py(expr.operand, array=array)})) // {expr.divisor}))"
+    if isinstance(expr, (EMin, EMax)):
+        args = [expr_to_py(o, array=array) for o in expr.operands]
+        if not array:
+            return ("min(" if isinstance(expr, EMin) else "max(") + ", ".join(args) + ")"
+        fn = "_np.minimum" if isinstance(expr, EMin) else "_np.maximum"
+        out = args[0]
+        for arg in args[1:]:
+            out = f"{fn}({out}, {arg})"
+        return out
     raise TypeError(f"unknown expression node {expr!r}")

@@ -1,52 +1,57 @@
-"""Vectorized scanner evaluation: numpy index arithmetic over scan ASTs.
+"""Scanning access images, not rows: compiled box programs over scan ASTs.
 
-The compiled Python scanners (:mod:`repro.poly.codegen`) removed the
-tree-walking overhead but still step the per-row loops one iteration at a
-time; for a 2-D stencil partition that is thousands of interpreter-level
-iterations per enumerator call. This module evaluates the *innermost* loop
-of a scan AST as whole numpy arrays instead: the loop variable becomes an
-``arange``, guards become boolean masks, and every surviving iteration's
-``(base + lo, base + hi + 1)`` range materializes in one shot.
+The scalar scanners (:func:`repro.poly.codegen.compile_scanner`) call back
+once per row of an image; a 2-D stencil partition has thousands of rows,
+and almost all of them coalesce into a few full-width bands. A
+:class:`VectorProgram` is generated code whose cost follows the ranges it
+returns instead: :func:`repro.poly.codegen.render_vector_source` renders
+the scan AST's guards and outer loops as straight-line Python and each
+innermost loop with its emit as one of two records —
 
-The programs are built behind a :func:`memoize`\\ d dispatcher (the pycuda
+* a **box** ``(row_lo, row_hi, lo, hi)`` when the emit bounds do not
+  mention the loop variable: every row of the loop has the same columns
+  (a 1-D emit is the box on row 0);
+* a **rows** entry, numpy arrays over an ``arange`` of the loop, when they
+  do (triangular tiles) or when the loop sits inside another loop (arrays
+  of three or more dimensions, whose outer loops run as Python ``for``).
+
+:meth:`VectorProgram.run` unions the boxes in closed form: between two
+consecutive row breakpoints the covering boxes are fixed, so the rows of
+such a segment share one column union — a union of exactly ``[0, W)`` is
+one flat band, anything else repeats per row. That is exact when every live
+box's columns lie inside ``[0, W)`` (``W`` the row stride), because then no
+row's ranges reach into another row. A call whose values break the
+condition materialises the rows of its boxes instead; rows entries are
+merged into the result with one sorted coalesce. Either way the ranges are
+:func:`repro.compiler.enumerators.merge_ranges` of the scalar scanner's
+emissions and the emission count — which drives simulated host cost — is
+the scalar scanner's: ``row_hi - row_lo + 1`` per box with ``lo <= hi``
+plus the valid rows of each rows entry.
+
+Programs are built behind a :func:`memoize`\\ d dispatcher (the pycuda
 ``@memoize`` idiom) keyed on the AST node — scan ASTs are frozen
 dataclasses, hence hashable — so each enumerator compiles once per process.
-Shapes the walker cannot handle (loop bounds depending on a vectorized
-dimension, unknown node kinds) raise :exc:`VectorizeError` and the caller
-falls back to the scalar scanner; results are bit-identical either way,
-including the emitted-range *count* that drives host-cost accounting.
+An AST the renderer cannot handle raises :exc:`VectorizeError` at
+construction and the caller falls back to the scalar scanner.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.poly.ast import (
-    AEmitRange,
-    AFor,
-    AGuard,
-    ASeq,
-    EAdd,
-    ECDiv,
-    EConst,
-    EFDiv,
-    EMax,
-    EMin,
-    EMul,
-    EVar,
-    Expr,
-    Node,
-)
+from repro.poly.ast import Node
+from repro.poly.codegen import compile_vector_scanner
 
 __all__ = ["VectorizeError", "memoize", "vector_program", "VectorProgram"]
 
-Value = Union[int, np.ndarray]
+Run = Tuple[int, int]
+Box = Tuple[int, int, int, int]
 
 
 class VectorizeError(Exception):
-    """The AST (or its runtime values) cannot be evaluated vectorized."""
+    """The AST cannot be compiled into a vector program."""
 
 
 def memoize(fn: Callable) -> Callable:
@@ -67,205 +72,81 @@ def memoize(fn: Callable) -> Callable:
     return wrapper
 
 
-def _eval(expr: Expr, env: Dict[str, Value]) -> Value:
-    """Evaluate one affine expression over ints and/or int64 arrays."""
-    if isinstance(expr, EConst):
-        return expr.value
-    if isinstance(expr, EVar):
-        return env[expr.name]
-    if isinstance(expr, EAdd):
-        total: Value = 0
-        for term in expr.terms:
-            total = total + _eval(term, env)
-        return total
-    if isinstance(expr, EMul):
-        return expr.coeff * _eval(expr.operand, env)
-    if isinstance(expr, EFDiv):
-        return _eval(expr.operand, env) // expr.divisor
-    if isinstance(expr, ECDiv):
-        # Ceiling division with a positive divisor, matching expr_to_py's
-        # -((-x) // d) rendering for ints and arrays alike.
-        return -((-_eval(expr.operand, env)) // expr.divisor)
-    if isinstance(expr, (EMin, EMax)):
-        values = [_eval(o, env) for o in expr.operands]
-        if any(isinstance(v, np.ndarray) for v in values):
-            combine = np.minimum if isinstance(expr, EMin) else np.maximum
-            out = values[0]
-            for v in values[1:]:
-                out = combine(out, v)
-            return out
-        return min(values) if isinstance(expr, EMin) else max(values)
-    raise VectorizeError(f"unsupported expression {type(expr).__name__}")
-
-
-def _collect_fors(node: Node, out: List[AFor]) -> None:
-    if isinstance(node, ASeq):
-        for child in node.children:
-            _collect_fors(child, out)
-    elif isinstance(node, AGuard):
-        _collect_fors(node.body, out)
-    elif isinstance(node, AFor):
-        out.append(node)
-        _collect_fors(node.body, out)
-    elif not isinstance(node, AEmitRange):
-        raise VectorizeError(f"unsupported AST node {type(node).__name__}")
-
-
 class VectorProgram:
-    """One scan AST prepared for vectorized row enumeration."""
+    """One scan AST compiled to a box/rows program."""
 
     def __init__(self, node: Node, param_names: Tuple[str, ...]) -> None:
         self.node = node
         self.param_names = param_names
-        fors: List[AFor] = []
-        _collect_fors(node, fors)
-        # Loops that still contain a loop run as Python loops; only the
-        # innermost level becomes an arange. Identity-keyed: the AST is
-        # immutable and owned by `self.node` for the program's lifetime.
-        self._scalar_loops = frozenset(
-            id(f) for f in fors if any(True for _ in _iter_fors(f.body))
-        )
+        try:
+            self._fn = compile_vector_scanner(node, param_names)
+        except TypeError as exc:
+            raise VectorizeError(str(exc)) from exc
 
-    def run(
-        self, params: Sequence[int], strides: Sequence[int]
-    ) -> Tuple[List[Tuple[int, int]], int]:
+    def run(self, params: Sequence[int], strides: Sequence[int]) -> Tuple[List[Run], int]:
         """Merged flat element ranges plus the raw emission count.
 
-        Exactly :func:`repro.poly.ast.interpret` driving the enumerator's
-        emit callback, with the innermost loop dimension evaluated as one
-        array: same ranges (after merging), same number of emissions.
+        The same ranges as merging the scalar scanner's emissions, and the
+        same number of emissions, without visiting a row the result does
+        not need.
         """
-        env: Dict[str, Value] = {
-            name: int(params[i]) for i, name in enumerate(self.param_names)
-        }
-        row_strides = tuple(strides[:-1])
-        scalar_starts: List[int] = []
-        scalar_ends: List[int] = []
-        vec_starts: List[np.ndarray] = []
-        vec_ends: List[np.ndarray] = []
-        count = 0
-
-        def go(node: Node, mask: Optional[np.ndarray], length: Optional[int]) -> None:
-            nonlocal count
-            if isinstance(node, ASeq):
-                for child in node.children:
-                    go(child, mask, length)
-                return
-            if isinstance(node, AGuard):
-                m = mask
-                for e in node.ineqs:
-                    v = _eval(e, env)
-                    if isinstance(v, np.ndarray):
-                        cond = v >= 0
-                        m = cond if m is None else (m & cond)
-                    elif v < 0:
-                        return
-                for e in node.eqs:
-                    v = _eval(e, env)
-                    if isinstance(v, np.ndarray):
-                        cond = v == 0
-                        m = cond if m is None else (m & cond)
-                    elif v != 0:
-                        return
-                go(node.body, m, length)
-                return
-            if isinstance(node, AFor):
-                lo = _eval(node.lower, env)
-                hi = _eval(node.upper, env)
-                if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-                    raise VectorizeError(
-                        f"bounds of loop {node.var!r} depend on a vectorized dimension"
-                    )
-                if hi < lo:
-                    return
-                if id(node) in self._scalar_loops:
-                    for value in range(lo, hi + 1):
-                        env[node.var] = value
-                        go(node.body, mask, length)
-                else:
-                    env[node.var] = np.arange(lo, hi + 1, dtype=np.int64)
-                    go(node.body, mask, int(hi - lo + 1))
-                env.pop(node.var, None)
-                return
-            # AEmitRange
-            lo = _eval(node.lower, env)
-            hi = _eval(node.upper, env)
-            base: Value = 0
-            for r, s in zip(node.row, row_strides):
-                base = base + _eval(r, env) * s
-            if length is None:
-                if lo <= hi:
-                    count += 1
-                    scalar_starts.append(base + lo)
-                    scalar_ends.append(base + hi + 1)
-                return
-            valid = lo <= hi
-            m = valid if mask is None else (mask & valid)
-            starts: Value = base + lo
-            ends: Value = base + hi + 1
-            if isinstance(m, np.ndarray):
-                starts = np.broadcast_to(np.asarray(starts, dtype=np.int64), m.shape)[m]
-                ends = np.broadcast_to(np.asarray(ends, dtype=np.int64), m.shape)[m]
-            elif m:
-                starts = np.broadcast_to(np.asarray(starts, dtype=np.int64), (length,))
-                ends = np.broadcast_to(np.asarray(ends, dtype=np.int64), (length,))
-            else:
-                return
-            if starts.size:
-                count += int(starts.size)
-                vec_starts.append(starts)
-                vec_ends.append(ends)
-
-        go(self.node, None, None)
-
-        if not vec_starts and not scalar_starts:
-            return [], count
-        chunks_s: List[np.ndarray] = list(vec_starts)
-        chunks_e: List[np.ndarray] = list(vec_ends)
-        if scalar_starts:
-            chunks_s.append(np.asarray(scalar_starts, dtype=np.int64))
-            chunks_e.append(np.asarray(scalar_ends, dtype=np.int64))
-        starts_all = np.concatenate(chunks_s) if len(chunks_s) > 1 else chunks_s[0]
-        ends_all = np.concatenate(chunks_e) if len(chunks_e) > 1 else chunks_e[0]
-        return _merge_flat(starts_all, ends_all), count
+        boxes, rows = self._fn(params, strides)
+        boxes = [b for b in boxes if b[0] <= b[1] and b[2] <= b[3]]
+        width = int(strides[-2]) if len(strides) > 1 else 0
+        if len(strides) > 1 and not all(0 <= lo and hi < width for _, _, lo, hi in boxes):
+            # A column leaves its row, so rows may interleave: materialise.
+            rows.extend(
+                (r1 - r0 + 1, np.arange(r0, r1 + 1) * width, lo, hi) for r0, r1, lo, hi in boxes
+            )
+            boxes = []
+        count = sum(r1 - r0 + 1 for r0, r1, _, _ in boxes)
+        runs = _union_boxes(boxes, width)
+        if not rows:
+            return runs, count
+        for n, base, lo, hi in rows:
+            keep = np.broadcast_to(lo <= hi, (n,))
+            count += int(np.count_nonzero(keep))
+            starts = np.broadcast_to(base + lo, (n,))[keep]
+            ends = np.broadcast_to(base + hi + 1, (n,))[keep]
+            runs.extend(zip(starts.tolist(), ends.tolist()))
+        return _coalesce(sorted(runs)), count
 
 
-def _iter_fors(node: Node):
-    if isinstance(node, ASeq):
-        for child in node.children:
-            yield from _iter_fors(child)
-    elif isinstance(node, AGuard):
-        yield from _iter_fors(node.body)
-    elif isinstance(node, AFor):
-        yield node
+def _union_boxes(boxes: List[Box], width: int) -> List[Run]:
+    """Canonical flat runs of boxes whose columns stay inside ``[0, width)``.
 
-
-def _merge_flat(
-    starts: np.ndarray, ends: np.ndarray
-) -> List[Tuple[int, int]]:
-    """Sort-and-coalesce half-open ranges, identical to ``merge_ranges``.
-
-    ``merge_ranges`` sorts (lo, hi) tuples lexicographically and merges a
-    range into the current run when its ``lo`` does not exceed the running
-    maximum ``hi``; the array form sorts by (start, end), takes the running
-    maximum of ends, and cuts a new run exactly where a start exceeds the
-    previous running maximum.
+    ``width`` 0 stands for a 1-D array, whose boxes all sit on row 0.
     """
-    order = np.lexsort((ends, starts))
-    s = starts[order]
-    e = ends[order]
-    running = np.maximum.accumulate(e)
-    new_run = np.empty(s.shape, dtype=bool)
-    new_run[0] = True
-    np.greater(s[1:], running[:-1], out=new_run[1:])
-    heads = np.flatnonzero(new_run)
-    run_ends = np.append(running[heads[1:] - 1], running[-1])
-    return list(zip(s[heads].tolist(), run_ends.tolist()))
+    cuts = sorted({r0 for r0, _, _, _ in boxes} | {r1 + 1 for _, r1, _, _ in boxes})
+    runs: List[Run] = []
+    for a, b in zip(cuts, cuts[1:]):
+        cols = _coalesce(sorted((lo, hi + 1) for r0, r1, lo, hi in boxes if r0 <= a <= r1))
+        if cols == [(0, width)]:
+            runs.append((a * width, b * width))
+        else:
+            runs.extend((r * width + lo, r * width + hi) for r in range(a, b) for lo, hi in cols)
+    return _coalesce(runs)
+
+
+def _coalesce(runs: List[Run]) -> List[Run]:
+    """Merge sorted half-open runs that overlap or touch (``merge_ranges``).
+
+    Not :func:`repro.poly.intervals.normalize_intervals`: that one re-sorts
+    and re-casts every run, and is timed as its own layer.
+    """
+    out: List[Run] = []
+    for lo, hi in runs:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
 @memoize
 def vector_program(node: Node, param_names: Tuple[str, ...]) -> VectorProgram:
-    """The memoized vectorized program for one scan AST.
+    """The memoized vector program for one scan AST.
 
     Keyed on the (hashable, frozen) AST and the positional parameter
     names; every enumerator of a compiled app shares one program per

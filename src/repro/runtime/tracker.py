@@ -261,27 +261,34 @@ class SegmentTracker:
     def query_many(self, ranges: List[Tuple[int, int]]) -> List[Segment]:
         """Clipped segments for many sorted, non-overlapping ranges.
 
-        One merge-join pass over the segment list instead of one descent per
-        range; the per-row ranges a stencil enumerator emits make this the
-        runtime's hot path. ``op_counts`` still charge one logical tracker
-        operation per range (the cost model charges what the paper's
-        per-interval queries would).
+        One descent to the first range, then one merge-join pass over the
+        segments up to the last range's end, instead of one descent per
+        range; the ranges of a launch's read set make this the runtime's
+        hot path. ``op_counts`` still charge one logical tracker operation
+        per range (the cost model charges what the paper's per-interval
+        queries would).
         """
         if not ranges:
             return []
         self.op_counts["query"] += len(ranges)
-        segs = self.segments()
+        self._check_range(*ranges[0])
+        window_hi = ranges[-1][1]
+        segs: List[Tuple[int, int, int, FrozenSet[int]]] = []
+        for key, (end, owner, sharers) in self._map.items_from(self._map.floor(ranges[0][0])[0]):
+            if key >= window_hi:
+                break
+            segs.append((key, end, owner, sharers))
         out: List[Segment] = []
         i = 0
         n = len(segs)
         for lo, hi in ranges:
             self._check_range(lo, hi)
-            while i < n and segs[i].end <= lo:
+            while i < n and segs[i][1] <= lo:
                 i += 1
             j = i
-            while j < n and segs[j].start < hi:
-                s = segs[j]
-                out.append(Segment(max(s.start, lo), min(s.end, hi), s.owner, s.sharers))
+            while j < n and segs[j][0] < hi:
+                start, end, owner, sharers = segs[j]
+                out.append(Segment(max(start, lo), min(end, hi), owner, sharers))
                 j += 1
             # The last overlapping segment may also overlap the next range.
             i = max(i, j - 1)

@@ -13,11 +13,18 @@ through both, and require
   scans resolve through the numpy program, the interpreted app's never do.
 """
 
+import dataclasses
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.compiler.enumerators import Enumerator
 from repro.compiler.pipeline import compile_app
-from repro.runtime.api import MultiGpuApi
+from repro.compiler.strategy import Partition
+from repro.runtime.api import MultiGpuApi, RunStats
 from repro.runtime.config import RuntimeConfig
 from repro.workloads import ALL_WORKLOADS, EXTRA_WORKLOADS, functional_config
 
@@ -80,6 +87,57 @@ def test_backends_bitwise_equal_and_scan_identical(name):
             for e in vec_table.values()
             for (_, _, vectorized) in e._cache.values()
         ), name
+
+
+@functools.lru_cache(maxsize=None)
+def _requests(name):
+    """One (enumerator, block, grid, scalars, shape) per distinct launch a
+    functional two-GPU run of ``name`` scanned."""
+    wl = REGISTRY[name](functional_config(name))
+    app = compile_app(wl.build_kernels())
+    seen = {}
+    scan = Enumerator.element_ranges
+
+    def record(self, partition, block, grid, scalars, shape, stats=None):
+        key = (self.name, block, grid, tuple(sorted(scalars.items())), tuple(shape))
+        seen.setdefault(key, (self, block, grid, dict(scalars), tuple(shape)))
+        return scan(self, partition, block, grid, scalars, shape, stats)
+
+    with mock.patch.object(Enumerator, "element_ranges", record):
+        wl.run(MultiGpuApi(app, RuntimeConfig(n_gpus=2)), wl.make_inputs(seed=3))
+    return [seen[k] for k in sorted(seen, key=repr)]
+
+
+@st.composite
+def _box(draw, grid):
+    """A random non-empty block box inside ``grid``."""
+    axes = {}
+    for axis in ("z", "y", "x"):
+        lo = draw(st.integers(0, grid.axis(axis) - 1))
+        axes[axis] = (lo, draw(st.integers(lo + 1, grid.axis(axis))))
+    return Partition(**axes)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_partitions_scan_identically(name, data):
+    """Random partitions of every app's launches, some on a reshaped array
+    (whose rows may then be narrower than the image's columns): the compiled
+    program and the scalar scanner return the same ranges and counts."""
+    requests = _requests(name)
+    if not requests:
+        return
+    enum, block, grid, scalars, shape = data.draw(st.sampled_from(requests))
+    partition = data.draw(_box(grid))
+    if len(shape) > 1 and data.draw(st.booleans()):
+        shape = shape[:-1] + (max(1, shape[-1] + data.draw(st.integers(-3, 3))),)
+    vec = dataclasses.replace(enum, memo=False, specialize=True)
+    scalar = dataclasses.replace(enum, memo=False, specialize=False)
+    stats = RunStats()
+    got = vec.element_ranges(partition, block, grid, scalars, shape, stats)
+    assert got == scalar.element_ranges(partition, block, grid, scalars, shape)
+    assert (stats.enumerator_specialized, stats.enumerator_fallback) == (1, 0)
 
 
 def test_imgpipe_nonaffine_kernel_has_no_enumerators():

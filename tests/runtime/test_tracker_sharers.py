@@ -9,9 +9,12 @@ of writes (``update`` / ``update_many``), synchronization registrations
 tracker exactly (segments, counts, and all).
 """
 
+from typing import List
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import TrackerError
 from repro.runtime.tracker import Segment, SegmentTracker
 
 SIZE = 200
@@ -189,6 +192,63 @@ def test_update_many_equals_per_range_updates(ops):
         assert batched.segments() == twin.segments()
         assert batched.op_counts == twin.op_counts
         batched.check_invariants()
+
+
+def _query_many_over_every_segment(self, ranges):
+    """``SegmentTracker.query_many`` as it was when it built every segment."""
+    if not ranges:
+        return []
+    self.op_counts["query"] += len(ranges)
+    segs = self.segments()
+    out: List[Segment] = []
+    i = 0
+    n = len(segs)
+    for lo, hi in ranges:
+        self._check_range(lo, hi)
+        while i < n and segs[i].end <= lo:
+            i += 1
+        j = i
+        while j < n and segs[j].start < hi:
+            s = segs[j]
+            out.append(Segment(max(s.start, lo), min(s.end, hi), s.owner, s.sharers))
+            j += 1
+        # The last overlapping segment may also overlap the next range.
+        i = max(i, j - 1)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=twin_ops_strategy,
+    points=st.lists(st.integers(0, SIZE + 4), max_size=12),
+    gaps=st.booleans(),
+)
+def test_query_many_walks_only_its_window(ops, points, gaps):
+    """Property: the windowed batched query is the whole-list merge-join.
+
+    Twin trackers take the same writes and sharer registrations; each is
+    then asked for the same sorted, non-overlapping ranges (touching or with
+    gaps, empty ones included, some past the end of the buffer). Answers,
+    errors and op counts must agree.
+    """
+    windowed, whole = SegmentTracker(SIZE, 0), SegmentTracker(SIZE, 0)
+    for kind, a, b, dev, cuts in ops:
+        lo, hi = min(a, b), max(a, b)
+        for tr in (windowed, whole):
+            if kind == 0:
+                tr.add_sharer(lo, hi, dev)
+            else:
+                tr.update_many(_cut(lo, hi, cuts), dev)
+    points = sorted(points)
+    ranges = list(zip(points, points[1:]))[:: 2 if gaps else 1]
+    try:
+        want = _query_many_over_every_segment(whole, ranges)
+    except TrackerError:
+        with pytest.raises(TrackerError):
+            windowed.query_many(ranges)
+    else:
+        assert windowed.query_many(ranges) == want
+    assert windowed.op_counts == whole.op_counts
 
 
 class TestOpClasses:
