@@ -363,7 +363,15 @@ def analyze_transfers(
         irredundant=irredundant,
     )
     strategy = choose_strategy(info)
-    parts = strategy.partitions(grid, n_gpus)
+    if cluster is not None:
+        # The runtime splits a cluster hierarchically (node intervals
+        # first); with fewer blocks than GPUs that places work on other
+        # devices than the flat split would.
+        from repro.cluster.partition import hierarchical_partitions
+
+        parts = hierarchical_partitions(strategy, grid, cluster)
+    else:
+        parts = strategy.partitions(grid, n_gpus)
     enums = enums or EnumeratorTable.build(info, use_codegen=use_codegen)
     arrays = {p.name: p for p in info.kernel.array_params}
     oracle = oracle or ExactReadOracle(info)

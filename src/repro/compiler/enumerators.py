@@ -124,11 +124,6 @@ class Enumerator:
     #: (repro.poly.vectorize). False pins the scalar scanner — the ablation
     #: path — and is also set when an interpreted table is requested.
     specialize: bool = True
-    #: Whether scans may be served from (and stored into) the memo above.
-    #: False re-scans every request — the no-cache overhead ablation, which
-    #: would otherwise understate the staged planner's savings because the
-    #: memo predates (and survives) ``plan_cache=False``.
-    memo: bool = True
     #: Vectorized-backend state: "unbuilt" until the first miss, then
     #: "ready" or "disabled" (program construction raised VectorizeError;
     #: scalar fallback from then on).
@@ -209,7 +204,7 @@ class Enumerator:
             return [], 0
         params = self.pack_params(partition, block, grid, scalars)
         key = (params, tuple(shape))
-        cached = self._cache.get(key) if self.memo else None
+        cached = self._cache.get(key)
         if cached is not None:
             ranges, count, vectorized = cached
             self._count(stats, vectorized)
@@ -232,7 +227,7 @@ class Enumerator:
             self.scan(params, emit)
             result = (merge_ranges(raw), count)
         self._count(stats, vectorized)
-        if self.memo and len(self._cache) < 4096:
+        if len(self._cache) < 4096:
             self._cache[key] = (result[0], result[1], vectorized)
         return result
 

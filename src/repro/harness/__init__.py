@@ -11,12 +11,7 @@ from repro.harness.experiments import (
     compile_time_ratio,
     table1_rows,
 )
-from repro.harness.overhead import (
-    OverheadPoint,
-    identity_sweep,
-    launch_overhead_study,
-    overhead_failures,
-)
+from repro.harness.identity import Observation, identity_sweep, observe
 
 __all__ = [
     "K80_NODE_SPEC",
@@ -29,8 +24,7 @@ __all__ = [
     "single_gpu_overhead",
     "compile_time_ratio",
     "table1_rows",
-    "OverheadPoint",
+    "Observation",
     "identity_sweep",
-    "launch_overhead_study",
-    "overhead_failures",
+    "observe",
 ]

@@ -8,6 +8,7 @@ separately by the functional test suite.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
@@ -35,7 +36,6 @@ __all__ = [
     "RedundancyPoint",
     "PipelinePoint",
     "run_timed",
-    "run_timed_cluster",
     "reference_time",
     "figure6",
     "figure7",
@@ -64,15 +64,9 @@ def _compiled(workload: Workload) -> CompiledApp:
     # Kernels bake in the problem size (one build per Table 1 size, like the
     # paper's benchmarks), so the cache key includes it.
     key = f"{workload.name}/{workload.cfg.size}"
-    app = _APP_CACHE.get(key)
-    if app is None:
-        app = compile_app(workload.build_kernels())
-        _APP_CACHE[key] = app
-    return app
-
-
-def _with_iterations(cfg: ProblemConfig, iterations: int) -> ProblemConfig:
-    return ProblemConfig(cfg.workload, cfg.size_label, cfg.size, iterations)
+    if key not in _APP_CACHE:
+        _APP_CACHE[key] = compile_app(workload.build_kernels())
+    return _APP_CACHE[key]
 
 
 def _extrapolated(cfg: ProblemConfig, run_once) -> Tuple[float, object]:
@@ -85,8 +79,8 @@ def _extrapolated(cfg: ProblemConfig, run_once) -> Tuple[float, object]:
     """
     if cfg.iterations <= _EXTRAPOLATE_M1:
         return run_once(cfg)
-    t1, payload = run_once(_with_iterations(cfg, _EXTRAPOLATE_M1))
-    t2, _ = run_once(_with_iterations(cfg, _EXTRAPOLATE_M2))
+    t1, payload = run_once(replace(cfg, iterations=_EXTRAPOLATE_M1))
+    t2, _ = run_once(replace(cfg, iterations=_EXTRAPOLATE_M2))
     per_iter = (t1 - t2) / (_EXTRAPOLATE_M1 - _EXTRAPOLATE_M2)
     total = t1 + (cfg.iterations - _EXTRAPOLATE_M1) * per_iter
     return total, payload
@@ -118,60 +112,31 @@ def run_timed(
     *,
     config: Optional[RuntimeConfig] = None,
     schedule: Optional[str] = None,
+    cluster: Optional[ClusterSpec] = None,
 ) -> Tuple[float, MultiGpuApi]:
     """Simulated runtime of the partitioned application on ``n_gpus``.
 
     ``schedule`` selects the launch-scheduler policy (overriding whatever
-    ``config`` carries); all other ``config`` fields are preserved.
+    ``config`` carries); all other ``config`` fields are preserved. With a
+    ``cluster`` the machine is a :class:`ClusterSimMachine` over it instead
+    of a flat ``spec`` node (hierarchical partitioning, cross-node halos
+    over the NIC/fabric tier); ``n_gpus`` must then be its total.
     """
-    if config is None:
-        config = RuntimeConfig(n_gpus=n_gpus)
-    else:
-        config = replace(config, n_gpus=n_gpus)
+    config = replace(config or RuntimeConfig(), n_gpus=n_gpus)
     if schedule is not None:
         config = replace(config, schedule=schedule)
 
     def run_once(c: ProblemConfig):
         workload = ALL_WORKLOADS[c.workload](c)
         app = _compiled(workload)
-        machine = SimMachine(spec.with_gpus(max(n_gpus, 1)))
+        if cluster is not None:
+            machine = ClusterSimMachine(cluster)
+        else:
+            machine = SimMachine(spec.with_gpus(max(n_gpus, 1)))
         api = MultiGpuApi(app, config, machine=machine, functional=False)
         workload.run(api, None)
         # api.elapsed(), not machine.elapsed(): reading the clock through
         # the api drains any pipelined launches still buffered.
-        return api.elapsed(), api
-
-    return _extrapolated(cfg, run_once)
-
-
-def run_timed_cluster(
-    cfg: ProblemConfig,
-    cluster: ClusterSpec,
-    *,
-    config: Optional[RuntimeConfig] = None,
-    schedule: Optional[str] = None,
-) -> Tuple[float, MultiGpuApi]:
-    """Simulated runtime of the partitioned application on a cluster.
-
-    Same contract as :func:`run_timed`, but the machine is a
-    :class:`ClusterSimMachine` over ``cluster`` and the runtime spans all
-    ``cluster.total_gpus`` devices (hierarchical partitioning, cross-node
-    halos over the NIC/fabric tier).
-    """
-    n_gpus = cluster.total_gpus
-    if config is None:
-        config = RuntimeConfig(n_gpus=n_gpus)
-    else:
-        config = replace(config, n_gpus=n_gpus)
-    if schedule is not None:
-        config = replace(config, schedule=schedule)
-
-    def run_once(c: ProblemConfig):
-        workload = ALL_WORKLOADS[c.workload](c)
-        app = _compiled(workload)
-        machine = ClusterSimMachine(cluster)
-        api = MultiGpuApi(app, config, machine=machine, functional=False)
-        workload.run(api, None)
         return api.elapsed(), api
 
     return _extrapolated(cfg, run_once)
@@ -329,14 +294,7 @@ def schedule_comparison(
                 exposure = api.machine.trace.transfer_exposure()
                 points.append(
                     SchedulePoint(
-                        name,
-                        size,
-                        g,
-                        sched,
-                        elapsed,
-                        ref,
-                        exposure["hidden"],
-                        exposure["exposed"],
+                        name, size, g, sched, elapsed, ref, exposure["hidden"], exposure["exposed"]
                     )
                 )
     return points
@@ -374,10 +332,6 @@ class ClusterPoint:
     #: api.HOST_PLANNER_COUNTERS`): plan/residual cache hit rates witness
     #: that the launch hot path stayed warm across the scaling sweep.
     host_counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_gpus(self) -> int:
-        return self.n_nodes * self.gpus_per_node
 
     @property
     def speedup(self) -> float:
@@ -421,26 +375,18 @@ def cluster_scaling(
         for n_nodes, gpus_per_node in shapes:
             cluster = base.with_shape(n_nodes, gpus_per_node)
             for sched in schedules:
-                elapsed, api = run_timed_cluster(cfg, cluster, schedule=sched)
-                trace = api.machine.trace
+                elapsed, api = run_timed(
+                    cfg, cluster.total_gpus, schedule=sched, cluster=cluster
+                )
+                trace, stats = api.machine.trace, api.stats
                 tiers = trace.transfer_exposure_by_tier()
+                intra, inter = tiers["intra"], tiers["inter"]
                 points.append(
                     ClusterPoint(
-                        name,
-                        size,
-                        n_nodes,
-                        gpus_per_node,
-                        sched,
-                        elapsed,
-                        ref,
-                        tiers["intra"]["hidden"],
-                        tiers["intra"]["exposed"],
-                        tiers["inter"]["hidden"],
-                        tiers["inter"]["exposed"],
-                        api.stats.inter_node_transfers,
-                        api.stats.inter_node_bytes,
-                        trace.busy_time(Category.TRANSFERS),
-                        host_planner_counters(api.stats),
+                        name, size, n_nodes, gpus_per_node, sched, elapsed, ref,
+                        intra["hidden"], intra["exposed"], inter["hidden"], inter["exposed"],
+                        stats.inter_node_transfers, stats.inter_node_bytes,
+                        trace.busy_time(Category.TRANSFERS), host_planner_counters(stats),
                     )
                 )
     return points
@@ -476,10 +422,6 @@ class PipelinePoint:
     estimate_cache_misses: int
 
     @property
-    def total_gpus(self) -> int:
-        return self.n_nodes * self.gpus_per_node
-
-    @property
     def speedup(self) -> float:
         return self.reference / self.time
 
@@ -510,63 +452,27 @@ def pipeline_study(
       incremental benefit of fusing windows is separable from the benefit
       of DAG scheduling itself.
     """
+    topologies = [("flat", 1, n_gpus, None)]
+    if cluster_shape is not None:
+        n_nodes, gpn = cluster_shape
+        topologies.append(("cluster", n_nodes, gpn, base.with_shape(n_nodes, gpn)))
+    runs = [("sequential", 1)] + [("overlap+p2p", w) for w in windows]
     points: List[PipelinePoint] = []
-
-    def run(cfg, make_config, runner, topology, n_nodes, gpn, sched, window):
-        config = make_config(sched, window)
-        elapsed, api = runner(cfg, config)
-        exposure = api.machine.trace.transfer_exposure()
-        points.append(
-            PipelinePoint(
-                cfg.workload,
-                size,
-                topology,
-                n_nodes,
-                gpn,
-                sched,
-                window,
-                elapsed,
-                ref,
-                exposure["hidden"],
-                exposure["exposed"],
-                api.stats.pipeline_flushes,
-                api.stats.pipeline_max_batch,
-                api.stats.estimate_cache_hits,
-                api.stats.estimate_cache_misses,
-            )
-        )
-
     for name in workloads:
         cfg = next(c for c in table1_configs(name) if c.size_label == size)
         ref = reference_time(cfg, spec)
-
-        def flat_config(sched: str, window: int) -> RuntimeConfig:
-            return RuntimeConfig(n_gpus=n_gpus, schedule=sched, pipeline_window=window)
-
-        def flat_runner(c, config):
-            return run_timed(c, n_gpus, spec, config=config)
-
-        run(cfg, flat_config, flat_runner, "flat", 1, n_gpus, "sequential", 1)
-        for w in windows:
-            run(cfg, flat_config, flat_runner, "flat", 1, n_gpus, "overlap+p2p", w)
-
-        if cluster_shape is not None:
-            n_nodes, gpn = cluster_shape
-            cluster = base.with_shape(n_nodes, gpn)
-
-            def cluster_config(sched: str, window: int) -> RuntimeConfig:
-                return RuntimeConfig(
-                    n_gpus=cluster.total_gpus, schedule=sched, pipeline_window=window
-                )
-
-            def cluster_runner(c, config):
-                return run_timed_cluster(c, cluster, config=config)
-
-            run(cfg, cluster_config, cluster_runner, "cluster", n_nodes, gpn, "sequential", 1)
-            for w in windows:
-                run(
-                    cfg, cluster_config, cluster_runner, "cluster", n_nodes, gpn,
-                    "overlap+p2p", w,
+        for topology, n_nodes, gpn, cluster in topologies:
+            for sched, window in runs:
+                config = RuntimeConfig(schedule=sched, pipeline_window=window)
+                elapsed, api = run_timed(cfg, n_nodes * gpn, spec, config=config, cluster=cluster)
+                exposure, stats = api.machine.trace.transfer_exposure(), api.stats
+                points.append(
+                    PipelinePoint(
+                        name, size, topology, n_nodes, gpn, sched, window, elapsed, ref,
+                        exposure["hidden"], exposure["exposed"],
+                        stats.pipeline_flushes, stats.pipeline_max_batch,
+                        stats.estimate_cache_hits, stats.estimate_cache_misses,
+                    )
                 )
     return points
 
@@ -613,10 +519,6 @@ class RedundancyPoint:
     tracker_invalidate_ops: int
     #: SHA-256 over the final output buffer — identical across settings.
     checksum: str
-
-    @property
-    def total_gpus(self) -> int:
-        return self.n_nodes * self.gpus_per_node
 
 
 def _redundancy_kernels(n: int):
@@ -709,62 +611,43 @@ def redundancy_study(
     points: List[RedundancyPoint] = []
     for kernel, grid, block, inputs, out_idx in cases:
         app = compile_app([kernel])
-        for n_nodes, gpus_per_node in shapes:
-            total = n_nodes * gpus_per_node
-            for schedule in schedules:
-                for shared in (False, True):
-                    for irr in irredundant:
-                        config = RuntimeConfig(
-                            n_gpus=total,
-                            schedule=schedule,
-                            shared_copies=shared,
-                            irredundant_transfers=irr,
-                        )
-                        if n_nodes > 1:
-                            machine = ClusterSimMachine(
-                                base.with_shape(n_nodes, gpus_per_node)
-                            )
-                        else:
-                            machine = SimMachine(base.node.with_gpus(total))
-                        api = MultiGpuApi(app, config, machine=machine)
-                        devs = []
-                        for host in inputs:
-                            d = api.cudaMalloc(host.nbytes)
-                            api.cudaMemcpy(d, host, host.nbytes, MemcpyKind.HostToDevice)
-                            devs.append(d)
-                        first = steady = 0
-                        for it in range(iterations):
-                            before = api.stats.sync_bytes
-                            api.launch(kernel, grid, block, devs)
-                            steady = api.stats.sync_bytes - before
-                            if it == 0:
-                                first = steady
-                        result = np.zeros_like(inputs[out_idx])
-                        api.cudaMemcpy(
-                            result, devs[out_idx], result.nbytes, MemcpyKind.DeviceToHost
-                        )
-                        points.append(
-                            RedundancyPoint(
-                                kernel.name,
-                                shared,
-                                irr,
-                                schedule,
-                                n_nodes,
-                                gpus_per_node,
-                                iterations,
-                                first,
-                                steady,
-                                api.stats.sync_bytes,
-                                api.stats.redundant_bytes_avoided,
-                                api.stats.redundant_bytes_avoided_inter,
-                                api.stats.overapprox_bytes_avoided,
-                                api.stats.overapprox_bytes_avoided_inter,
-                                api.stats.inter_node_bytes,
-                                api.stats.tracker_share_ops,
-                                api.stats.tracker_invalidate_ops,
-                                hashlib.sha256(result.tobytes()).hexdigest(),
-                            )
-                        )
+        for (n_nodes, gpn), schedule, shared, irr in itertools.product(
+            shapes, schedules, (False, True), irredundant
+        ):
+            total = n_nodes * gpn
+            config = RuntimeConfig(
+                n_gpus=total, schedule=schedule, shared_copies=shared, irredundant_transfers=irr
+            )
+            if n_nodes > 1:
+                machine = ClusterSimMachine(base.with_shape(n_nodes, gpn))
+            else:
+                machine = SimMachine(base.node.with_gpus(total))
+            api = MultiGpuApi(app, config, machine=machine)
+            devs = []
+            for host in inputs:
+                d = api.cudaMalloc(host.nbytes)
+                api.cudaMemcpy(d, host, host.nbytes, MemcpyKind.HostToDevice)
+                devs.append(d)
+            first = steady = 0
+            for it in range(iterations):
+                before = api.stats.sync_bytes
+                api.launch(kernel, grid, block, devs)
+                steady = api.stats.sync_bytes - before
+                if it == 0:
+                    first = steady
+            result = np.zeros_like(inputs[out_idx])
+            api.cudaMemcpy(result, devs[out_idx], result.nbytes, MemcpyKind.DeviceToHost)
+            st = api.stats
+            points.append(
+                RedundancyPoint(
+                    kernel.name, shared, irr, schedule, n_nodes, gpn, iterations,
+                    first, steady, st.sync_bytes,
+                    st.redundant_bytes_avoided, st.redundant_bytes_avoided_inter,
+                    st.overapprox_bytes_avoided, st.overapprox_bytes_avoided_inter,
+                    st.inter_node_bytes, st.tracker_share_ops, st.tracker_invalidate_ops,
+                    hashlib.sha256(result.tobytes()).hexdigest(),
+                )
+            )
     return points
 
 
@@ -802,11 +685,8 @@ def figure8(
     out: List[OverheadStats] = []
     for g in gpu_counts:
         stats = OverheadStats(g)
-        for cfg in table1_configs():
-            if cfg.size_label not in sizes:
-                continue
-            row = measure_breakdown(cfg, g, spec)
-            stats.fractions.append(row.t_patterns)
+        for cfg in (c for c in table1_configs() if c.size_label in sizes):
+            stats.fractions.append(measure_breakdown(cfg, g, spec).t_patterns)
         out.append(stats)
     return out
 
@@ -825,9 +705,7 @@ def single_gpu_overhead(
     The paper reports a median of 2.1 % with p25 = 0.13 % and p75 = 3.1 %.
     """
     out = []
-    for cfg in table1_configs():
-        if cfg.size_label not in sizes:
-            continue
+    for cfg in (c for c in table1_configs() if c.size_label in sizes):
         ref = reference_time(cfg, spec)
         part, _ = run_timed(cfg, 1, spec)
         out.append((cfg, part / ref - 1.0))
@@ -877,18 +755,13 @@ def compile_time_ratio(repeats: int = 3) -> Dict[str, float]:
 
 def table1_rows() -> List[Tuple[str, int, int, int, str]]:
     """(benchmark, small, medium, large, iterations) rows of Table 1."""
-    rows = []
     from repro.workloads.common import TABLE1
 
-    for name, sizes in TABLE1.items():
-        iters = sizes["small"].iterations
-        rows.append(
-            (
-                name,
-                sizes["small"].size,
-                sizes["medium"].size,
-                sizes["large"].size,
-                "N/A" if name == "matmul" else str(iters),
-            )
+    return [
+        (
+            name,
+            *(sizes[label].size for label in ("small", "medium", "large")),
+            "N/A" if name == "matmul" else str(sizes["small"].iterations),
         )
-    return rows
+        for name, sizes in TABLE1.items()
+    ]

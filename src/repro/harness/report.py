@@ -2,10 +2,10 @@
 
 The benchmark harness prints the same rows/series the paper reports; these
 helpers keep that output readable in a terminal and diffable in CI. The
-self-checking benches (``repro bench cluster/redundancy/pipeline/serve``)
-share one exit-code convention — :func:`finish_self_checks` — and one JSON
-artifact convention — :func:`write_json_report` — so every bench fails CI
-the same way and lands its payload in the same place.
+one ``repro bench`` runner (:func:`repro.harness.benches.run_bench`) exits
+through :func:`finish_self_checks` and writes ``--json`` through
+:func:`write_json_report`, so every registry entry fails CI the same way
+and lands its payload in the same place.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def finish_self_checks(failures: Sequence[str], passed_message: str) -> int:
 
     Prints one ``FAIL: ...`` line per failure to stderr and returns 1, or
     prints ``checks passed: <passed_message>`` and returns 0 — the shared
-    contract every self-checking bench (and its CI smoke job) relies on.
+    contract every self-checking bench (and its CI matrix row) relies on.
     """
     if failures:
         for f in failures:

@@ -42,20 +42,18 @@ __all__ = [
 #: RuntimeConfig fields that influence plan construction (partitioning,
 #: which scans run, how copies are trimmed). Toggling any of these between
 #: otherwise-identical launches changes the fingerprint, so a cached plan
-#: can never leak across a knob flip. ``debug_validate_writes`` and
-#: ``h2d_distribution`` only affect non-launch paths but are included for
-#: one extra tuple slot of safety margin.
+#: can never leak across a knob flip. ``h2d_distribution`` (read by the
+#: memcpy path) and ``debug_validate_writes`` (read by the executor after a
+#: plan is built) stay out: nothing that builds a plan reads them.
 PLANNING_CONFIG_FIELDS = (
     "n_gpus",
     "transfers_enabled",
     "tracking_enabled",
     "validate_unit_axes",
-    "h2d_distribution",
     "shared_copies",
     "schedule",
     "pipeline_window",
     "irredundant_transfers",
-    "debug_validate_writes",
 )
 
 

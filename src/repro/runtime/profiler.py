@@ -1,4 +1,4 @@
-"""Host-side launch-path profiling for the overhead benchmark.
+"""Host-side launch-path profiling for the traced benchmark run.
 
 Attach a :class:`LaunchProfiler` to ``api.profiler`` and the staged launch
 path (:mod:`repro.runtime.launch`) records real wall-clock per stage —
@@ -8,8 +8,9 @@ digest + replay on a residual-cache hit) and ``submit`` (pipelined issue) —
 split into three launch temperatures: *cold* (plan-cache miss), *warm*
 (skeleton hit, residual re-derived) and *replay* (skeleton hit **and**
 residual-cache hit). This measures the Python orchestration itself, not the
-simulated hardware; ``repro bench overhead`` turns the totals into
-µs-per-launch and pins the warm and replay reductions.
+simulated hardware; the ledger's traced run (``bench/run.py --traced``)
+turns the totals into ``runtime.{fingerprint,skeleton,residual,submit}_us``
+per launch.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class LaunchProfiler:
 
     def count_launch(self, temp: str) -> None:
         self.launches[temp] = self.launches.get(temp, 0) + 1
-
-    def total_us(self, temp: str) -> float:
-        """Total profiled host microseconds across all stages."""
-        return 1e6 * sum(v for (t, _), v in self.seconds.items() if t == temp)
 
     def per_launch_us(self, temp: str) -> Dict[str, float]:
         """Mean host microseconds per launch, per stage plus ``total``.

@@ -19,20 +19,14 @@ are expressed as multiples of the measured capacity: a calibration pass
 serves a back-to-back batch through one tenant and takes the mean per-job
 service time.
 
-:func:`single_tenant_identity_failures` is the other half of the bench's
-self-check: one tenant through the serve path must reproduce the direct
-:class:`~repro.runtime.api.MultiGpuApi` run bitwise — same output bytes,
-same trace (modulo the tenant tag), same simulated clock, same stats.
-:func:`shared_skeleton_identity_failures` extends it to the shared
-skeleton cache: N tenants with one shared plan cache must be bitwise
-identical to the same tenants with per-tenant caches, with only the
-planner counters allowed to differ (and differ they must — the check
-also proves the sharing engaged).
+The bench's other self-checks are two
+:func:`~repro.harness.identity.identity_sweep` matrices: the serve path
+against the direct api path (:func:`single_tenant_sweep`) and the shared
+skeleton cache against per-tenant caches (:func:`shared_skeleton_sweep`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,14 +37,10 @@ from repro.compiler.pipeline import CompiledApp, compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
 from repro.errors import ServeError
-from repro.runtime.api import (
-    HOST_PLANNER_COUNTERS,
-    MultiGpuApi,
-    RunStats,
-    host_planner_counters,
-)
+from repro.harness.identity import Observation, identity_sweep, observe
+from repro.runtime.api import MultiGpuApi, RunStats, host_planner_counters
 from repro.runtime.config import RuntimeConfig
-from repro.serve.runtime import ServeRuntime, untenanted
+from repro.serve.runtime import ServeRuntime
 from repro.serve.tenant import TenantRuntime
 from repro.sim.engine import SimMachine
 
@@ -59,13 +49,13 @@ __all__ = [
     "build_serve_kernel",
     "saturation_study",
     "saturation_failures",
-    "single_tenant_identity_failures",
-    "shared_skeleton_identity_failures",
+    "single_tenant_sweep",
+    "shared_skeleton_sweep",
 ]
 
 #: Problem size of one serve job (elements per launch).
 JOB_ELEMS = 1 << 15
-_BLOCK = 128
+_GRID, _BLOCK = Dim3(JOB_ELEMS // 128), Dim3(128)
 
 
 def build_serve_kernel():
@@ -139,20 +129,23 @@ def _machine(n_nodes: int, gpus_per_node: int) -> SimMachine:
     return SimMachine(K80_NODE_SPEC.with_gpus(gpus_per_node))
 
 
-def _setup_tenant(api: MultiGpuApi, host_x: np.ndarray, host_y: np.ndarray):
-    dx = api.cudaMalloc(host_x.nbytes)
-    api.cudaMemcpy(dx, host_x, host_x.nbytes, MemcpyKind.HostToDevice)
-    dy = api.cudaMalloc(host_y.nbytes)
-    api.cudaMemcpy(dy, host_y, host_y.nbytes, MemcpyKind.HostToDevice)
-    return dx, dy
+def _setup_tenant(api: MultiGpuApi):
+    """Upload one job's inputs; returns the ``(x, y)`` device buffers."""
+    devs = []
+    x = np.linspace(0.0, 1.0, JOB_ELEMS, dtype=np.float32)
+    for host in (x, np.zeros(JOB_ELEMS, np.float32)):
+        dev = api.cudaMalloc(host.nbytes)
+        api.cudaMemcpy(dev, host, host.nbytes, MemcpyKind.HostToDevice)
+        devs.append(dev)
+    return devs
 
 
-def _job_work(kernel, grid, block, devs) -> Callable[[TenantRuntime], None]:
+def _job_work(kernel, devs) -> Callable[[TenantRuntime], None]:
     def work(api: TenantRuntime) -> None:
         # One request-response cycle: launch, then wait for the results to
         # be observable (the response). The device sync is what couples
         # offered load to the machine's actual capacity.
-        api.launch(kernel, grid, block, [JOB_ELEMS, *devs])
+        api.launch(kernel, _GRID, _BLOCK, [JOB_ELEMS, *devs])
         api.cudaDeviceSynchronize()
 
     return work
@@ -162,48 +155,28 @@ def _drive(
     runtime: ServeRuntime,
     arrivals: Sequence[Tuple[float, int]],
     work_of: Dict[int, Callable[[TenantRuntime], None]],
-) -> int:
-    """Open-loop serve: admit arrivals as simulated time passes them.
-
-    Returns the number of submissions that were admitted.
-    """
+) -> None:
+    """Open-loop serve: admit arrivals as simulated time passes them."""
     machine = runtime.machine
-    assert machine is not None
-    admitted = 0
     i = 0
     while True:
         now = machine.now
         while i < len(arrivals) and arrivals[i][0] <= now + 1e-12:
             at, tenant = arrivals[i]
-            if runtime.submit(tenant, work_of[tenant], arrival=at, strict=False):
-                admitted += 1
+            runtime.submit(tenant, work_of[tenant], arrival=at, strict=False)
             i += 1
         if runtime.step() is None:
-            if i < len(arrivals):
-                machine.wait_until(arrivals[i][0], label="serve-idle", charge=False)
-            else:
+            if i == len(arrivals):
                 break
+            machine.wait_until(arrivals[i][0], label="serve-idle", charge=False)
     runtime.drain()
-    return admitted
 
 
-def _calibrate_service_time(
-    app: CompiledApp,
-    config: RuntimeConfig,
-    n_nodes: int,
-    gpus_per_node: int,
-    kernel,
-    grid,
-    block,
-    host_x,
-    host_y,
-    probe_jobs: int = 8,
-) -> float:
+def _calibrate_service_time(app: CompiledApp, config: RuntimeConfig, kernel, machine) -> float:
     """Mean per-job service time of one tenant served back to back."""
-    machine = _machine(n_nodes, gpus_per_node)
+    probe_jobs = 8
     runtime = ServeRuntime(app, config, 1, machine=machine, functional=False)
-    devs = _setup_tenant(runtime.api(0), host_x, host_y)
-    work = _job_work(kernel, grid, block, devs)
+    work = _job_work(kernel, _setup_tenant(runtime.api(0)))
     # One warm-up job absorbs first-launch distribution traffic.
     runtime.submit(0, work)
     runtime.drain()
@@ -224,8 +197,6 @@ def saturation_study(
     n_nodes: int = 2,
     gpus_per_node: int = 2,
     queue_capacity: int = 8,
-    quantum: float = 1.0,
-    schedule: str = "sequential",
 ) -> List[ServePoint]:
     """Sweep offered load against one shared machine; see module docstring.
 
@@ -234,16 +205,10 @@ def saturation_study(
     per point, round-robin across ``tenants`` equal-weight tenants.
     """
     total = n_nodes * gpus_per_node
-    config = RuntimeConfig(n_gpus=total, schedule=schedule)
+    config = RuntimeConfig(n_gpus=total)
     kernel = build_serve_kernel()
     app = compile_app([kernel])
-    grid, block = Dim3(JOB_ELEMS // _BLOCK), Dim3(_BLOCK)
-    host_x = np.linspace(0.0, 1.0, JOB_ELEMS, dtype=np.float32)
-    host_y = np.zeros(JOB_ELEMS, dtype=np.float32)
-
-    service = _calibrate_service_time(
-        app, config, n_nodes, gpus_per_node, kernel, grid, block, host_x, host_y
-    )
+    service = _calibrate_service_time(app, config, kernel, _machine(n_nodes, gpus_per_node))
     capacity_rate = 1.0 / service
 
     points: List[ServePoint] = []
@@ -251,25 +216,17 @@ def saturation_study(
         rate = load * capacity_rate
         machine = _machine(n_nodes, gpus_per_node)
         runtime = ServeRuntime(
-            app,
-            config,
-            tenants,
-            machine=machine,
-            functional=False,
-            quantum=quantum,
-            queue_capacity=queue_capacity,
+            app, config, tenants, machine=machine, functional=False, queue_capacity=queue_capacity
         )
-        work_of = {}
-        for t in sorted(runtime.runtimes):
-            devs = _setup_tenant(runtime.api(t), host_x, host_y)
-            work_of[t] = _job_work(kernel, grid, block, devs)
+        ids = sorted(runtime.runtimes)
+        work_of = {t: _job_work(kernel, _setup_tenant(runtime.api(t))) for t in ids}
         serve_start = machine.elapsed()
         arrivals = [(serve_start + i / rate, i % tenants) for i in range(jobs)]
         _drive(runtime, arrivals, work_of)
         wall = machine.elapsed() - serve_start
         # Round float-epsilon residue (arrival == service start) to zero.
         delays = sorted(0.0 if abs(d) < 1e-12 else d for d in runtime.queueing_delays())
-        per_tenant = {t: 0 for t in sorted(runtime.runtimes)}
+        per_tenant = {t: 0 for t in ids}
         for job in runtime.completed:
             per_tenant[job.tenant_id] += 1
         points.append(
@@ -291,9 +248,7 @@ def saturation_study(
                 per_tenant_completed=per_tenant,
                 serviced_cost=dict(runtime.serviced_cost),
                 host_counters=host_planner_counters(
-                    RunStats.merged(
-                        [runtime.api(t).stats for t in sorted(runtime.runtimes)]
-                    )
+                    RunStats.merged([runtime.api(t).stats for t in ids])
                 ),
             )
         )
@@ -350,160 +305,130 @@ def saturation_failures(points: Sequence[ServePoint]) -> List[str]:
     return failures
 
 
-def single_tenant_identity_failures(
+def _job_sequence(iterations: int):
+    """The serve app and one job's call sequence on it: malloc + H2D,
+    ``iterations`` launches, D2H."""
+    kernel = build_serve_kernel()
+
+    def sequence(api: MultiGpuApi) -> np.ndarray:
+        dx, dy = _setup_tenant(api)
+        for _ in range(iterations):
+            api.launch(kernel, _GRID, _BLOCK, [JOB_ELEMS, dx, dy])
+        out = np.zeros(JOB_ELEMS, np.float32)
+        api.cudaMemcpy(out, dy, out.nbytes, MemcpyKind.DeviceToHost)
+        return out
+
+    return compile_app([kernel]), sequence
+
+
+def single_tenant_sweep(
+    cells: Sequence[Dict[str, object]] = (
+        dict(schedule="sequential", pipeline_window=1, shared_copies=False),
+    ),
     n_nodes: int = 2,
     gpus_per_node: int = 2,
-    schedule: str = "sequential",
-    pipeline_window: int = 1,
-    shared_copies: bool = False,
     iterations: int = 6,
 ) -> List[str]:
     """One tenant through the serve path must equal the direct api path.
 
-    Runs the same call sequence (malloc, H2D, ``iterations`` launches,
-    D2H) once on a plain :class:`~repro.runtime.api.MultiGpuApi` and once
-    as a serve job of the only tenant, on identically-shaped machines, and
-    compares output bytes, the full trace (modulo the tenant tag), the
-    simulated clock and the stats record. Returns human-readable failures.
+    Each cell (``schedule``, ``pipeline_window``, ``shared_copies``) runs
+    the same call sequence (malloc, H2D, ``iterations`` launches, D2H)
+    once on a plain :class:`~repro.runtime.api.MultiGpuApi` and once as a
+    serve job of the only tenant, on identically-shaped machines. Output
+    bytes, the full trace (modulo the tenant tag), the simulated clock and
+    the whole stats record must agree, and every serve interval must carry
+    tenant 0's tag. Returns human-readable failures.
     """
-    total = n_nodes * gpus_per_node
-    config = RuntimeConfig(
-        n_gpus=total,
-        schedule=schedule,
-        pipeline_window=pipeline_window,
-        shared_copies=shared_copies,
-    )
-    kernel = build_serve_kernel()
-    app = compile_app([kernel])
-    grid, block = Dim3(JOB_ELEMS // _BLOCK), Dim3(_BLOCK)
-    host_x = np.linspace(0.0, 1.0, JOB_ELEMS, dtype=np.float32)
-    host_y = np.zeros(JOB_ELEMS, dtype=np.float32)
+    app, sequence = _job_sequence(iterations)
 
-    def sequence(api: MultiGpuApi) -> np.ndarray:
-        dx, dy = _setup_tenant(api, host_x, host_y)
-        for _ in range(iterations):
-            api.launch(kernel, grid, block, [JOB_ELEMS, dx, dy])
-        out = np.zeros_like(host_y)
-        api.cudaMemcpy(out, dy, out.nbytes, MemcpyKind.DeviceToHost)
-        return out
-
-    direct_machine = _machine(n_nodes, gpus_per_node)
-    direct = MultiGpuApi(app, config, machine=direct_machine)
-    reference = sequence(direct)
-    direct_elapsed = direct_machine.elapsed()
-
-    serve_machine = _machine(n_nodes, gpus_per_node)
-    runtime = ServeRuntime(app, config, 1, machine=serve_machine)
-    results: Dict[str, np.ndarray] = {}
-    runtime.submit(0, lambda api: results.__setitem__("out", sequence(api)))
-    runtime.drain()
-    serve_elapsed = serve_machine.elapsed()
-
-    label = f"{n_nodes}x{gpus_per_node} {schedule} window={pipeline_window}"
-    failures: List[str] = []
-    if not np.array_equal(reference, results["out"]):
-        failures.append(f"identity: serve output differs bitwise ({label})")
-    if untenanted(serve_machine.trace.intervals) != direct_machine.trace.intervals:
-        failures.append(f"identity: serve trace differs from direct trace ({label})")
-    if serve_elapsed != direct_elapsed:
-        failures.append(
-            f"identity: serve clock {serve_elapsed!r} != direct clock "
-            f"{direct_elapsed!r} ({label})"
+    def run(schedule, pipeline_window, shared_copies) -> Dict[str, Observation]:
+        config = RuntimeConfig(
+            n_gpus=n_nodes * gpus_per_node,
+            schedule=schedule,
+            pipeline_window=pipeline_window,
+            shared_copies=shared_copies,
         )
-    if runtime.api(0).stats != direct.stats:
-        failures.append(f"identity: serve stats differ from direct stats ({label})")
-    if any(iv.tenant != 0 for iv in serve_machine.trace.intervals):
-        failures.append(f"attribution: serve trace interval missing tenant tag ({label})")
-    return failures
+        direct = MultiGpuApi(app, config, machine=_machine(n_nodes, gpus_per_node))
+        reference = sequence(direct)
+        runtime = ServeRuntime(app, config, 1, machine=_machine(n_nodes, gpus_per_node))
+        results: Dict[str, np.ndarray] = {}
+        runtime.submit(0, lambda api: results.__setitem__("out", sequence(api)))
+        runtime.drain()
+        return {
+            "direct": observe(direct, {"out": reference}),
+            "serve": observe(runtime.api(0), results),
+        }
+
+    def attribution(cell, runs) -> List[str]:
+        if any(iv.tenant != 0 for iv in runs["serve"].trace):
+            return [f"attribution: serve trace interval missing tenant tag at {cell}"]
+        return []
+
+    return identity_sweep(
+        run,
+        cells,
+        ("outputs", "trace", "clock", "stats"),
+        untenanted=True,
+        check=attribution,
+    )
 
 
-def shared_skeleton_identity_failures(
+def shared_skeleton_sweep(
     n_gpus: int = 4,
-    schedule: str = "sequential",
+    schedules: Sequence[str] = ("sequential",),
     tenants: int = 2,
     iterations: int = 6,
 ) -> List[str]:
     """The shared skeleton cache must be bitwise invisible per tenant.
 
-    Runs the same N-tenant job sequence twice — once with per-tenant plan
-    caches, once with one :class:`~repro.runtime.plancache.PlanCache`
-    shared across all tenants — and compares per-tenant output bytes, the
-    full machine trace (tenant tags included), the simulated clock, and
-    each tenant's stats with the planner-counter slice masked out. The
-    counters themselves prove the sharing engaged: follower tenants must
-    rebuild nothing (zero skeleton misses) while their per-tenant hit
-    counters keep counting.
+    Runs the same N-tenant job sequence twice per schedule: once with
+    per-tenant plan caches, once with one
+    :class:`~repro.runtime.plancache.PlanCache` shared across all tenants.
+    Per-tenant output bytes, the full machine trace (tenant tags included),
+    the simulated clock and each tenant's stats outside the planner
+    counters must agree. The counters themselves prove the sharing
+    engaged: follower tenants must rebuild nothing (zero skeleton misses)
+    while their per-tenant hit counters keep counting.
     """
-    config = RuntimeConfig(n_gpus=n_gpus, schedule=schedule)
-    kernel = build_serve_kernel()
-    app = compile_app([kernel])
-    grid, block = Dim3(JOB_ELEMS // _BLOCK), Dim3(_BLOCK)
-    host_x = np.linspace(0.0, 1.0, JOB_ELEMS, dtype=np.float32)
-    host_y = np.zeros(JOB_ELEMS, dtype=np.float32)
+    app, sequence = _job_sequence(iterations)
 
-    def run(shared: bool):
-        machine = _machine(1, n_gpus)
+    def serve(schedule: str, shared: bool) -> Observation:
+        config = RuntimeConfig(n_gpus=n_gpus, schedule=schedule)
         runtime = ServeRuntime(
-            app, config, tenants, machine=machine, shared_plan_cache=shared
+            app, config, tenants, machine=_machine(1, n_gpus), shared_plan_cache=shared
         )
-        outs: Dict[int, np.ndarray] = {}
-
-        def job_for(tenant: int) -> Callable[[TenantRuntime], None]:
-            def work(api: TenantRuntime) -> None:
-                dx, dy = _setup_tenant(api, host_x, host_y)
-                for _ in range(iterations):
-                    api.launch(kernel, grid, block, [JOB_ELEMS, dx, dy])
-                out = np.zeros_like(host_y)
-                api.cudaMemcpy(out, dy, out.nbytes, MemcpyKind.DeviceToHost)
-                outs[tenant] = out
-
-            return work
-
+        outs: Dict[str, np.ndarray] = {}
         for t in sorted(runtime.runtimes):
-            runtime.submit(t, job_for(t))
+            runtime.submit(t, lambda api, t=t: outs.__setitem__(f"tenant{t}", sequence(api)))
         runtime.drain()
-        stats = {t: runtime.api(t).stats for t in sorted(runtime.runtimes)}
-        return outs, list(machine.trace.intervals), machine.elapsed(), stats
+        return observe([runtime.api(t) for t in sorted(runtime.runtimes)], outs)
 
-    shared_outs, shared_trace, shared_clock, shared_stats = run(True)
-    solo_outs, solo_trace, solo_clock, solo_stats = run(False)
+    def run(schedule) -> Dict[str, Observation]:
+        return {"per-tenant": serve(schedule, False), "shared": serve(schedule, True)}
 
-    failures: List[str] = []
-    for t in sorted(solo_outs):
-        if not np.array_equal(shared_outs[t], solo_outs[t]):
-            failures.append(
-                f"identity: tenant {t} output differs bitwise under the "
-                f"shared skeleton cache"
-            )
-    if shared_trace != solo_trace:
-        failures.append("identity: trace differs under the shared skeleton cache")
-    if shared_clock != solo_clock:
-        failures.append(
-            f"identity: shared-cache clock {shared_clock!r} != per-tenant "
-            f"clock {solo_clock!r}"
-        )
-    mask = {name: 0 for name in HOST_PLANNER_COUNTERS}
-    for t in sorted(solo_stats):
-        if dataclasses.replace(shared_stats[t], **mask) != dataclasses.replace(
-            solo_stats[t], **mask
-        ):
-            failures.append(
-                f"identity: tenant {t} stats differ beyond the planner "
-                f"counters under the shared skeleton cache"
-            )
-    leader = min(shared_stats)
-    for t in sorted(shared_stats):
-        if t != leader and shared_stats[t].plan_cache_misses:
-            failures.append(
-                f"sharing: tenant {t} rebuilt "
-                f"{shared_stats[t].plan_cache_misses} skeleton(s) despite "
-                f"the shared cache"
-            )
-        if shared_stats[t].plan_cache_hits != solo_stats[t].plan_cache_hits + (
-            0 if t == leader else solo_stats[t].plan_cache_misses
-        ):
-            failures.append(
-                f"sharing: tenant {t} per-tenant hit counter lost "
-                f"attribution under the shared cache"
-            )
-    return failures
+    def attribution(cell, runs) -> List[str]:
+        failures = []
+        solo, shared = runs["per-tenant"].stats, runs["shared"].stats
+        for t, (alone, sharing) in enumerate(zip(solo, shared)):
+            if t and sharing["plan_cache_misses"]:
+                failures.append(
+                    f"sharing: tenant {t} rebuilt {sharing['plan_cache_misses']} "
+                    f"skeleton(s) despite the shared cache at {cell}"
+                )
+            if sharing["plan_cache_hits"] != alone["plan_cache_hits"] + (
+                alone["plan_cache_misses"] if t else 0
+            ):
+                failures.append(
+                    f"sharing: tenant {t} per-tenant hit counter lost "
+                    f"attribution under the shared cache at {cell}"
+                )
+        return failures
+
+    cells = [dict(schedule=s) for s in schedules]
+    return identity_sweep(
+        run,
+        cells,
+        ("outputs", "trace", "clock", "stats"),
+        masked=True,
+        check=attribution,
+    )

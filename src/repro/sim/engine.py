@@ -249,13 +249,15 @@ class SimMachine:
         self, src: int, dst: int, nbytes: int, p2p: Optional[bool], bus: _Lane
     ) -> Tuple[float, List[Tuple[_Lane, float]], str]:
         """Intra-node routing against one host staging bus."""
-        duration = self.spec.transfer_time(src, dst, nbytes, p2p=p2p)
+        spec = self.spec
+        route = spec.route(src, dst, p2p=p2p)
+        # MachineSpec.transfer_time, inlined so the route is computed once.
+        duration = spec.pcie_latency + float(nbytes) * route.lane_factor / spec.pcie_bw
 
         # Bus occupancy: aggregate host-memory bandwidth consumed, plus the
         # per-copy staging setup for device-to-device traffic. Direct P2P
         # copies never touch host memory and skip the bus entirely.
-        route = self.spec.route(src, dst, p2p=p2p)
-        bus_time = nbytes * route.bus_factor / self.spec.host_bus_bw + route.extra_latency
+        bus_time = nbytes * route.bus_factor / spec.host_bus_bw + route.extra_latency
 
         lanes: List[Tuple[_Lane, float]] = []
         if src != HOST:

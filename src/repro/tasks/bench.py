@@ -1,14 +1,12 @@
 """Self-checking benchmark of the dynamic task-graph frontend.
 
-``repro bench taskgraph`` runs three studies per workload (tiled Cholesky
-and the overlapped-tiling image pipeline) and *fails the process* (exit 1)
-when any of its claims does not hold:
+``repro bench taskgraph`` measures each workload (tiled Cholesky and the
+overlapped-tiling image pipeline) with :func:`taskgraph_study` and *fails
+the process* (exit 1) when :func:`taskgraph_failures` finds a claim that
+does not hold:
 
-* **Identity sweep** — dependency-driven (``graph``) execution, barrier
-  ``serialized`` execution, and an adversarial alternative topological
-  order must produce bitwise-identical outputs *and* identical final
-  tracker/sharer states across the full ``schedule x shared_copies x
-  pipeline_window`` configuration matrix.
+* **Identity sweep** (:func:`order_sweep`) — graph, serialized and
+  adversarially reordered execution agree bitwise, tracker state included.
 * **Overlap study** — on a simulated 16-GPU machine, graph execution must
   beat barrier-serialized execution by ``>= 1.3x`` makespan (the barriers
   flush the launch pipeline after every task, serializing transfers that
@@ -27,19 +25,27 @@ when any of its claims does not hold:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compiler.pipeline import compile_app
+from repro.harness.calibration import K80_NODE_SPEC
+from repro.harness.identity import Observation, facet_diff, identity_sweep, observe
+from repro.runtime.api import MultiGpuApi, host_planner_counters
 from repro.runtime.config import RuntimeConfig
 from repro.sched.policy import SCHEDULES
+from repro.sim.engine import SimMachine
 from repro.sim.trace import Category
+from repro.workloads import EXTRA_WORKLOADS, functional_config
+from repro.workloads.common import ProblemConfig
 
 __all__ = [
     "TaskGraphPoint",
-    "IdentityCell",
     "TaskGraphStudy",
     "taskgraph_study",
+    "taskgraph_failures",
+    "order_sweep",
     "TASKGRAPH_WORKLOADS",
 ]
 
@@ -72,85 +78,27 @@ class TaskGraphPoint:
         total = self.hidden_transfer_time + self.exposed_transfer_time
         return self.hidden_transfer_time / total if total else 0.0
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "mode": self.mode,
-            "n_gpus": self.n_gpus,
-            "tasks": self.tasks,
-            "edges": self.edges,
-            "time": self.time,
-            "exposed_transfer_time": self.exposed_transfer_time,
-            "hidden_transfer_time": self.hidden_transfer_time,
-            "transfer_busy_time": self.transfer_busy_time,
-            "hidden_fraction": self.hidden_fraction,
-        }
-
-
-@dataclass(frozen=True)
-class IdentityCell:
-    """One configuration of the bitwise-identity sweep."""
-
-    workload: str
-    schedule: str
-    shared_copies: bool
-    pipeline_window: int
-    mode: str
-    identical: bool
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "schedule": self.schedule,
-            "shared_copies": self.shared_copies,
-            "pipeline_window": self.pipeline_window,
-            "mode": self.mode,
-            "identical": self.identical,
-        }
-
 
 @dataclass
 class TaskGraphStudy:
-    """Everything ``repro bench taskgraph`` prints and self-checks."""
+    """Everything ``repro bench taskgraph`` measures; judged by :func:`taskgraph_failures`."""
 
     workloads: List[str]
     n_gpus: int
     points: List[TaskGraphPoint] = field(default_factory=list)
-    identity: List[IdentityCell] = field(default_factory=list)
+    #: ``TaskGraph.summary()`` of each workload's functional graph-mode run
+    #: (structure, waves, diagnostic codes).
     graph_stats: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    diagnostics: Dict[str, List[str]] = field(default_factory=dict)
     #: Staged-planner counters (:data:`~repro.runtime.api.
     #: HOST_PLANNER_COUNTERS`) of the overlap study's graph-mode run,
     #: per workload — the dependence-driven path reuses plan skeletons
     #: across bands/tiles, so hits dominate misses here.
     host_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Single-GPU fallback launches of each functional run.
+    fallback_launches: Dict[str, int] = field(default_factory=dict)
     cholesky_max_err: Optional[float] = None
-    failures: List[str] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workloads": self.workloads,
-            "n_gpus": self.n_gpus,
-            "points": [p.as_dict() for p in self.points],
-            "identity": [c.as_dict() for c in self.identity],
-            "graph_stats": self.graph_stats,
-            "diagnostics": self.diagnostics,
-            "host_counters": self.host_counters,
-            "cholesky_max_err": self.cholesky_max_err,
-            "failures": self.failures,
-        }
-
-
-def _tracker_state(api) -> List[Tuple[int, Tuple]]:
-    """Canonical final tracker/sharer state of every live virtual buffer."""
-    state = []
-    for vb_id, vb in sorted(api._live_buffers.items()):
-        segs = tuple(
-            (s.start, s.end, s.owner, tuple(sorted(s.sharers)))
-            for s in vb.tracker.segments()
-        )
-        state.append((vb_id, segs))
-    return state
+    #: ``numpy.allclose`` of the factor against ``numpy.linalg.cholesky``.
+    cholesky_close: Optional[bool] = None
 
 
 def _alternative_order(graph) -> List[int]:
@@ -177,94 +125,61 @@ def _alternative_order(graph) -> List[int]:
     return order
 
 
-def _identity_sweep(study: TaskGraphStudy, name: str, windows=(1, 4)) -> None:
-    """Bitwise identity of graph / serialized / permuted execution."""
-    from repro.compiler.pipeline import compile_app
-    from repro.runtime.api import MultiGpuApi
-    from repro.workloads import EXTRA_WORKLOADS, functional_config
+def order_sweep(name: str, windows: Sequence[int] = (1, 4)) -> List[str]:
+    """Bitwise identity of graph / serialized / permuted execution.
 
+    Each ``schedule x shared_copies x pipeline_window`` cell runs the
+    workload serialized (the reference), dependency-driven, and, in the
+    last cell, in the adversarial order of :func:`_alternative_order`.
+    Outputs and final tracker state must match the cell's serialized run.
+    Outputs must also match the first cell's: shared copies legitimately
+    change which devices hold read replicas, so tracker state is compared
+    only within a cell.
+    """
     size, _ = TASKGRAPH_WORKLOADS[name]
     wl = EXTRA_WORKLOADS[name](functional_config(name, size=size))
     inputs = wl.make_inputs(seed=7)
     app = compile_app(wl.build_kernels())
+    first: List[Observation] = []
 
-    # Outputs are compared against one global reference (the very first
-    # serialized run): every configuration must agree bitwise on *results*.
-    # Tracker/sharer state is compared only within a configuration (its own
-    # serialized run as baseline): shared_copies legitimately changes which
-    # devices hold read replicas, so final sharer sets differ *across*
-    # configs while remaining a pure function of the config itself.
-    reference: Optional[Dict[str, np.ndarray]] = None
-    for schedule in list(SCHEDULES) + ["auto"]:
-        for shared in (False, True):
-            for window in windows:
-                cfg = RuntimeConfig(
-                    n_gpus=4,
-                    schedule=schedule,
-                    shared_copies=shared,
-                    pipeline_window=window,
-                )
-                modes = [("serialized", None), ("graph", None)]
-                if schedule == "auto" and shared and window == max(windows):
-                    api = MultiGpuApi(app, cfg)
-                    wl.run(api, inputs, mode="graph")
-                    modes.append(("order", _alternative_order(wl.last_graph)))
-                cfg_state = None
-                for mode, order in modes:
-                    api = MultiGpuApi(app, cfg)
-                    got = wl.run(
-                        api,
-                        inputs,
-                        mode="graph" if mode == "order" else mode,
-                        order=order,
-                    )
-                    state = _tracker_state(api)
-                    if reference is None:
-                        reference = got
-                    if cfg_state is None:
-                        cfg_state = state  # serialized run of this config
-                        identical = all(
-                            np.array_equal(reference[k], got[k]) for k in reference
-                        )
-                    else:
-                        identical = (
-                            all(
-                                np.array_equal(reference[k], got[k])
-                                for k in reference
-                            )
-                            and state == cfg_state
-                        )
-                    study.identity.append(
-                        IdentityCell(name, schedule, shared, window, mode, identical)
-                    )
-                    if not identical:
-                        study.failures.append(
-                            f"identity: {name} {mode} differs from serialized "
-                            f"baseline at schedule={schedule!r} shared={shared} "
-                            f"window={window}"
-                        )
-                    if mode == "graph":
-                        # Waves/ready-peak only mean something in graph mode;
-                        # replayed orders would report them as zero.
-                        study.graph_stats[name] = wl.last_graph.summary()
-    study.diagnostics[name] = sorted({d.code for d in wl.last_graph.report.diagnostics})
+    def run(schedule, shared_copies, window) -> Dict[str, Observation]:
+        cfg = RuntimeConfig(
+            n_gpus=4, schedule=schedule, shared_copies=shared_copies, pipeline_window=window
+        )
+        runs = {}
+        for mode in ("serialized", "graph"):
+            api = MultiGpuApi(app, cfg)
+            runs[mode] = observe(api, wl.run(api, inputs, mode=mode))
+        if schedule == "auto" and shared_copies and window == max(windows):
+            api = MultiGpuApi(app, cfg)
+            got = wl.run(api, inputs, mode="graph", order=_alternative_order(wl.last_graph))
+            runs["order"] = observe(api, got)
+        first[:] = first or [runs["serialized"]]
+        return runs
+
+    def across_cells(cell, runs) -> List[str]:
+        what = facet_diff("outputs", first[0], runs["serialized"])
+        if what:
+            return [f"outputs: serialized differs from the first cell's ({what}) at {cell}"]
+        return []
+
+    cells = [
+        dict(schedule=s, shared_copies=sh, window=w)
+        for s in list(SCHEDULES) + ["auto"]
+        for sh in (False, True)
+        for w in windows
+    ]
+    failures = identity_sweep(run, cells, ("outputs", "tracker"), check=across_cells)
+    return [f"{name}: {f}" for f in failures]
 
 
 def _overlap_study(study: TaskGraphStudy, name: str) -> None:
-    """Timed 16-GPU graph-vs-serialized comparison plus accounting checks."""
-    from repro.compiler.pipeline import compile_app
-    from repro.harness.calibration import K80_NODE_SPEC
-    from repro.runtime.api import MultiGpuApi
-    from repro.sim.engine import SimMachine
-    from repro.workloads import EXTRA_WORKLOADS
-    from repro.workloads.common import ProblemConfig
-
+    """Timed 16-GPU graph-vs-serialized comparison."""
     _, size = TASKGRAPH_WORKLOADS[name]
     iterations = 4 if name == "imgpipe" else 1
     cfg = ProblemConfig(name, "bench", size, iterations)
     rt = RuntimeConfig(n_gpus=study.n_gpus, schedule="overlap+p2p", pipeline_window=4)
 
-    per_mode: Dict[str, TaskGraphPoint] = {}
     for mode in ("serialized", "graph"):
         wl = EXTRA_WORKLOADS[name](cfg)
         app = compile_app(wl.build_kernels())
@@ -273,110 +188,117 @@ def _overlap_study(study: TaskGraphStudy, name: str) -> None:
         wl.run(api, None, mode=mode)
         elapsed = api.elapsed()
         exposure = machine.trace.transfer_exposure()
-        busy = machine.trace.busy_time(Category.TRANSFERS)
-        point = TaskGraphPoint(
-            workload=name,
-            mode=mode,
-            n_gpus=study.n_gpus,
-            tasks=wl.last_graph.stats.tasks,
-            edges=wl.last_graph.stats.edges,
-            time=elapsed,
-            exposed_transfer_time=exposure["exposed"],
-            hidden_transfer_time=exposure["hidden"],
-            transfer_busy_time=busy,
-        )
-        per_mode[mode] = point
-        study.points.append(point)
-        if mode == "graph":
-            from repro.runtime.api import host_planner_counters
-
-            study.host_counters[name] = host_planner_counters(api.stats)
-        if abs(exposure["hidden"] + exposure["exposed"] - busy) > 1e-9 * max(busy, 1.0):
-            study.failures.append(
-                f"accounting: {name}/{mode} hidden+exposed != transfer busy time "
-                f"({exposure['hidden']:.9f}+{exposure['exposed']:.9f} vs {busy:.9f})"
+        study.points.append(
+            TaskGraphPoint(
+                workload=name,
+                mode=mode,
+                n_gpus=study.n_gpus,
+                tasks=wl.last_graph.stats.tasks,
+                edges=wl.last_graph.stats.edges,
+                time=elapsed,
+                exposed_transfer_time=exposure["exposed"],
+                hidden_transfer_time=exposure["hidden"],
+                transfer_busy_time=machine.trace.busy_time(Category.TRANSFERS),
             )
-
-    # Both modes issue the identical set of kernels and transfers (identity
-    # sweep above proves the outputs bitwise equal); the graph merely
-    # removes the inter-launch barriers.  Transfer *busy* time is therefore
-    # conserved across modes, and all the win shows up on the critical
-    # path: the same transfer seconds pack into fewer wall-clock seconds.
-    ser, gra = per_mode["serialized"], per_mode["graph"]
-    win = ser.time / max(gra.time, 1e-18)
-    if win < MIN_MAKESPAN_WIN:
-        study.failures.append(
-            f"overlap: {name} graph makespan {gra.time:.6f}s vs serialized "
-            f"{ser.time:.6f}s — {win:.2f}x win, need >= {MIN_MAKESPAN_WIN}x"
         )
-    rel = abs(ser.transfer_busy_time - gra.transfer_busy_time)
-    if rel > 1e-9 * max(ser.transfer_busy_time, 1.0):
-        study.failures.append(
-            f"conservation: {name} transfer busy time differs across modes "
-            f"({ser.transfer_busy_time:.9f}s serialized vs "
-            f"{gra.transfer_busy_time:.9f}s graph) — the graph must issue "
-            "the same transfers, only earlier"
-        )
+        if mode == "graph":
+            study.host_counters[name] = host_planner_counters(api.stats)
 
 
-def _evidence_checks(study: TaskGraphStudy, name: str) -> None:
-    """Workload-specific claims: numerics and the degradation story."""
-    from repro.compiler.pipeline import compile_app
-    from repro.runtime.api import MultiGpuApi
-    from repro.workloads import EXTRA_WORKLOADS, functional_config
-
-    wl = EXTRA_WORKLOADS[name](functional_config(name))
+def _functional_run(study: TaskGraphStudy, name: str) -> None:
+    """The evidence run: numerics, graph structure and fallback launches."""
+    size, _ = TASKGRAPH_WORKLOADS[name]
+    wl = EXTRA_WORKLOADS[name](functional_config(name, size=size))
     inputs = wl.make_inputs(seed=13)
-    app = compile_app(wl.build_kernels())
-    api = MultiGpuApi(app, RuntimeConfig(n_gpus=4))
+    api = MultiGpuApi(compile_app(wl.build_kernels()), RuntimeConfig(n_gpus=4))
     got = wl.run(api, inputs)
-    graph = wl.last_graph
-
+    study.graph_stats[name] = wl.last_graph.summary()
+    study.fallback_launches[name] = api.stats.fallback_launches
     if name == "cholesky":
         ref = wl.reference(inputs)["factor"]
-        err = float(np.max(np.abs(got["factor"] - ref)))
-        study.cholesky_max_err = err
-        if not np.allclose(got["factor"], ref, atol=2e-4, rtol=2e-4):
-            study.failures.append(
-                f"numerics: cholesky deviates from numpy.linalg.cholesky "
-                f"(max abs err {err:.3e})"
-            )
-        if api.stats.fallback_launches != 0:
-            study.failures.append(
-                "degrade: cholesky is fully affine but took "
-                f"{api.stats.fallback_launches} fallback launches"
-            )
-        if graph.stats.nonaffine_tasks != 0 or graph.stats.whole_buffer_syncs != 0:
-            study.failures.append("degrade: cholesky graph reports opaque tasks")
-    else:
-        codes = {d.code for d in graph.report.diagnostics}
-        if "RP701" not in codes or "RP702" not in codes:
-            study.failures.append(
-                f"degrade: imgpipe opaque stats task emitted {sorted(codes)}, "
-                "expected RP701 and RP702"
-            )
-        if graph.stats.nonaffine_tasks < 1 or graph.stats.whole_buffer_syncs < 1:
-            study.failures.append(
-                "degrade: imgpipe graph did not whole-buffer-sync its opaque task"
-            )
-        if api.stats.fallback_launches < 1:
-            study.failures.append(
-                "degrade: imgpipe stats kernel did not take the runtime's "
-                "single-GPU fallback path"
-            )
+        study.cholesky_max_err = float(np.max(np.abs(got["factor"] - ref)))
+        study.cholesky_close = bool(np.allclose(got["factor"], ref, atol=2e-4, rtol=2e-4))
 
 
 def taskgraph_study(
     workloads: Optional[List[str]] = None, n_gpus: int = 16
 ) -> TaskGraphStudy:
-    """Run the full task-graph benchmark; see the module docstring."""
+    """Run the timed overlap study and the functional evidence runs."""
     names = list(workloads or TASKGRAPH_WORKLOADS)
     unknown = [n for n in names if n not in TASKGRAPH_WORKLOADS]
     if unknown:
         raise ValueError(f"unknown taskgraph workload(s): {', '.join(unknown)}")
     study = TaskGraphStudy(workloads=names, n_gpus=n_gpus)
     for name in names:
-        _identity_sweep(study, name)
         _overlap_study(study, name)
-        _evidence_checks(study, name)
+        _functional_run(study, name)
     return study
+
+
+def taskgraph_failures(study: TaskGraphStudy) -> List[str]:
+    """The bench's claims over a study, plus each workload's order sweep."""
+
+    def close(a: float, b: float) -> bool:
+        return abs(a - b) <= 1e-9 * max(b, 1.0)
+
+    failures: List[str] = []
+    for name in study.workloads:
+        ser, gra = (
+            next(p for p in study.points if p.workload == name and p.mode == mode)
+            for mode in ("serialized", "graph")
+        )
+        for p in (ser, gra):
+            hidden, exposed = p.hidden_transfer_time, p.exposed_transfer_time
+            busy = p.transfer_busy_time
+            if not close(hidden + exposed, busy):
+                failures.append(
+                    f"accounting: {name}/{p.mode} hidden+exposed != transfer busy time "
+                    f"({hidden:.9f}+{exposed:.9f} vs {busy:.9f})"
+                )
+        # Both modes issue the identical set of kernels and transfers; the
+        # graph merely removes the inter-launch barriers. Transfer *busy*
+        # time is therefore conserved across modes, and all the win shows
+        # up on the critical path.
+        win = ser.time / max(gra.time, 1e-18)
+        if win < MIN_MAKESPAN_WIN:
+            failures.append(
+                f"overlap: {name} graph makespan {gra.time:.6f}s vs serialized "
+                f"{ser.time:.6f}s — {win:.2f}x win, need >= {MIN_MAKESPAN_WIN}x"
+            )
+        if not close(gra.transfer_busy_time, ser.transfer_busy_time):
+            failures.append(
+                f"conservation: {name} transfer busy time differs across modes "
+                f"({ser.transfer_busy_time:.9f}s serialized vs "
+                f"{gra.transfer_busy_time:.9f}s graph) — the graph must issue "
+                "the same transfers, only earlier"
+            )
+        graph = study.graph_stats[name]
+        fallbacks = study.fallback_launches[name]
+        opaque = graph["nonaffine_tasks"], graph["whole_buffer_syncs"]
+        if name == "cholesky":
+            if not study.cholesky_close:
+                failures.append(
+                    f"numerics: cholesky deviates from numpy.linalg.cholesky "
+                    f"(max abs err {study.cholesky_max_err:.3e})"
+                )
+            if fallbacks:
+                failures.append(
+                    f"degrade: cholesky is fully affine but took {fallbacks} fallback launches"
+                )
+            if any(opaque):
+                failures.append("degrade: cholesky graph reports opaque tasks")
+        else:
+            codes = sorted(graph["diagnostic_codes"])
+            if not {"RP701", "RP702"} <= set(codes):
+                failures.append(
+                    f"degrade: imgpipe opaque stats task emitted {codes}, expected RP701 and RP702"
+                )
+            if not all(opaque):
+                failures.append("degrade: imgpipe graph did not whole-buffer-sync its opaque task")
+            if not fallbacks:
+                failures.append(
+                    "degrade: imgpipe stats kernel did not take the runtime's "
+                    "single-GPU fallback path"
+                )
+        failures += order_sweep(name)
+    return failures

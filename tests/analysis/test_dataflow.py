@@ -211,6 +211,40 @@ class TestAnalyzerMatchesRuntime:
         assert summary.total("overapprox_inter") == api.stats.overapprox_bytes_avoided_inter
         assert 0 < summary.total("overapprox_inter") < summary.total("overapprox")
 
+    def test_cluster_with_more_gpus_than_blocks_matches(self):
+        """2x4 GPUs over fewer blocks: the hierarchical split leaves other
+        devices idle than the flat split would, and the analyzer must
+        follow the runtime's placement. (Placement does not depend on
+        ``irredundant``; ``repro bench redundancy`` covers that path on
+        this shape.)"""
+        from repro.cluster.engine import ClusterSimMachine
+        from repro.harness.calibration import k80_cluster
+
+        wl = DStencilWorkload(functional_config("dstencil"))
+        grid, block = wl.launch_config()
+        assert grid.y < 8
+        cluster = k80_cluster(2, 4)
+        summary = analyze_transfers(
+            analyze_kernel(wl.kernel),
+            n_gpus=8,
+            launches=wl.cfg.iterations,
+            grid=grid,
+            block=block,
+            scalars={},
+            cluster=cluster,
+        )
+        api = MultiGpuApi(
+            compile_app([wl.kernel]),
+            RuntimeConfig(n_gpus=8, shared_copies=True),
+            machine=ClusterSimMachine(cluster),
+        )
+        wl.run(api, wl.make_inputs(0))
+        assert summary.total("required") == api.stats.sync_bytes
+        assert summary.total("redundant") == api.stats.redundant_bytes_avoided
+        assert summary.total("redundant_inter") == api.stats.redundant_bytes_avoided_inter
+        assert summary.total("overapprox") == api.stats.overapprox_bytes_avoided
+        assert summary.total("overapprox_inter") == api.stats.overapprox_bytes_avoided_inter
+
     def test_atoms_cover_shared_halo(self):
         wl = DStencilWorkload(functional_config("dstencil"))
         grid, block = wl.launch_config()

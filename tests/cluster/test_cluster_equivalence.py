@@ -19,7 +19,7 @@ from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
 from repro.harness.calibration import K80_NODE_SPEC, k80_cluster
-from repro.harness.experiments import run_timed, run_timed_cluster
+from repro.harness.experiments import run_timed
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.sched.policy import SCHEDULES
@@ -120,7 +120,7 @@ def test_one_node_cluster_bitwise_identical(taps, n_gpus, iterations, seed):
 def test_acceptance_workloads_match_single_node(workload, schedule):
     cfg = next(c for c in table1_configs(workload) if c.size_label == "small")
     t_flat, flat_api = run_timed(cfg, 8, schedule=schedule)
-    t_clus, clus_api = run_timed_cluster(cfg, k80_cluster(1, 8), schedule=schedule)
+    t_clus, clus_api = run_timed(cfg, 8, schedule=schedule, cluster=k80_cluster(1, 8))
     assert t_clus == t_flat
     assert clus_api.stats.inter_node_transfers == 0
     assert clus_api.stats.inter_node_bytes == 0

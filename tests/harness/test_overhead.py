@@ -1,193 +1,114 @@
-"""The launch-overhead study: profiler coverage, self-checks, invisibility.
+"""The planner caches' invisibility sweeps behind ``repro bench overhead``.
 
-``repro bench overhead`` ships with exit-1 self-checks
-(:func:`repro.harness.overhead.overhead_failures`), an identity sweep
-(:func:`repro.harness.overhead.identity_sweep`) and an adversarial mutation
-sweep (:func:`repro.harness.overhead.mutation_identity_failures`). These
-tests run a reduced study for real — asserting the profiler's launch
-accounting and both caches' arithmetic line up — and then doctor one field
-at a time to prove every self-check branch actually fires.
+:func:`repro.harness.overhead.cache_sweep` compares cached runs against the
+all-caches-off oracle; :func:`repro.harness.overhead.mutation_sweep` replays
+adversarial interleavings. The launch profiler they no longer drive is
+pinned here on a machine-attached loop, the way the ledger's traced run
+uses it.
 """
 
-import dataclasses
+import pytest
 
-from repro.harness.overhead import (
-    MIN_NOCACHE_REDUCTION,
-    MIN_REPLAY_REDUCTION,
-    MIN_WARM_REDUCTION,
-    OverheadPoint,
-    identity_sweep,
-    launch_overhead_study,
-    mutation_identity_failures,
-    overhead_failures,
-)
+from repro.harness.overhead import cache_sweep, mutation_sweep
 
 
-def _small_study(iterations=8):
-    return launch_overhead_study(
-        workloads=["hotspot"], n_gpus=4, sizes={"hotspot": (256, iterations)}
+def _profiled_hotspot(residual_cache=True):
+    """A machine-attached hotspot loop with a launch profiler, as the
+    ledger's traced run drives it: (profiler, host planner counters)."""
+    from repro.compiler.pipeline import compile_app
+    from repro.harness.calibration import K80_NODE_SPEC
+    from repro.runtime.api import MultiGpuApi, host_planner_counters
+    from repro.runtime.config import RuntimeConfig
+    from repro.runtime.profiler import LaunchProfiler
+    from repro.sim.engine import SimMachine
+    from repro.workloads.common import ProblemConfig
+    from repro.workloads.hotspot import HotspotWorkload
+
+    wl = HotspotWorkload(ProblemConfig("hotspot", "overhead", 256, 8))
+    api = MultiGpuApi(
+        compile_app(wl.build_kernels()),
+        RuntimeConfig(n_gpus=4, residual_cache=residual_cache),
+        machine=SimMachine(K80_NODE_SPEC.with_gpus(4)),
+        functional=False,
     )
+    api.profiler = prof = LaunchProfiler()
+    wl.run(api, None)
+    return prof, host_planner_counters(api.stats)
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    return _profiled_hotspot()
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """Residual cache off: every plan-cache hit is a warm launch."""
+    return _profiled_hotspot(residual_cache=False)
 
 
 class TestStudy:
-    def test_profiler_accounting(self):
-        (point,) = _small_study()
-        assert point.workload == "hotspot"
+    def test_profiler_accounting(self, replayed):
+        prof, _ = replayed
         # One fingerprint for the whole ping-pong loop: the first launch
         # misses (cold), and the converged coherence state makes the
         # remaining seven replay the memoized residual.
-        assert point.cold_launches == 1
-        assert point.warm_launches == 0
-        assert point.replay_launches == 7
-        assert point.counters["plan_cache_misses"] == point.cold_launches
-        assert point.counters["plan_cache_hits"] == 7
-        assert point.counters["plan_cache_evictions"] == 0
-        assert point.counters["residual_cache_misses"] == 1
-        assert point.counters["residual_cache_hits"] == 7
-        assert point.counters["residual_cache_evictions"] == 0
-        assert point.counters["enumerator_specialized"] > 0
-        assert point.counters["enumerator_fallback"] == 0
-        # A cache hit never rebuilds the skeleton, on either hit path.
-        assert point.warm_us["skeleton"] == 0.0
-        assert point.replay_us["skeleton"] == 0.0
-        for stage in ("fingerprint", "skeleton", "residual", "submit", "total"):
-            assert stage in point.cold_us and stage in point.warm_us
-            assert stage in point.replay_us and stage in point.nocache_us
-
-    def test_real_study_passes_own_checks(self):
-        # 24 iterations: a replay's first sight of each ping-pong binding
-        # materialises a plan, and averaged over only seven replays those
-        # two leave the residual stage ~3x below warm — the
-        # MIN_REPLAY_REDUCTION bar itself, so host noise flipped the check
-        # (it failed inside full tier-1 runs before and after PR 19).
-        points = _small_study(iterations=24)
-        assert overhead_failures(points) == []
-
-    def test_as_dict_round_trip(self):
-        (point,) = _small_study()
-        row = point.as_dict()
-        assert row["warm_reduction"] == point.warm_reduction
-        assert row["nocache_reduction"] == point.nocache_reduction
-        assert row["replay_residual_reduction"] == point.replay_residual_reduction
-        assert row["counters"] == point.counters
+        assert prof.launches == {"cold": 1, "replay": 7}
+        assert prof.per_launch_us("warm") == {}
 
 
 class TestSelfChecks:
-    """Each failure branch must fire on a point doctored to violate it."""
+    """The launch-path properties, checked on profiled machine-attached runs."""
 
-    def _good_point(self):
-        stages = {"fingerprint": 1.0, "skeleton": 0.0, "residual": 2.0, "submit": 3.0}
-        return OverheadPoint(
-            workload="hotspot",
-            size=256,
-            iterations=8,
-            cold_launches=1,
-            warm_launches=2,
-            replay_launches=5,
-            cold_us={**stages, "skeleton": 90.0, "total": 100.0},
-            warm_us={**stages, "total": 6.0},
-            replay_us={**stages, "residual": 0.5, "total": 4.5},
-            nocache_us={**stages, "skeleton": 20.0, "total": 26.0},
-            counters={
-                "plan_cache_hits": 7,
-                "plan_cache_misses": 1,
-                "plan_cache_evictions": 0,
-                "residual_cache_hits": 5,
-                "residual_cache_misses": 3,
-                "residual_cache_evictions": 0,
-                "enumerator_specialized": 8,
-                "enumerator_fallback": 0,
-            },
+    def test_missing_path_coverage(self, replayed, warm):
+        runs = ((replayed[0], "cold"), (replayed[0], "replay"), (warm[0], "warm"))
+        for prof, temperature in runs:
+            stages = prof.per_launch_us(temperature)
+            for stage in ("fingerprint", "skeleton", "residual", "submit", "total"):
+                assert stage in stages, (temperature, stage)
+
+    def test_replay_must_engage_on_hotspot(self, replayed):
+        prof, counters = replayed
+        assert prof.launches["replay"] > 0
+        assert counters["residual_cache_hits"] > 0
+
+    def test_plan_cache_arithmetic(self, replayed, warm):
+        for prof, counters in (replayed, warm):
+            launches = prof.launches
+            assert counters["plan_cache_misses"] == launches.get("cold", 0)
+            assert counters["plan_cache_hits"] == launches.get("warm", 0) + launches.get(
+                "replay", 0
+            )
+
+    def test_residual_cache_arithmetic(self, replayed):
+        prof, counters = replayed
+        launches = prof.launches
+        assert counters["residual_cache_hits"] == launches.get("replay", 0) == 7
+        assert counters["residual_cache_misses"] == launches.get("cold", 0) + launches.get(
+            "warm", 0
         )
 
-    def test_good_point_passes(self):
-        assert overhead_failures([self._good_point()]) == []
+    def test_evictions(self, replayed, warm):
+        for _, counters in (replayed, warm):
+            assert counters["plan_cache_evictions"] == 0
+            assert counters["residual_cache_evictions"] == 0
 
-    def test_empty_study_fails(self):
-        assert overhead_failures([]) == ["overhead study produced no points"]
+    def test_vectorized_backend_engaged(self, replayed):
+        _, counters = replayed
+        assert counters["enumerator_specialized"] > 0
+        assert counters["enumerator_fallback"] == 0
 
-    def test_missing_path_coverage(self):
-        p = dataclasses.replace(
-            self._good_point(), warm_launches=0, replay_launches=0
-        )
-        (failure,) = overhead_failures([p])
-        assert failure.startswith("coverage:")
-
-    def test_headline_reduction(self):
-        p = self._good_point()
-        slow = dict(p.warm_us)
-        slow["total"] = p.cold_us["total"] / (MIN_WARM_REDUCTION - 1.0)
-        (failure, *rest) = overhead_failures([dataclasses.replace(p, warm_us=slow)])
-        assert failure.startswith("headline:")
-
-    def test_nocache_baseline_reduction(self):
-        p = self._good_point()
-        fast = dict(p.nocache_us)
-        fast["total"] = p.warm_us["total"] * (MIN_NOCACHE_REDUCTION - 0.1)
-        (failure,) = overhead_failures([dataclasses.replace(p, nocache_us=fast)])
-        assert failure.startswith("baseline:")
-
-    def test_replay_must_engage_on_hotspot(self):
-        p = self._good_point()
-        bad_counters = {
-            **p.counters, "residual_cache_hits": 0, "residual_cache_misses": 8
-        }
-        p = dataclasses.replace(
-            p, replay_launches=0, replay_us={}, warm_launches=7,
-            counters=bad_counters,
-        )
-        (failure,) = overhead_failures([p])
-        assert failure.startswith("replay:")
-        assert "never hit" in failure
-
-    def test_replay_residual_reduction(self):
-        p = self._good_point()
-        slow = dict(p.replay_us)
-        slow["residual"] = p.warm_us["residual"] / (MIN_REPLAY_REDUCTION - 1.0)
-        (failure,) = overhead_failures([dataclasses.replace(p, replay_us=slow)])
-        assert failure.startswith("replay:")
-        assert "residual stage" in failure
-
-    def test_plan_cache_arithmetic(self):
-        p = self._good_point()
-        bad = {**p.counters, "plan_cache_hits": 6}
-        (failure,) = overhead_failures([dataclasses.replace(p, counters=bad)])
-        assert failure.startswith("arithmetic:")
-        assert "plan cache" in failure
-
-    def test_residual_cache_arithmetic(self):
-        p = self._good_point()
-        bad = {**p.counters, "residual_cache_hits": 4}
-        (failure,) = overhead_failures([dataclasses.replace(p, counters=bad)])
-        assert failure.startswith("arithmetic:")
-        assert "residual cache" in failure
-
-    def test_evictions(self):
-        p = self._good_point()
-        for counter in ("plan_cache_evictions", "residual_cache_evictions"):
-            bad = {**p.counters, counter: 2}
-            (failure,) = overhead_failures([dataclasses.replace(p, counters=bad)])
-            assert failure.startswith("capacity:")
-
-    def test_vectorized_backend_engaged(self):
-        p = self._good_point()
-        bad = {**p.counters, "enumerator_specialized": 0}
-        (failure,) = overhead_failures([dataclasses.replace(p, counters=bad)])
-        assert failure.startswith("backend:")
-
-    def test_warm_skeleton_stage_zero(self):
-        p = self._good_point()
-        for column in ("warm_us", "replay_us"):
-            slow = {**getattr(p, column), "skeleton": 0.5}
-            (failure,) = overhead_failures([dataclasses.replace(p, **{column: slow})])
-            assert failure.startswith("staging:")
+    def test_warm_skeleton_stage_zero(self, replayed, warm):
+        """A cache hit never rebuilds the skeleton, on either hit path."""
+        assert warm[0].launches == {"cold": 1, "warm": 7}
+        assert warm[0].per_launch_us("warm")["skeleton"] == 0.0
+        assert replayed[0].per_launch_us("replay")["skeleton"] == 0.0
 
 
 class TestIdentitySweep:
     def test_flat_subset_is_clean(self):
         assert (
-            identity_sweep(
-                workload="hotspot",
+            cache_sweep(
                 windows=(1,),
                 schedules=("sequential",),
                 cluster_shape=None,
@@ -196,12 +117,19 @@ class TestIdentitySweep:
         )
 
     def test_rejects_mismatched_cluster_shape(self):
-        import pytest
-
         with pytest.raises(ValueError, match="must total n_gpus"):
-            identity_sweep(n_gpus=4, cluster_shape=(3, 2))
+            cache_sweep(n_gpus=4, cluster_shape=(3, 2))
 
 
 class TestMutationSweep:
     def test_adversarial_interleavings_are_clean(self):
-        assert mutation_identity_failures(size=96, iterations=10) == []
+        assert mutation_sweep(size=96, iterations=10) == []
+
+    def test_a_digest_blind_to_mutations_is_caught(self, monkeypatch):
+        """Plant the bug the sweep exists for: a footprint digest that
+        ignores tracker state serves stale residuals across mutations."""
+        from repro.runtime.tracker import SegmentTracker
+
+        monkeypatch.setattr(SegmentTracker, "footprint_digest", lambda self, *a, **k: 0)
+        failures = mutation_sweep(size=96, iterations=10, schedules=("sequential",))
+        assert any(f.startswith("digest:") for f in failures), failures

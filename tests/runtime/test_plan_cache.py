@@ -16,6 +16,7 @@ launch fingerprint (docs/performance.md). These tests pin:
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.pipeline import compile_app
@@ -95,12 +96,10 @@ class TestFingerprintStaleness:
         "transfers_enabled": False,
         "tracking_enabled": False,
         "validate_unit_axes": False,
-        "h2d_distribution": "first_touch",
         "shared_copies": True,
         "schedule": "overlap",
         "pipeline_window": 4,
         "irredundant_transfers": True,
-        "debug_validate_writes": True,
     }
 
     def test_every_planning_field_has_a_flip(self):
@@ -155,6 +154,44 @@ class TestFingerprintStaleness:
         assert api.stats.plan_cache_misses == 2
         assert api.stats.plan_cache_hits == 2
 
+        _, ref_out, ref_trackers = drive(plan_cache=False)
+        assert np.array_equal(out, ref_out)
+        assert trackers == ref_trackers
+
+    @pytest.mark.parametrize(
+        "name, value", [("h2d_distribution", "first_touch"), ("debug_validate_writes", True)]
+    )
+    def test_non_planning_flip_hits(self, name, value):
+        """Fields no plan builder reads stay out of the key: a flip hits.
+
+        ``h2d_distribution`` steers host-to-device copies and
+        ``debug_validate_writes`` audits a finished partition; neither
+        changes a skeleton, so the flipped run must keep hitting and stay
+        bitwise equal to an uncached run driven through the same flip.
+        """
+        assert name not in PLANNING_CONFIG_FIELDS
+        kernel = _build_stencil()
+        app = compile_app([kernel])
+
+        def drive(plan_cache):
+            api = MultiGpuApi(app, RuntimeConfig(n_gpus=4, plan_cache=plan_cache))
+            nbytes = N * N * 4
+            data = np.random.default_rng(5).random((N, N)).astype(np.float32)
+            a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
+            api.cudaMemcpy(a, data, nbytes, MemcpyKind.HostToDevice)
+            api.cudaMemset(b, 0, nbytes)
+            api.launch(kernel, GRID, BLOCK, [a, b])
+            api.config = dataclasses.replace(api.config, **{name: value})
+            api.cudaMemcpy(b, data[::-1].copy(), nbytes, MemcpyKind.HostToDevice)
+            api.launch(kernel, GRID, BLOCK, [b, a])
+            api.launch(kernel, GRID, BLOCK, [a, b])
+            out = np.zeros((N, N), dtype=np.float32)
+            api.cudaMemcpy(out, b, nbytes, MemcpyKind.DeviceToHost)
+            return api, out, [vb.coherence_state() for vb in (a, b)]
+
+        api, out, trackers = drive(plan_cache=True)
+        assert api.stats.plan_cache_misses == 1
+        assert api.stats.plan_cache_hits == 2
         _, ref_out, ref_trackers = drive(plan_cache=False)
         assert np.array_equal(out, ref_out)
         assert trackers == ref_trackers

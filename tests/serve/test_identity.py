@@ -12,11 +12,7 @@ from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
 from repro.runtime.config import RuntimeConfig
-from repro.serve.bench import (
-    JOB_ELEMS,
-    build_serve_kernel,
-    single_tenant_identity_failures,
-)
+from repro.serve.bench import JOB_ELEMS, build_serve_kernel, single_tenant_sweep
 from repro.serve.runtime import ServeRuntime, untenanted
 from repro.sim.engine import SimMachine
 from repro.sim.trace import Category
@@ -34,20 +30,12 @@ from repro.harness.calibration import K80_NODE_SPEC
     ],
 )
 def test_single_tenant_identity_cluster(schedule, window, shared):
-    assert (
-        single_tenant_identity_failures(
-            n_nodes=2,
-            gpus_per_node=2,
-            schedule=schedule,
-            pipeline_window=window,
-            shared_copies=shared,
-        )
-        == []
-    )
+    cell = dict(schedule=schedule, pipeline_window=window, shared_copies=shared)
+    assert single_tenant_sweep([cell], n_nodes=2, gpus_per_node=2) == []
 
 
 def test_single_tenant_identity_flat_machine():
-    assert single_tenant_identity_failures(n_nodes=1, gpus_per_node=4) == []
+    assert single_tenant_sweep(n_nodes=1, gpus_per_node=4) == []
 
 
 def test_untenanted_round_trip():

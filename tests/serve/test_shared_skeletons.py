@@ -5,21 +5,21 @@
 fingerprint-determined and buffer-free, so the only observable difference
 vs per-tenant caches must be the planner counters — outputs, traces,
 clocks and every other stat stay bitwise identical, which
-:func:`~repro.serve.bench.shared_skeleton_identity_failures` pins.
+:func:`~repro.serve.bench.shared_skeleton_sweep` pins.
 """
 
 import numpy as np
 
 from repro.cuda.api import MemcpyKind
-from repro.cuda.dim3 import Dim3
 from repro.compiler.pipeline import compile_app
 from repro.harness.calibration import K80_NODE_SPEC
 from repro.runtime.config import RuntimeConfig
 from repro.serve.bench import (
     JOB_ELEMS,
     _BLOCK,
+    _GRID,
     build_serve_kernel,
-    shared_skeleton_identity_failures,
+    shared_skeleton_sweep,
 )
 from repro.serve.runtime import ServeRuntime
 from repro.serve.tenant import TenantSpec
@@ -42,7 +42,6 @@ def _serve_fixture(shared, tenants=2, config=None, specs=None):
 
 def _run_jobs(runtime, iterations=4):
     kernel = build_serve_kernel()
-    grid, block = Dim3(JOB_ELEMS // _BLOCK), Dim3(_BLOCK)
     host_x = np.linspace(0.0, 1.0, JOB_ELEMS, dtype=np.float32)
     host_y = np.zeros(JOB_ELEMS, dtype=np.float32)
 
@@ -52,7 +51,7 @@ def _run_jobs(runtime, iterations=4):
         dy = api.cudaMalloc(host_y.nbytes)
         api.cudaMemcpy(dy, host_y, host_y.nbytes, MemcpyKind.HostToDevice)
         for _ in range(iterations):
-            api.launch(kernel, grid, block, [JOB_ELEMS, dx, dy])
+            api.launch(kernel, _GRID, _BLOCK, [JOB_ELEMS, dx, dy])
 
     for t in sorted(runtime.runtimes):
         runtime.submit(t, job)
@@ -117,12 +116,10 @@ class TestCounters:
 
 class TestIdentity:
     def test_shared_cache_is_bitwise_invisible(self):
-        assert shared_skeleton_identity_failures(n_gpus=2, iterations=4) == []
+        assert shared_skeleton_sweep(n_gpus=2, iterations=4) == []
 
     def test_overlap_schedule_too(self):
         assert (
-            shared_skeleton_identity_failures(
-                n_gpus=2, schedule="overlap", iterations=4
-            )
+            shared_skeleton_sweep(n_gpus=2, schedules=("overlap",), iterations=4)
             == []
         )

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.pipeline import compile_app
+from repro.harness.identity import observe
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
-from repro.tasks.bench import _tracker_state
 from repro.workloads import functional_config
 from repro.workloads.cholesky import CholeskyWorkload
 
@@ -38,6 +38,10 @@ configs = st.sampled_from(
         ),
     ]
 )
+
+def _tracker_state(api):
+    return observe(api, {}).tracker
+
 
 # Serialized baselines, one per config (outputs + final tracker state).
 _BASELINES = {}

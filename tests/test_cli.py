@@ -32,6 +32,40 @@ class TestRun:
     def test_run_custom_size(self, capsys):
         assert main(["run", "matmul", "--gpus", "2", "--size", "32"]) == 0
 
+    def test_run_json_surfaces_planner_counters(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "run.json"
+        assert main(["run", "hotspot", "--gpus", "4", "--json", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["bitwise_equal"] is True
+        counters = doc["host_counters"]
+        assert counters["plan_cache_misses"] >= 1
+        assert counters["plan_cache_hits"] >= 1
+        assert counters["residual_cache_misses"] >= 1
+        assert counters["residual_cache_hits"] >= 1
+        assert counters["plan_cache_evictions"] == counters["residual_cache_evictions"] == 0
+        # A residual replay presupposes a skeleton hit on the same launch.
+        assert counters["residual_cache_hits"] <= counters["plan_cache_hits"]
+
+    def test_run_irredundant_reports_trimmed_bytes(self, capsys):
+        argv = ["run", "dstencil", "--gpus", "4", "--shared-copies", "--irredundant-transfers"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "bitwise equal" in out and "slack bytes trimmed" in out
+
+
+def _doctor(monkeypatch, module, name, edit):
+    """Plant one violation: ``module.name`` returns ``edit(real result)``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: edit(real(*a, **k)))
+
+
+def _replace_where(points, match, **changes):
+    import dataclasses
+
+    return [dataclasses.replace(p, **changes) if match(p) else p for p in points]
+
 
 class TestBench:
     def test_table1(self, capsys):
@@ -45,9 +79,128 @@ class TestBench:
         out = capsys.readouterr().out
         assert "Speedup" in out and "hotspot" in out
 
-    def test_overhead(self, capsys):
+    def test_overhead(self, monkeypatch, capsys):
+        import functools
+
+        import repro.harness.overhead as ov
+
+        # The full sweep matrices run in CI's bench row; tests/harness/
+        # test_overhead.py covers the sweeps themselves.
+        small = dict(windows=(1,), schedules=("sequential",))
+        monkeypatch.setattr(ov, "cache_sweep", functools.partial(ov.cache_sweep, **small))
+        monkeypatch.setattr(
+            ov, "mutation_sweep", functools.partial(ov.mutation_sweep, size=96, iterations=10)
+        )
         assert main(["bench", "overhead", "--sizes", "small"]) == 0
-        assert "Slowdown" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Slowdown" in out and "checks passed" in out
+
+    def test_entries_take_only_their_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "table1", "--tenants", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_json_payload_is_fields_plus_properties(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "f6.json"
+        argv = ["bench", "figure6", "--gpu-counts", "1", "--sizes", "small", "--json", str(path)]
+        assert main(argv) == 0
+        doc = json.loads(path.read_text())
+        assert doc["bench"] == "figure6" and doc["failures"] == []
+        assert doc["args"] == {"gpu_counts": [1], "sizes": ["small"], "schedule": None, "csv": None}
+        point = doc["points"][0]
+        assert point["speedup"] == point["reference"] / point["time"]
+
+
+class TestBenchPlantedViolations:
+    """Every self-checking entry exits 1 when one of its claims breaks."""
+
+    @staticmethod
+    def _fails(argv, capsys, needle):
+        assert main(["bench", *argv]) == 1
+        err = capsys.readouterr().err
+        assert f"FAIL: {needle}" in err, err
+
+    def test_schedules(self, monkeypatch, capsys):
+        from repro.harness import experiments as ex
+
+        _doctor(monkeypatch, ex, "schedule_comparison", lambda pts: _replace_where(
+            pts, lambda p: p.schedule == "overlap" and p.n_gpus == 4, time=1e3
+        ))
+        self._fails(["schedules", "--gpu-counts", "1", "4"], capsys, "regression: hotspot overlap")
+
+    def test_cluster(self, monkeypatch, capsys):
+        from repro.harness import experiments as ex
+
+        _doctor(monkeypatch, ex, "cluster_scaling", lambda pts: _replace_where(
+            pts, lambda p: p.n_nodes == 1, inter_node_transfers=3
+        ))
+        argv = ["cluster", "--gpus-per-node", "2", "--schedule", "sequential"]
+        self._fails(argv, capsys, "1-node run reports inter-node traffic")
+
+    def test_pipeline(self, monkeypatch, capsys):
+        from repro.harness import experiments as ex
+
+        _doctor(monkeypatch, ex, "pipeline_study", lambda pts: _replace_where(
+            pts, lambda p: p.pipeline_window == 4, exposed_transfer_time=1.0
+        ))
+        argv = ["pipeline", "--workloads", "hotspot", "--gpu-counts", "4", "--nodes", "1"]
+        self._fails(argv, capsys, "regression: hotspot flat overlap+p2p window=4")
+
+    def test_redundancy(self, monkeypatch, capsys):
+        import functools
+
+        from repro.harness import benches
+        from repro.harness import experiments as ex
+
+        monkeypatch.setattr(ex, "redundancy_study", functools.partial(ex.redundancy_study, n=256))
+        # The linter cross-check has its own tests in tests/analysis/test_dataflow.py.
+        monkeypatch.setattr(benches, "_stencil_linter_agreement", lambda *a: [])
+        _doctor(monkeypatch, ex, "redundancy_study", lambda pts: _replace_where(
+            pts, lambda p: p.kernel == "broadcast" and p.shared_copies, checksum="0"
+        ))
+        argv = ["redundancy", "--nodes", "1", "--gpus-per-node", "2", "--schedule", "sequential"]
+        self._fails(argv, capsys, "bitwise: broadcast output differs")
+
+    def test_serve(self, monkeypatch, capsys):
+        import repro.serve.bench as sb
+
+        _doctor(monkeypatch, sb, "saturation_study", lambda pts: _replace_where(
+            pts, lambda p: p.load <= 0.5, shed=1
+        ))
+        argv = ["serve", "--tenants", "2", "--jobs", "12", "--load", "0.5", "3",
+                "--nodes", "1", "--queue-capacity", "3"]
+        self._fails(argv, capsys, "backpressure misfire")
+
+    def test_taskgraph(self, monkeypatch, capsys):
+        import repro.tasks.bench as tb
+
+        def study(workloads, n_gpus):
+            timing = dict(n_gpus=n_gpus, tasks=97, edges=920, transfer_busy_time=1.0,
+                          hidden_transfer_time=0.5, exposed_transfer_time=0.5)
+            s = tb.TaskGraphStudy(workloads=["imgpipe"], n_gpus=n_gpus)
+            # The planted violation: graph mode no faster than serialized.
+            s.points = [tb.TaskGraphPoint("imgpipe", mode, time=1.0, **timing)
+                        for mode in ("serialized", "graph")]
+            s.graph_stats["imgpipe"] = {"tasks": 49, "edges": 204, "waves": 7, "ready_peak": 8,
+                                        "nonaffine_tasks": 1, "whole_buffer_syncs": 1,
+                                        "diagnostic_codes": ["RP701", "RP702"]}
+            s.fallback_launches["imgpipe"] = 1
+            return s
+
+        monkeypatch.setattr(tb, "taskgraph_study", study)
+        monkeypatch.setattr(tb, "order_sweep", lambda name: [])
+        self._fails(["taskgraph", "--workload", "imgpipe"], capsys, "overlap: imgpipe")
+
+    def test_overhead(self, monkeypatch, capsys):
+        import repro.harness.overhead as ov
+        from repro.runtime.tracker import SegmentTracker
+
+        monkeypatch.setattr(ov, "cache_sweep", lambda: [])
+        monkeypatch.setattr(SegmentTracker, "footprint_digest", lambda self, *a, **k: 0)
+        self._fails(["overhead", "--sizes", "small"], capsys, "digest:")
 
 
 class TestMachine:

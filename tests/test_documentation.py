@@ -180,7 +180,7 @@ def test_performance_doc_covers_the_staged_planner():
         "residual_cache=False",
         "footprint_digest",  # the replay key's tracker summary
         "replay",  # the steady-state hit path
-        "mutation_identity_failures",  # the adversarial sweep
+        "mutation_sweep",  # the adversarial sweep
     ):
         assert needle in text, f"docs/performance.md does not mention {needle!r}"
     # Cross-references both ways.
