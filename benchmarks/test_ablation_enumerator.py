@@ -29,7 +29,7 @@ def setup():
 
 
 def _scan(enum, part, block, grid, scalars, shape):
-    enum._cache.clear()  # measure the scan, not the memo
+    enum._scans.clear()  # measure the scan, not the memo
     return enum.element_ranges(part, block, grid, scalars, shape)
 
 

@@ -54,7 +54,7 @@ def test_union_scan_is_exact(benchmark, enum_setup, write_report):
     enum, part, block, grid, scalars, n = enum_setup
 
     def run():
-        enum._cache.clear()
+        enum._scans.clear()
         return enum.element_ranges(part, block, grid, scalars, (4 * n,))
 
     ranges, emitted = benchmark(run)

@@ -53,6 +53,7 @@ from repro.compiler.enumerators import Enumerator, EnumeratorTable
 from repro.compiler.strategy import Partition, choose_strategy
 from repro.cuda.dim3 import Dim3
 from repro.errors import PolyhedralError
+from repro.memo import MISS, Memo
 from repro.poly.affine import Aff
 from repro.poly.basic_set import BasicSet
 from repro.poly.constraint import Constraint
@@ -83,6 +84,8 @@ __all__ = [
 #: oracle gives up (returns None → no trimming) beyond it; lint contexts
 #: use functional-size launches, far below the cap.
 MAX_READ_POINTS = 200_000
+#: Exact read sets one oracle keeps, per (array, partition, launch shape).
+EXACT_READ_CAPACITY = 512
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,7 @@ class ExactReadOracle:
     def __init__(self, info: KernelAccessInfo, *, max_points: int = MAX_READ_POINTS):
         self.info = info
         self.max_points = max_points
-        self._cache: Dict[Tuple, Optional[List[Tuple[int, int]]]] = {}
+        self._cache = Memo("exact_read", EXACT_READ_CAPACITY)
 
     def read_ranges(
         self,
@@ -214,7 +217,11 @@ class ExactReadOracle:
         grid: Dim3,
         block: Dim3,
         scalars: Mapping[str, int],
+        *,
+        audit: bool = False,
     ) -> Optional[List[Tuple[int, int]]]:
+        """The memoized answer; ``audit`` recomputes it on a hit and raises
+        :exc:`~repro.errors.MemoAuditError` if the two differ."""
         key = (
             array,
             tuple(extents),
@@ -224,19 +231,17 @@ class ExactReadOracle:
             block,
             tuple(sorted(scalars.items())),
         )
-        if key not in self._cache:
-            self._cache[key] = exact_read_ranges(
-                self.info,
-                array,
-                extents,
-                elem_size,
-                partition,
-                grid,
-                block,
-                scalars,
+        cached = self._cache.get(key)
+        if cached is MISS or audit:
+            fresh = exact_read_ranges(
+                self.info, array, extents, elem_size, partition, grid, block, scalars,
                 max_points=self.max_points,
             )
-        return self._cache[key]
+            if cached is MISS:
+                self._cache.put(key, fresh)
+                return fresh
+            self._cache.audit(key, cached, fresh)
+        return cached
 
 
 def runtime_exact_read_ranges(
@@ -254,18 +259,14 @@ def runtime_exact_read_ranges(
 
     An *exact* enumerator image emits exact per-row ranges already (each
     convex piece is row-contiguous), so there is no slack to trim and the
-    enumeration cost is skipped. Oracles are memoized per kernel on the
-    api object — iterative applications re-ask for identical partitions
-    every launch.
+    enumeration cost is skipped. The api holds one oracle per kernel —
+    iterative applications re-ask for identical partitions every launch.
     """
     if enum.exact:
         return None
-    oracles = api.__dict__.setdefault("_exact_read_oracles", {})
-    oracle = oracles.get(info.kernel.name)
-    if oracle is None:
-        oracle = oracles[info.kernel.name] = ExactReadOracle(info)
-    return oracle.read_ranges(
-        enum.array, tuple(shape), elem_size, partition, grid, block, scalars
+    return api.exact_reads[info.kernel.name].read_ranges(
+        enum.array, tuple(shape), elem_size, partition, grid, block, scalars,
+        audit=api.config.debug_audit,
     )
 
 

@@ -130,7 +130,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 #: The ``RuntimeConfig`` fields ``run --json`` records.
 _RUN_JSON_CONFIG = ("n_gpus", "schedule", "shared_copies", "pipeline_window",
-                    "irredundant_transfers", "plan_cache_capacity", "residual_cache_capacity")
+                    "irredundant_transfers")
 
 
 def _json_flag(parser: argparse.ArgumentParser, help: str) -> None:
@@ -147,18 +147,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     reference = workload.run(CudaApi(), inputs)
     app = compile_app(workload.build_kernels())
     print(f"running on {args.gpus} simulated GPUs ({args.schedule} schedule) ...")
-    cache_knobs = {
-        knob: getattr(args, knob)
-        for knob in ("plan_cache_capacity", "residual_cache_capacity")
-        if getattr(args, knob) is not None
-    }
     config = RuntimeConfig(
         n_gpus=args.gpus,
         schedule=args.schedule,
         shared_copies=args.shared_copies,
         pipeline_window=args.pipeline_window,
         irredundant_transfers=args.irredundant_transfers,
-        **cache_knobs,
     )
     api = MultiGpuApi(app, config)
     result = workload.run(api, inputs)
@@ -316,21 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="trim bounding-range slack off synchronization copies using "
         "the exact per-partition read sets (RP602 remedy)",
-    )
-    p.add_argument(
-        "--plan-cache-capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU capacity of the plan-skeleton cache (default 512; the "
-        "cache itself cannot be disabled from the CLI)",
-    )
-    p.add_argument(
-        "--residual-cache-capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU capacity of the residual replay cache (default 512)",
     )
     _json_flag(
         p,

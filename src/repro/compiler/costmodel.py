@@ -18,7 +18,7 @@ then closed-form in its block count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.cuda.dim3 import Dim3
 from repro.cuda.exec.interpreter import eval_scalar_expr
@@ -27,9 +27,13 @@ from repro.cuda.ir.kernel import Kernel
 from repro.cuda.ir.stmts import Assign, Body, For, If, Let, Store
 from repro.cuda.ir.visitors import walk_body, walk_expr
 from repro.errors import AnalysisError
+from repro.memo import MISS, Memo
 from repro.sim.topology import MachineSpec
 
 __all__ = ["ThreadCost", "KernelCostModel"]
+
+#: Kernels one cost model keeps, and loop-bound bindings per kernel.
+COST_ENTRIES = 64
 
 _FLOP_WEIGHT = {
     "add": 1.0,
@@ -74,10 +78,11 @@ class KernelCostModel:
 
     def __init__(self, spec: MachineSpec) -> None:
         self.spec = spec
-        # id(kernel) -> (kernel, names its For bounds mention, {their values:
-        # cost}). Keyed on identity because ``Kernel.__hash__`` walks the
-        # whole IR; the entry holds the kernel so its id cannot be reused.
-        self._memo: Dict[int, Tuple[Kernel, Tuple[str, ...], Dict[tuple, ThreadCost]]] = {}
+        # id(kernel) -> (kernel, names its For bounds mention, memo of their
+        # values -> cost). Keyed on identity because ``Kernel.__hash__``
+        # walks the whole IR; the entry holds the kernel so its id cannot be
+        # reused while the entry lives.
+        self._memo = Memo("thread_cost", COST_ENTRIES)
 
     # -- IR walking --------------------------------------------------------------
 
@@ -159,7 +164,7 @@ class KernelCostModel:
         type: ``n=5`` and ``n=5.0`` compare equal but divide differently.
         """
         entry = self._memo.get(id(kernel))
-        if entry is None:
+        if entry is MISS:
             names = {
                 e.name
                 for stmt in walk_body(kernel.body)
@@ -168,14 +173,16 @@ class KernelCostModel:
                 for e in walk_expr(bound)
                 if isinstance(e, (Param, LocalRef))
             }
-            entry = self._memo[id(kernel)] = (kernel, tuple(sorted(names)), {})
+            entry = (kernel, tuple(sorted(names)), Memo("thread_cost", COST_ENTRIES))
+            self._memo.put(id(kernel), entry)
         _, names, costs = entry
         # Most kernels' bounds mention no scalar: allocate nothing on a hit.
         key = tuple([(type(v), v) for v in map(scalars.get, names)]) if names else ()
         cost = costs.get(key)
-        if cost is None:
+        if cost is MISS:
             elem_sizes: Dict[str, int] = {p.name: p.dtype.size for p in kernel.array_params}
-            cost = costs[key] = self._body_cost(kernel.body, scalars, elem_sizes)
+            cost = self._body_cost(kernel.body, scalars, elem_sizes)
+            costs.put(key, cost)
         return cost
 
     def __call__(

@@ -28,6 +28,7 @@ from repro.compiler.access_analysis import (
 from repro.compiler.strategy import Partition
 from repro.cuda.dim3 import Dim3
 from repro.errors import AnalysisError
+from repro.memo import MISS, Memo
 from repro.poly.affine import Aff
 from repro.poly.basic_set import BasicSet, _rebind_constraint
 from repro.poly.codegen import (
@@ -68,6 +69,10 @@ _BI_BOUNDS = tuple(
 )
 
 FlatRange = Tuple[int, int]  # half-open element range
+
+#: Scans one enumerator keeps, per (partition box, launch shape). A
+#: 192-shape churn on 16 GPUs asks for 3 072 distinct ones.
+SCAN_CAPACITY = 4096
 
 
 def _partitioned_image(access: ArrayAccess) -> Set:
@@ -116,9 +121,11 @@ class Enumerator:
     #: runtime's generated C code does so cheaply, here we cache the Python
     #: scan (host *cost* is still charged per call by the runtime, from the
     #: recorded emit count). The third slot remembers which backend produced
-    #: the entry so repeat requests attribute to the same counter.
-    _cache: Dict[Tuple, Tuple[List[FlatRange], int, bool]] = field(
-        default_factory=dict, repr=False, compare=False
+    #: the entry so repeat requests attribute to the same counter. Not an
+    #: init field: ``dataclasses.replace`` starts a copy with an empty memo.
+    _scans: Memo = field(
+        default_factory=lambda: Memo("enumerator_scan", SCAN_CAPACITY),
+        init=False, repr=False, compare=False,
     )
     #: Whether cache misses may scan through the compiled box program
     #: (repro.poly.vectorize). False pins the scalar scanner — the ablation
@@ -188,6 +195,7 @@ class Enumerator:
         scalars: Mapping[str, int],
         shape: Sequence[int],
         stats=None,
+        audit: bool = False,
     ) -> Tuple[List[FlatRange], int]:
         """Merged flat (row-major) element ranges accessed by ``partition``.
 
@@ -198,17 +206,31 @@ class Enumerator:
         ``enumerator_specialized``/``enumerator_fallback`` tick per request,
         attributed to the backend that produced the result — deterministic
         per call sequence even when another runtime already warmed the scan
-        cache.
+        memo. ``audit`` re-scans on a memo hit and raises
+        :exc:`~repro.errors.MemoAuditError` if the memoized scan differs.
         """
         if partition.is_empty:
             return [], 0
         params = self.pack_params(partition, block, grid, scalars)
         key = (params, tuple(shape))
-        cached = self._cache.get(key)
-        if cached is not None:
-            ranges, count, vectorized = cached
-            self._count(stats, vectorized)
-            return ranges, count
+        cached = self._scans.get(key)
+        if cached is MISS:
+            cached = self._scan(params, shape)
+            self._scans.put(key, cached)
+        elif audit:
+            self._scans.audit(key, cached, self._scan(params, shape))
+        ranges, count, vectorized = cached
+        if stats is not None:
+            if vectorized:
+                stats.enumerator_specialized += 1
+            else:
+                stats.enumerator_fallback += 1
+        return ranges, count
+
+    def _scan(
+        self, params: Tuple[int, ...], shape: Sequence[int]
+    ) -> Tuple[List[FlatRange], int, bool]:
+        """One scan, uncached: ``(ranges, emitted, vectorized)``."""
         strides = [1] * len(shape)
         for d in range(len(shape) - 2, -1, -1):
             strides[d] = strides[d + 1] * shape[d + 1]
@@ -226,19 +248,7 @@ class Enumerator:
 
             self.scan(params, emit)
             result = (merge_ranges(raw), count)
-        self._count(stats, vectorized)
-        if len(self._cache) < 4096:
-            self._cache[key] = (result[0], result[1], vectorized)
-        return result
-
-    @staticmethod
-    def _count(stats, vectorized: bool) -> None:
-        if stats is None:
-            return
-        if vectorized:
-            stats.enumerator_specialized += 1
-        else:
-            stats.enumerator_fallback += 1
+        return result[0], result[1], vectorized
 
     def _scan_vectorized(
         self, params: Tuple[int, ...], strides: Sequence[int]

@@ -38,6 +38,7 @@ __all__ = [
     "RuntimeApiError",
     "UnsupportedMemcpyError",
     "TrackerError",
+    "MemoAuditError",
     "SimulationError",
     "CalibrationError",
     "ServeError",
@@ -164,6 +165,12 @@ class TrackerError(RuntimeApiError):
     """Inconsistent state in a virtual buffer's segment tracker."""
 
     exit_code = 62
+
+
+class MemoAuditError(RuntimeApiError):
+    """An audited memo hit differed from its recomputation (``debug_audit``)."""
+
+    exit_code = 63
 
 
 class SimulationError(ReproError):

@@ -599,7 +599,7 @@ BENCHES: Dict[str, Bench] = {
         ),
         Bench(
             name="overhead",
-            help="§9.2 single-GPU slowdown + planner-cache invisibility sweeps",
+            help="§9.2 single-GPU slowdown + memo invisibility sweeps",
             flags={"sizes": _ALL_SIZES},
             run=lambda args: ex.single_gpu_overhead(sizes=tuple(args.sizes)),
             table=columns(
@@ -608,9 +608,10 @@ BENCHES: Dict[str, Bench] = {
                 ("Slowdown", "{p[1]:.4%}"),
             ),
             checks=lambda rows, args: overhead.cache_sweep() + overhead.mutation_sweep(),
-            claims="plan and residual caches bitwise/trace/tracker/stats invisible "
-            "across schedule x shared-copies x window x topology, digest misses "
-            "under adversarial memcpy/memset/free interleavings",
+            claims="every memo hit audit-clean and the shipped run equal to the "
+            "debug_audit run (outputs, trace, tracker, stats, clock) across "
+            "schedule x shared-copies x window x topology, digest misses under "
+            "adversarial memcpy/memset/free interleavings",
             artifact="benchmarks/results/launch_overhead.json",
         ),
         Bench(

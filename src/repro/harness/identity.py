@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
+from repro.errors import MemoAuditError
 from repro.runtime.api import HOST_PLANNER_COUNTERS
 
 __all__ = ["FACETS", "Observation", "observe", "facet_diff", "identity_sweep"]
@@ -134,17 +135,23 @@ def identity_sweep(
     ``run_fn(**cell)`` returns ``{label: Observation}`` with the reference
     run first. Each other variant is compared with it on every facet in
     ``facets``. A failure reads ``"<facet>: <label> differs from <reference>
-    (<what>) at <cell>"``. ``check(cell, runs)`` adds the sweep-specific
-    assertions that are not facet equalities (digest misses, counter
-    attribution) and returns its own failure strings.
+    (<what>) at <cell>"``; a ``debug_audit`` run that caught a stale memo
+    entry reads ``"audit: <memo and key> at <cell>"``. ``check(cell,
+    runs)`` adds the sweep-specific assertions that are not facet
+    equalities (digest misses, counter attribution) and returns its own
+    failure strings.
     """
     unknown = [f for f in facets if f not in FACETS]
     if unknown:
         raise ValueError(f"unknown facet(s) {unknown} (choose from {', '.join(FACETS)})")
     failures: List[str] = []
     for cell in cells:
-        runs = run_fn(**cell)
         where = " ".join(f"{k}={v}" for k, v in cell.items())
+        try:
+            runs = run_fn(**cell)
+        except MemoAuditError as exc:
+            failures.append(f"audit: {exc} at {where}")
+            continue
         (ref_label, ref), *rest = runs.items()
         for label, got in rest:
             for facet in facets:

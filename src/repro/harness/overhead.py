@@ -1,11 +1,12 @@
-"""The planner caches' invisibility sweeps behind ``repro bench overhead``.
+"""The memos' invisibility sweeps behind ``repro bench overhead``.
 
 ``repro bench overhead`` prints the paper's single-GPU slowdown table
-(§9.2). It then self-checks that the two staged-planner caches
+(§9.2). It then self-checks that the staged planner's memos
 (docs/performance.md) are invisible, through two
-:func:`~repro.harness.identity.identity_sweep` matrices: :func:`cache_sweep`
-(plan cache, and plan + residual replay, against the all-caches-off oracle)
-and :func:`mutation_sweep` (replay under direct mid-loop buffer mutations,
+:func:`~repro.harness.identity.identity_sweep` matrices whose oracle is a
+``RuntimeConfig.debug_audit`` run — every memo hit recomputed and compared
+in place: :func:`cache_sweep` (the shipped run against the audit) and
+:func:`mutation_sweep` (replay under direct mid-loop buffer mutations,
 which must change the footprint digest).
 
 Host time per launch stage is measured by the ledger (``bench/run.py
@@ -19,22 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compiler.pipeline import compile_app
-from repro.harness.identity import Observation, identity_sweep, observe
+from repro.harness.identity import FACETS, Observation, identity_sweep, observe
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.workloads import ALL_WORKLOADS
 
 __all__ = ["cache_sweep", "mutation_sweep"]
-
-#: The cache configurations of one cache-sweep cell: the all-off oracle
-#: first, then the two cached modes that must match it bitwise.
-_CACHE_MODES = (
-    ("oracle", False, False),
-    ("plan", True, False),
-    ("replay", True, True),
-)
-
-_FACETS = ("outputs", "trace", "tracker", "stats")
 
 
 def cache_sweep(
@@ -43,12 +34,12 @@ def cache_sweep(
     schedules: Optional[Sequence[str]] = None,
     cluster_shape: Optional[Tuple[int, int]] = (2, 2),
 ) -> List[str]:
-    """Prove both planner caches are invisible; returns failure strings.
+    """Prove the memos invisible against the audit; returns failure strings.
 
-    Every ``schedule x shared_copies x pipeline_window`` cell runs on a
-    flat simulated node and, by default, on a 2x2 cluster. Each cell runs
-    functional hotspot in three modes: all caches off (the
-    oracle), plan cache only, and plan + residual replay.
+    Every ``schedule x shared_copies x pipeline_window`` cell runs
+    functional hotspot on a flat simulated node and, by default, on a 2x2
+    cluster, twice: under ``debug_audit`` (the oracle) and as shipped. The
+    two must agree on every facet, stats unmasked.
     """
     from repro.cluster.engine import ClusterSimMachine
     from repro.harness.calibration import K80_NODE_SPEC, k80_cluster
@@ -71,14 +62,13 @@ def cache_sweep(
 
     def run(topology, schedule, shared_copies, window) -> Dict[str, Observation]:
         runs = {}
-        for mode, plan_on, residual_on in _CACHE_MODES:
+        for mode, audit in (("audit", True), ("cached", False)):
             cfg = RuntimeConfig(
                 n_gpus=n_gpus,
                 schedule=schedule,
                 shared_copies=shared_copies,
                 pipeline_window=window,
-                plan_cache=plan_on,
-                residual_cache=residual_on,
+                debug_audit=audit,
             )
             api = MultiGpuApi(app, cfg, machine=machines[topology]())
             runs[mode] = observe(api, wl.run(api, inputs))
@@ -91,7 +81,7 @@ def cache_sweep(
         for sh in (False, True)
         for w in windows
     ]
-    return identity_sweep(run, cells, _FACETS, masked=True)
+    return identity_sweep(run, cells, FACETS)
 
 
 def _mutated_hotspot_run(
@@ -143,10 +133,10 @@ def mutation_sweep(
     """Adversarial replay soundness: direct mutations must miss, bitwise.
 
     For each schedule, a hotspot loop interleaved with cudaMemset, H2D
-    memcpy and cudaFree/cudaMalloc runs with the residual cache off (the
-    oracle) and on. The two must agree on outputs, trace, tracker state
-    and all non-planner stats. The replayed run's counters must also show
-    that the mutations *changed the digest*. They must force strictly more
+    memcpy and cudaFree/cudaMalloc runs under ``debug_audit`` (the oracle,
+    which raises at the first stale replay) and as shipped. The two must
+    agree on every facet. The shipped run's counters must also show that
+    the mutations *changed the digest*. They must force strictly more
     residual-cache misses than an unmutated loop, while steady-state
     iterations between mutations still replay.
     """
@@ -158,21 +148,21 @@ def mutation_sweep(
     app = compile_app([kernel])
     temp = np.random.default_rng(7).random((size, size), dtype=np.float32)
 
-    def loop(schedule: str, residual_on: bool, mutate: bool) -> Observation:
-        cfg = RuntimeConfig(n_gpus=n_gpus, schedule=schedule, residual_cache=residual_on)
+    def loop(schedule: str, audit: bool, mutate: bool) -> Observation:
+        cfg = RuntimeConfig(n_gpus=n_gpus, schedule=schedule, debug_audit=audit)
         api = MultiGpuApi(app, cfg, machine=SimMachine(K80_NODE_SPEC.with_gpus(n_gpus)))
         out = _mutated_hotspot_run(api, kernel, size, iterations, temp, mutate)
         return observe(api, {"out": out})
 
     def run(schedule) -> Dict[str, Observation]:
         return {
-            "oracle": loop(schedule, False, True),
-            "replay": loop(schedule, True, True),
+            "audit": loop(schedule, True, True),
+            "replay": loop(schedule, False, True),
         }
 
     def digest_misses(cell, runs) -> List[str]:
         (replayed,) = runs["replay"].stats
-        (clean,) = loop(cell["schedule"], True, False).stats
+        (clean,) = loop(cell["schedule"], False, False).stats
         where = f"hotspot-mutated schedule={cell['schedule']}"
         failures = []
         if replayed["residual_cache_misses"] <= clean["residual_cache_misses"]:
@@ -187,4 +177,4 @@ def mutation_sweep(
         return failures
 
     cells = [dict(schedule=s) for s in schedules]
-    return identity_sweep(run, cells, _FACETS, masked=True, check=digest_misses)
+    return identity_sweep(run, cells, FACETS, check=digest_misses)

@@ -28,23 +28,24 @@ emissions and the emission count — which drives simulated host cost — is
 the scalar scanner's: ``row_hi - row_lo + 1`` per box with ``lo <= hi``
 plus the valid rows of each rows entry.
 
-Programs are built behind a :func:`memoize`\\ d dispatcher (the pycuda
-``@memoize`` idiom) keyed on the AST node — scan ASTs are frozen
-dataclasses, hence hashable — so each enumerator compiles once per process.
+Programs are memoized per process (the pycuda ``@memoize`` idiom, on a
+:class:`~repro.memo.Memo`) keyed on the AST node — scan ASTs are frozen
+dataclasses, hence hashable — so each access shape compiles once.
 An AST the renderer cannot handle raises :exc:`VectorizeError` at
 construction and the caller falls back to the scalar scanner.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.memo import MISS, Memo
 from repro.poly.ast import Node
 from repro.poly.codegen import compile_vector_scanner
 
-__all__ = ["VectorizeError", "memoize", "vector_program", "VectorProgram"]
+__all__ = ["VectorizeError", "vector_program", "VectorProgram"]
 
 Run = Tuple[int, int]
 Box = Tuple[int, int, int, int]
@@ -52,24 +53,6 @@ Box = Tuple[int, int, int, int]
 
 class VectorizeError(Exception):
     """The AST cannot be compiled into a vector program."""
-
-
-def memoize(fn: Callable) -> Callable:
-    """Cache ``fn``'s result per positional-argument tuple (pycuda-style)."""
-    cache: Dict[tuple, object] = {}
-
-    def wrapper(*args):
-        try:
-            return cache[args]
-        except KeyError:
-            result = fn(*args)
-            cache[args] = result
-            return result
-
-    wrapper.cache = cache  # type: ignore[attr-defined]
-    wrapper.__wrapped__ = fn  # type: ignore[attr-defined]
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
 
 class VectorProgram:
@@ -144,7 +127,13 @@ def _coalesce(runs: List[Run]) -> List[Run]:
     return out
 
 
-@memoize
+#: Compiled programs kept per process, one per distinct scan AST: the six
+#: applications' enumerators have fewer than a hundred between them.
+PROGRAM_CAPACITY = 1024
+
+_programs = Memo("vector_program", PROGRAM_CAPACITY)
+
+
 def vector_program(node: Node, param_names: Tuple[str, ...]) -> VectorProgram:
     """The memoized vector program for one scan AST.
 
@@ -154,4 +143,9 @@ def vector_program(node: Node, param_names: Tuple[str, ...]) -> VectorProgram:
     the AST contains unsupported node kinds, so callers can disable the
     vectorized path once instead of per call.
     """
-    return VectorProgram(node, param_names)
+    key = (node, param_names)
+    program = _programs.get(key)
+    if program is MISS:
+        program = VectorProgram(node, param_names)
+        _programs.put(key, program)
+    return program

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.dataflow import ExactReadOracle
 from repro.compiler.costmodel import KernelCostModel
 from repro.compiler.pipeline import CompiledApp
 from repro.cuda.api import KernelCostFn, MemcpyKind, host_bytes
@@ -26,10 +27,10 @@ from repro.cuda.device import Device
 from repro.cuda.dim3 import Dim3
 from repro.cuda.ir.kernel import Kernel
 from repro.errors import RuntimeApiError, UnsupportedMemcpyError
+from repro.memo import Memo
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.launch import launch_fallback, launch_partitioned
 from repro.runtime.memcpy import d2h_gather, h2d_scatter
-from repro.runtime.plancache import PlanCache
 from repro.runtime.vbuffer import VirtualBuffer
 from repro.sched.executor import DataflowLog, PipelineExecutor
 from repro.sched.policy import select_policy
@@ -39,11 +40,17 @@ from repro.sim.trace import Category
 
 __all__ = ["RunStats", "MultiGpuApi", "HOST_PLANNER_COUNTERS", "host_planner_counters"]
 
+#: Entries of one runtime's skeleton, residual and estimate memos (a serve
+#: runtime's shared skeleton memo too). Iteration loops use a handful of
+#: keys; the bound only matters for streams where every shape is fresh.
+SKELETON_CAPACITY = RESIDUAL_CAPACITY = ESTIMATE_CAPACITY = 512
+
 #: The staged-planner observability counters: plan-skeleton cache traffic
 #: plus the per-backend enumerator split. Benchmarks surface exactly this
-#: slice, and warm-vs-cold identity checks exclude exactly this slice (a
-#: cached plan legitimately skips enumerator requests, so these counters —
-#: and only these — may differ between bitwise-identical runs).
+#: slice, and identity checks between runs with different memo capacities
+#: or a shared skeleton memo exclude exactly this slice (a hit skips
+#: enumerator requests, so these counters — and only these — may differ
+#: between bitwise-identical runs).
 HOST_PLANNER_COUNTERS = (
     "plan_cache_hits",
     "plan_cache_misses",
@@ -103,18 +110,16 @@ class RunStats:
     #: mean an identical launch shape was re-estimated from the cache.
     estimate_cache_hits: int = 0
     estimate_cache_misses: int = 0
-    #: Plan-skeleton cache (repro.runtime.plancache): a hit means the
-    #: launch reused cached partition/scan results and only ran the
-    #: tracker residual; an eviction means a skeleton fell out of the LRU.
-    #: All three stay zero when ``RuntimeConfig.plan_cache`` is off.
+    #: Plan-skeleton memo (repro.runtime.launch): a hit means the launch
+    #: reused cached partition/scan results and only ran the tracker
+    #: residual; an eviction means a skeleton fell out of the LRU.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     plan_cache_evictions: int = 0
     #: Residual replay cache (the tracker-dependent complement): a hit
     #: means the launch's (fingerprint, footprint digest) recurred and the
     #: memoized residual was replayed without any tracker queries or
-    #: stale-copy planning. All three stay zero when
-    #: ``RuntimeConfig.residual_cache`` is off.
+    #: stale-copy planning.
     residual_cache_hits: int = 0
     residual_cache_misses: int = 0
     residual_cache_evictions: int = 0
@@ -227,19 +232,18 @@ class MultiGpuApi:
         self._placement_offset: Optional[int] = None
         #: Launch-plan time-estimate memo, keyed by the shared launch
         #: fingerprint (repro.runtime.fingerprint).
-        self._estimate_cache: Dict[tuple, tuple] = {}
-        #: Fingerprint-keyed plan-skeleton cache. Per-api (not per-app) so
+        self.estimates = Memo("estimate", ESTIMATE_CAPACITY)
+        #: Fingerprint-keyed plan-skeleton memo. Per-api (not per-app) so
         #: two runtimes sharing one compiled app — e.g. the serve path and
         #: its direct-reference twin — count identical hits and misses.
         #: ServeRuntime may swap in one shared instance across tenants.
-        self.plan_cache = (
-            PlanCache(config.plan_cache_capacity) if config.plan_cache else None
-        )
-        #: Residual replay cache, keyed by (fingerprint, footprint digest).
+        self.plan_cache = Memo("skeleton", SKELETON_CAPACITY)
+        #: Residual replay memo, keyed by (fingerprint, footprint digest).
         #: Always per-api: residuals encode this runtime's coherence state.
-        self.residual_cache = (
-            PlanCache(config.residual_cache_capacity) if config.residual_cache else None
-        )
+        self.residual_cache = Memo("residual", RESIDUAL_CAPACITY)
+        #: Exact read sets of the ``irredundant_transfers`` trimming, one
+        #: oracle per kernel of the app.
+        self.exact_reads = {name: ExactReadOracle(ck.info) for name, ck in app.kernels.items()}
         #: Host-side stage timing hook (repro.runtime.profiler): when a
         #: LaunchProfiler is attached, the staged launch path records
         #: wall-clock per stage. None (the default) costs nothing.

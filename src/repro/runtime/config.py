@@ -80,39 +80,12 @@ class RuntimeConfig:
     #: stale in the tracker; bitwise-invisible on outputs. The default
     #: False ships every planned byte, reproducing §6.1 exactly.
     irredundant_transfers: bool = False
-    #: Fingerprint-keyed plan-skeleton cache (repro.runtime.plancache):
-    #: launches whose fingerprint was seen before reuse the cached
-    #: partition intervals, enumerated access ranges and DAG shape, and
-    #: only re-derive the tracker-dependent residual (stale-segment
-    #: copies). Bitwise-invisible — cold and warm paths produce identical
-    #: outputs, traces and tracker state — so False exists purely for the
-    #: overhead ablation and as a debugging escape hatch.
-    plan_cache: bool = True
-    #: Maximum number of plan skeletons the fingerprint-keyed LRU keeps per
-    #: runtime. Iteration loops use a handful of fingerprints (one per
-    #: buffer parity); the bound only matters for pathological launch
-    #: streams where every launch has a fresh shape.
-    plan_cache_capacity: int = 512
-    #: Residual replay cache (the tracker-*dependent* complement of
-    #: ``plan_cache``): memoize the fully materialized residual — planned
-    #: sync copies, ReadSync counters, segment counts — per
-    #: ``(launch fingerprint, tracker footprint digest)``. A launch whose
-    #: read-footprint coherence state recurs (any converged iteration loop)
-    #: skips every tracker query and ``plan_stale_copies_tiered`` call and
-    #: replays the memoized plan; direct mutations (memcpy, memset, free)
-    #: change the digest and miss automatically. Bitwise-invisible — only
-    #: the ``residual_cache_*`` counters may differ — so False exists for
-    #: the overhead ablation and as a debugging escape hatch.
-    residual_cache: bool = True
-    #: Maximum number of memoized residuals kept per runtime. Each entry is
-    #: a few tuples per read scan; converged loops use one entry per
-    #: recurring (fingerprint, tracker state) pair.
-    residual_cache_capacity: int = 512
-    #: Debug audit (functional mode only): execute each partition with the
-    #: instrumented interpreter and verify the scanned write set equals the
-    #: cells the kernel actually wrote. Catches compiler bugs at the launch
-    #: that would otherwise corrupt trackers silently.
-    debug_validate_writes: bool = False
+    #: Debug audit (slow; for tests and fuzzing): every memo hit keyed on
+    #: launch arguments or live state also runs its miss path and raises
+    #: ``MemoAuditError`` if the cached value differs (repro.memo); in
+    #: functional mode each partition's scanned write set must equal the
+    #: cells the kernel wrote. Nothing else observable changes.
+    debug_audit: bool = False
 
     def __post_init__(self) -> None:
         if self.n_gpus < 1:
@@ -133,12 +106,6 @@ class RuntimeConfig:
             raise RuntimeApiError(
                 f"pipeline_window must be a positive integer, got {self.pipeline_window!r}"
             )
-        for name in ("plan_cache_capacity", "residual_cache_capacity"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise RuntimeApiError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
 
     @property
     def sync_transfers_active(self) -> bool:

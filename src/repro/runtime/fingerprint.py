@@ -43,8 +43,8 @@ __all__ = [
 #: which scans run, how copies are trimmed). Toggling any of these between
 #: otherwise-identical launches changes the fingerprint, so a cached plan
 #: can never leak across a knob flip. ``h2d_distribution`` (read by the
-#: memcpy path) and ``debug_validate_writes`` (read by the executor after a
-#: plan is built) stay out: nothing that builds a plan reads them.
+#: memcpy path) and ``debug_audit`` (which only re-checks what the memos
+#: serve) stay out: neither changes what a plan contains.
 PLANNING_CONFIG_FIELDS = (
     "n_gpus",
     "transfers_enabled",

@@ -37,6 +37,7 @@ from repro.cuda.dim3 import Dim3
 from repro.cuda.exec.interpreter import run_kernel
 from repro.cuda.ir.kernel import ArrayParam, ScalarParam
 from repro.errors import PartitioningError, RuntimeApiError
+from repro.memo import MISS
 from repro.runtime.sync import plan_stale_copies_tiered, register_sharer
 from repro.runtime.vbuffer import VirtualBuffer
 from repro.sim.trace import Category
@@ -76,11 +77,11 @@ def launch_partitioned(
        unit-axis and runtime-coverage validation, whose outcomes are
        fingerprint-determined) only on a miss;
     3. *residual* — tracker queries and stale-segment copy planning, run
-       against live coherence state. With ``RuntimeConfig.residual_cache``
-       on, a cheap per-array footprint digest of the live trackers keys a
-       replay cache of fully materialized residuals: a digest recurrence
-       (any converged iteration loop) replays the memoized copies and
-       counters without a single tracker query, and any tracker change —
+       against live coherence state. A cheap per-array footprint digest of
+       the live trackers keys a replay memo of fully materialized
+       residuals: a digest recurrence (any converged iteration loop)
+       replays the memoized copies and counters without a single tracker
+       query, and any tracker change —
        including direct mutations via memcpy/memset/free — changes the
        digest and misses;
     4. *submit* — hand the concrete plan to the pipelined executor: the
@@ -91,12 +92,13 @@ def launch_partitioned(
 
     Cold, warm and replay paths are bitwise-identical in outputs, traces
     and tracker state; only host wall-clock differs, which ``api.profiler``
-    records per (temperature, stage) when attached.
+    records per (temperature, stage) when attached. Under
+    ``RuntimeConfig.debug_audit`` every hit also runs its miss path and
+    must reproduce the cached skeleton, residual and plan (repro.memo).
     """
     assert ck.partitioned is not None
     from repro.runtime.fingerprint import launch_fingerprint, residual_key
     from repro.sched.graph import (
-        REPLAY_PLAN_BINDINGS,
         build_plan_skeleton,
         instantiate_plan,
         instantiate_plan_replay,
@@ -114,10 +116,11 @@ def launch_partitioned(
     if prof:
         times["fingerprint"] = perf_counter() - t
 
+    audit = api.config.debug_audit
     cache = api.plan_cache
-    warm = False
-    skel = cache.get(key) if cache is not None else None
-    if skel is None:
+    skel = cache.get(key)
+    warm = skel is not MISS
+    if not warm:
         t = perf_counter() if prof else 0.0
         skel = build_plan_skeleton(
             api, ck, grid, block, scalars, fingerprint=key, validate=True,
@@ -125,13 +128,17 @@ def launch_partitioned(
         )
         if prof:
             times["skeleton"] = perf_counter() - t
-        if cache is not None:
-            api.stats.plan_cache_misses += 1
-            if cache.put(key, skel):
-                api.stats.plan_cache_evictions += 1
+        api.stats.plan_cache_misses += 1
+        if cache.put(key, skel):
+            api.stats.plan_cache_evictions += 1
     else:
-        warm = True
         api.stats.plan_cache_hits += 1
+        if audit:
+            # Rebuilt without stats: a hit counts no scan backends.
+            fresh = build_plan_skeleton(
+                api, ck, grid, block, scalars, fingerprint=key, validate=True
+            )
+            cache.audit(key, skel, fresh)
 
     if skel.fallback:
         # Runtime coverage validation rejected this launch shape (cached
@@ -140,39 +147,43 @@ def launch_partitioned(
         return
 
     t = perf_counter() if prof else 0.0
+    # Digest the live trackers over the skeleton's per-array read envelope.
+    # Equal digests imply equal query results (segmentation is canonical),
+    # so replaying the memoized residual is exact.
+    digests = tuple(
+        by_name[array].tracker.footprint_digest(runs)
+        for array, runs in skel.read_footprints
+    )
+    rkey = residual_key(key, digests)
     rcache = api.residual_cache
-    replay = False
-    if rcache is not None:
-        # Digest the live trackers over the skeleton's per-array read
-        # envelope. Equal digests imply equal query results (segmentation
-        # is canonical), so replaying the memoized residual is exact.
-        digests = tuple(
-            by_name[array].tracker.footprint_digest(runs)
-            for array, runs in skel.read_footprints
-        )
-        rkey = residual_key(key, digests)
-        record = rcache.get(rkey)
-        if record is not None:
-            replay = True
-            api.stats.residual_cache_hits += 1
-            binding = tuple(by_name[p.name].vb_id for p in kernel.array_params)
-            plan = record.plans.get(binding)
-            if plan is None:
-                plan = instantiate_plan_replay(skel, by_name, record)
-                if len(record.plans) >= REPLAY_PLAN_BINDINGS:
-                    record.plans.clear()
-                record.plans[binding] = plan
+    record = rcache.get(rkey)
+    replay = record is not MISS
+    if replay:
+        api.stats.residual_cache_hits += 1
+        binding = tuple(by_name[p.name].vb_id for p in kernel.array_params)
+        plan = record.plans.get(binding)
+        if audit:
+            # The live residual is the miss path of both memos; its tracker
+            # queries stand in for the replay's mirrored query counts.
+            fresh_plan, fresh_record = instantiate_plan(api, skel, by_name)
+            rcache.audit(rkey, record, fresh_record)
+            if plan is MISS:
+                plan = fresh_plan
+                record.plans.put(binding, plan)
             else:
-                # Plans are read-only downstream; only the accounting
-                # mirror of the skipped tracker queries remains.
-                replay_query_counts(skel, by_name)
+                record.plans.audit(binding, plan, fresh_plan)
+        elif plan is MISS:
+            plan = instantiate_plan_replay(skel, by_name, record)
+            record.plans.put(binding, plan)
         else:
-            api.stats.residual_cache_misses += 1
-            plan, record = instantiate_plan(api, skel, by_name)
-            if rcache.put(rkey, record):
-                api.stats.residual_cache_evictions += 1
+            # Plans are read-only downstream; only the accounting mirror
+            # of the skipped tracker queries remains.
+            replay_query_counts(skel, by_name)
     else:
-        plan, _ = instantiate_plan(api, skel, by_name)
+        api.stats.residual_cache_misses += 1
+        plan, record = instantiate_plan(api, skel, by_name)
+        if rcache.put(rkey, record):
+            api.stats.residual_cache_evictions += 1
     if prof:
         times["residual"] = perf_counter() - t
         t = perf_counter()
@@ -188,7 +199,7 @@ def launch_partitioned(
 def _audit_write_scan(api, ck, trace, part, block, grid, scalars, shapes) -> None:
     """Debug audit: scanned write sets must equal the executed writes.
 
-    Runs only under ``RuntimeConfig.debug_validate_writes`` in functional
+    Runs only under ``RuntimeConfig.debug_audit`` in functional
     mode. An over-claimed cell would mislead the trackers into serving stale
     data from the wrong device; an under-claimed cell would let a newer copy
     go unnoticed — either way, fail loudly at the offending launch.

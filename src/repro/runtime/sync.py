@@ -53,14 +53,16 @@ def byte_ranges(
     shape: Sequence[int],
     elem_size: int,
     stats=None,
+    audit: bool = False,
 ) -> Tuple[List[Tuple[int, int]], int]:
     """Flat element ranges of one enumerator, converted to byte ranges.
 
-    ``stats`` is threaded to the enumerator so cache-missing scans report
-    which backend (vectorized/scalar) performed them.
+    ``stats`` and ``audit`` are threaded to the enumerator: each request
+    reports which backend (vectorized/scalar) produced its scan, and an
+    audited request re-scans on a memo hit.
     """
     ranges, emitted = enum.element_ranges(
-        partition, block, grid, scalars, shape, stats=stats
+        partition, block, grid, scalars, shape, stats=stats, audit=audit
     )
     return [(lo * elem_size, hi * elem_size) for lo, hi in ranges], emitted
 

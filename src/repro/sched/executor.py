@@ -610,7 +610,7 @@ def _run_partition(api: "MultiGpuApi", plan: LaunchPlan, ktask) -> None:
     ):
         bound[partition_field_name("partition", f)] = value
     trace = None
-    if api.config.debug_validate_writes:
+    if api.config.debug_audit:
         from repro.cuda.exec.interpreter import AccessTrace
 
         trace = AccessTrace()

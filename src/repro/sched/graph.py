@@ -44,6 +44,7 @@ from repro.compiler.pipeline import CompiledKernel
 from repro.compiler.strategy import Partition
 from repro.cuda.api import resolve_array_shapes, split_launch_args
 from repro.cuda.dim3 import Dim3
+from repro.memo import Memo
 from repro.poly.intervals import subtract_intervals
 from repro.runtime.fingerprint import launch_fingerprint
 from repro.runtime.sync import byte_ranges, plan_stale_copies_tiered, trim_copies
@@ -440,7 +441,7 @@ class ReadScan:
     #: Exact read byte ranges for irredundant-transfer trimming, resolved
     #: lazily by the first residual pass that plans a copy (the answer
     #: depends only on fingerprint inputs, so it is cached here).
-    keep: object = _KEEP_UNKNOWN
+    keep: object = field(default=_KEEP_UNKNOWN, compare=False)
 
 
 @dataclass
@@ -496,7 +497,7 @@ class PlanSkeleton:
     #: Lazily-computed per-array read-footprint envelopes (see
     #: :attr:`read_footprints`); fingerprint-determined, so caching on the
     #: skeleton is sound.
-    _read_footprints: Optional[tuple] = field(default=None, repr=False)
+    _read_footprints: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def read_footprints(self) -> Tuple[Tuple[str, Tuple[Tuple[int, int], ...]], ...]:
@@ -523,9 +524,8 @@ class PlanSkeleton:
         return self._read_footprints
 
 
-#: Max distinct buffer bindings whose fully-built plans one ResidualRecord
-#: memoizes (a ping-pong loop needs two; the bound only guards pathological
-#: binding churn). On overflow the binding memo is simply cleared.
+#: Buffer bindings whose fully-built plans one ResidualRecord keeps (a
+#: ping-pong loop needs two; the bound only guards binding churn).
 REPLAY_PLAN_BINDINGS = 8
 
 
@@ -550,8 +550,9 @@ class ResidualRecord:
     """
 
     scans: Tuple[Tuple[Tuple[Tuple[int, int, int], ...], int, int, int, int, int], ...]
-    plans: Dict[Tuple[int, ...], LaunchPlan] = field(
-        default_factory=dict, repr=False, compare=False
+    plans: Memo = field(
+        default_factory=lambda: Memo("replay_binding", REPLAY_PLAN_BINDINGS),
+        repr=False, compare=False,
     )
 
 
@@ -610,6 +611,7 @@ def build_plan_skeleton(
     read_enums = api.app.enumerators.for_kernel(kernel.name, "read")
     write_enums = api.app.enumerators.for_kernel(kernel.name, "write")
     tracking = api.config.tracking_enabled
+    audit = api.config.debug_audit
     for gpu_idx, part in enumerate(parts):
         if part.is_empty:
             continue
@@ -621,7 +623,7 @@ def build_plan_skeleton(
                 elem_size = kernel.param(enum.array).dtype.size
                 ranges, emitted = byte_ranges(
                     enum, part, block, grid, scalars, shapes[enum.array],
-                    elem_size, stats=stats,
+                    elem_size, stats=stats, audit=audit,
                 )
                 reads.append(
                     ReadScan(
@@ -633,7 +635,7 @@ def build_plan_skeleton(
                 elem_size = kernel.param(enum.array).dtype.size
                 ranges, emitted = byte_ranges(
                     enum, part, block, grid, scalars, shapes[enum.array],
-                    elem_size, stats=stats,
+                    elem_size, stats=stats, audit=audit,
                 )
                 writes.append(
                     WriteScan(enum, enum.array, ranges, emitted, merge_event_ranges(ranges))
@@ -729,6 +731,7 @@ def instantiate_plan(
     """
     cluster = api.cluster
     irredundant = api.config.irredundant_transfers
+    audit = api.config.debug_audit
     scans: List[tuple] = []
     for sp in skel.partitions:
         for scan in sp.reads:
@@ -739,7 +742,8 @@ def instantiate_plan(
             overapprox = overapprox_inter = 0
             if irredundant and copies:
                 keep = scan.keep
-                if keep is _KEEP_UNKNOWN:
+                # Audited, the exact-read memo is asked (and checked) again.
+                if keep is _KEEP_UNKNOWN or audit:
                     from repro.analysis.dataflow import runtime_exact_read_ranges
 
                     keep = runtime_exact_read_ranges(

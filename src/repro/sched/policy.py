@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.errors import RuntimeApiError
+from repro.memo import MISS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.api import MultiGpuApi
@@ -123,18 +124,24 @@ def estimate_plan_times(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, 
     """
     from repro.runtime.fingerprint import plan_estimate_key
 
-    cache = api._estimate_cache
     key = plan_estimate_key(plan)
-    hit = cache.get(key)
-    if hit is not None:
+    cached = api.estimates.get(key)
+    if cached is MISS:
+        api.stats.estimate_cache_misses += 1
+        cached = _estimate(api, plan)
+        api.estimates.put(key, cached)
+    else:
         api.stats.estimate_cache_hits += 1
-        return hit
-    api.stats.estimate_cache_misses += 1
+        if api.config.debug_audit:
+            api.estimates.audit(key, cached, _estimate(api, plan))
+    return cached
+
+
+def _estimate(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, float]:
+    """The uncached estimate behind :func:`estimate_plan_times`."""
     spec = api.spec
     if spec is None:
-        result = float(sum(t.nbytes for t in plan.transfers)), 0.0
-        cache[key] = result
-        return result
+        return float(sum(t.nbytes for t in plan.transfers)), 0.0
     cluster = api.cluster
     transfer = 0.0
     for t in plan.transfers:
@@ -148,9 +155,7 @@ def estimate_plan_times(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, 
             compute += api.kernel_cost(
                 plan.ck.kernel, k.part.n_blocks, plan.block, plan.scalars
             )
-    result = (transfer, compute)
-    cache[key] = result
-    return result
+    return transfer, compute
 
 
 def estimate_window_times(

@@ -382,8 +382,8 @@ def shared_skeleton_sweep(
     """The shared skeleton cache must be bitwise invisible per tenant.
 
     Runs the same N-tenant job sequence twice per schedule: once with
-    per-tenant plan caches, once with one
-    :class:`~repro.runtime.plancache.PlanCache` shared across all tenants.
+    per-tenant skeleton memos, once with one :class:`~repro.memo.Memo`
+    shared across all tenants.
     Per-tenant output bytes, the full machine trace (tenant tags included),
     the simulated clock and each tenant's stats outside the planner
     counters must agree. The counters themselves prove the sharing

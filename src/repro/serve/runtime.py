@@ -27,9 +27,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.compiler.pipeline import CompiledApp
 from repro.cuda.api import KernelCostFn
 from repro.errors import ServeError
-from repro.runtime.api import RunStats
+from repro.memo import Memo
+from repro.runtime.api import SKELETON_CAPACITY, RunStats
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.plancache import PlanCache
 from repro.sched.executor import DataflowLog
 from repro.serve.admission import AdmissionController
 from repro.serve.scheduler import FairShareScheduler, Job
@@ -88,11 +88,10 @@ class ServeRuntime:
         #: tenant: skeletons are fingerprint-determined and buffer-free,
         #: so N tenants running the same kernels compile, enumerate and
         #: partition once between them (per-tenant hit/miss counters are
-        #: unaffected — they live in each tenant's stats). Tenants whose
-        #: own config disables the plan cache stay uncached; residual
-        #: replay caches remain strictly per-tenant.
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache(config.plan_cache_capacity) if shared_plan_cache else None
+        #: unaffected — they live in each tenant's stats). Residual replay
+        #: memos remain strictly per-tenant.
+        self.plan_cache: Optional[Memo] = (
+            Memo("skeleton", SKELETON_CAPACITY) if shared_plan_cache else None
         )
         self.runtimes: Dict[int, TenantRuntime] = {}
         for spec in specs:

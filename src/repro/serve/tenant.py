@@ -26,7 +26,7 @@ from repro.cuda.api import KernelCostFn
 from repro.errors import ServeError
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.plancache import PlanCache
+from repro.memo import Memo
 from repro.sched.executor import DataflowLog
 from repro.sim.engine import SimMachine
 
@@ -79,8 +79,8 @@ class TenantRuntime(MultiGpuApi):
       *shared* instance handed in by the serve runtime: because its keys
       embed the namespaced buffer ids, tenants' dependency records live in
       disjoint key ranges of one log,
-    * the plan-skeleton cache may likewise be a shared
-      :class:`~repro.runtime.plancache.PlanCache`: skeletons are
+    * the plan-skeleton memo may likewise be a shared
+      :class:`~repro.memo.Memo`: skeletons are
       fingerprint-determined and buffer-free, so N tenants running the
       same kernels enumerate and partition once between them. The residual
       replay cache is *never* shared — residuals encode one runtime's
@@ -100,7 +100,7 @@ class TenantRuntime(MultiGpuApi):
         functional: bool = True,
         kernel_cost: Optional[KernelCostFn] = None,
         dataflow: Optional[DataflowLog] = None,
-        plan_cache: Optional["PlanCache"] = None,
+        plan_cache: Optional[Memo] = None,
     ) -> None:
         if tenant_id < 0:
             raise ServeError(f"tenant_id must be non-negative, got {tenant_id}")
@@ -113,7 +113,5 @@ class TenantRuntime(MultiGpuApi):
             self._launch_counter = itertools.count(tenant_id * LAUNCH_NAMESPACE)
         if dataflow is not None:
             self.dataflow = dataflow
-        # A shared skeleton cache only replaces a live per-tenant cache:
-        # a tenant whose own config disabled plan caching keeps it off.
-        if plan_cache is not None and self.plan_cache is not None:
+        if plan_cache is not None:
             self.plan_cache = plan_cache

@@ -176,7 +176,7 @@ class TestMemo:
         walks = _root_walks(model, k, monkeypatch)
         costs = {model.thread_cost(k, {"n": 64, "alpha": 0.001 * step}) for step in range(1000)}
         assert len(costs) == 1 and len(walks) == 1
-        assert [len(by_binding) for _, _, by_binding in model._memo.values()] == [1]
+        assert [len(by_binding) for _, _, by_binding in model._memo._entries.values()] == [1]
 
     def test_memo_is_keyed_on_identity_not_on_the_ir_hash(self, monkeypatch):
         """Equal-valued kernels get their own entries; no ``Kernel.__hash__`` walk."""
@@ -191,4 +191,4 @@ class TestMemo:
         model = KernelCostModel(SPEC)
         assert model.thread_cost(a, {"n": 8}) == model.thread_cost(b, {"n": 8})
         assert len(model._memo) == 2
-        assert all(entry[0] is k for entry, k in zip(model._memo.values(), (a, b)))
+        assert all(entry[0] is k for entry, k in zip(model._memo._entries.values(), (a, b)))

@@ -36,7 +36,7 @@ class TestErrors:
         for n in range(40):
             part = Partition.whole(grid)
             enum.element_ranges(part, block, grid, {"n": n + 1}, (n + 1,))
-        assert len(enum._cache) <= 4096
+        assert len(enum._scans) <= enum._scans.capacity
 
 
 class TestDegenerateLaunches:

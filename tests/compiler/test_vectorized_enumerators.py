@@ -62,8 +62,8 @@ def test_backends_bitwise_equal_and_scan_identical(name):
     # ... and, having served the same launch stream, the same scans:
     # element-identical merged ranges and emitted counts per request.
     for key in sorted(vec_table):
-        vec_cache = vec_table[key]._cache
-        int_cache = int_table[key]._cache
+        vec_cache = vec_table[key]._scans._entries
+        int_cache = int_table[key]._scans._entries
         assert set(vec_cache) == set(int_cache), (name, key)
         for req, (v_ranges, v_count, v_vectorized) in vec_cache.items():
             i_ranges, i_count, i_vectorized = int_cache[req]
@@ -85,7 +85,7 @@ def test_backends_bitwise_equal_and_scan_identical(name):
         assert any(
             vectorized
             for e in vec_table.values()
-            for (_, _, vectorized) in e._cache.values()
+            for (_, _, vectorized) in e._scans._entries.values()
         ), name
 
 
@@ -98,10 +98,10 @@ def _requests(name):
     seen = {}
     scan = Enumerator.element_ranges
 
-    def record(self, partition, block, grid, scalars, shape, stats=None):
+    def record(self, partition, block, grid, scalars, shape, stats=None, audit=False):
         key = (self.name, block, grid, tuple(sorted(scalars.items())), tuple(shape))
         seen.setdefault(key, (self, block, grid, dict(scalars), tuple(shape)))
-        return scan(self, partition, block, grid, scalars, shape, stats)
+        return scan(self, partition, block, grid, scalars, shape, stats, audit)
 
     with mock.patch.object(Enumerator, "element_ranges", record):
         wl.run(MultiGpuApi(app, RuntimeConfig(n_gpus=2)), wl.make_inputs(seed=3))
@@ -133,8 +133,8 @@ def test_random_partitions_scan_identically(name, data):
     if len(shape) > 1 and data.draw(st.booleans()):
         shape = shape[:-1] + (max(1, shape[-1] + data.draw(st.integers(-3, 3))),)
     # A fresh scan memo each, so both backends really scan.
-    vec = dataclasses.replace(enum, _cache={}, specialize=True)
-    scalar = dataclasses.replace(enum, _cache={}, specialize=False)
+    vec = dataclasses.replace(enum, specialize=True)
+    scalar = dataclasses.replace(enum, specialize=False)
     stats = RunStats()
     got = vec.element_ranges(partition, block, grid, scalars, shape, stats)
     assert got == scalar.element_ranges(partition, block, grid, scalars, shape)

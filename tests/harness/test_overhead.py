@@ -1,7 +1,7 @@
-"""The planner caches' invisibility sweeps behind ``repro bench overhead``.
+"""The memos' invisibility sweeps behind ``repro bench overhead``.
 
-:func:`repro.harness.overhead.cache_sweep` compares cached runs against the
-all-caches-off oracle; :func:`repro.harness.overhead.mutation_sweep` replays
+:func:`repro.harness.overhead.cache_sweep` compares shipped runs against a
+``debug_audit`` run; :func:`repro.harness.overhead.mutation_sweep` replays
 adversarial interleavings. The launch profiler they no longer drive is
 pinned here on a machine-attached loop, the way the ledger's traced run
 uses it.
@@ -10,14 +10,24 @@ uses it.
 import pytest
 
 from repro.harness.overhead import cache_sweep, mutation_sweep
+from repro.memo import MISS, Memo
 
 
-def _profiled_hotspot(residual_cache=True):
+class _ForgetfulMemo(Memo):
+    """A residual memo that never hits: every skeleton hit is a warm launch."""
+
+    __slots__ = ()
+
+    def get(self, key):
+        return MISS
+
+
+def _profiled_hotspot(replay=True):
     """A machine-attached hotspot loop with a launch profiler, as the
     ledger's traced run drives it: (profiler, host planner counters)."""
     from repro.compiler.pipeline import compile_app
     from repro.harness.calibration import K80_NODE_SPEC
-    from repro.runtime.api import MultiGpuApi, host_planner_counters
+    from repro.runtime.api import RESIDUAL_CAPACITY, MultiGpuApi, host_planner_counters
     from repro.runtime.config import RuntimeConfig
     from repro.runtime.profiler import LaunchProfiler
     from repro.sim.engine import SimMachine
@@ -27,10 +37,12 @@ def _profiled_hotspot(residual_cache=True):
     wl = HotspotWorkload(ProblemConfig("hotspot", "overhead", 256, 8))
     api = MultiGpuApi(
         compile_app(wl.build_kernels()),
-        RuntimeConfig(n_gpus=4, residual_cache=residual_cache),
+        RuntimeConfig(n_gpus=4),
         machine=SimMachine(K80_NODE_SPEC.with_gpus(4)),
         functional=False,
     )
+    if not replay:
+        api.residual_cache = _ForgetfulMemo("residual", RESIDUAL_CAPACITY)
     api.profiler = prof = LaunchProfiler()
     wl.run(api, None)
     return prof, host_planner_counters(api.stats)
@@ -43,8 +55,8 @@ def replayed():
 
 @pytest.fixture(scope="module")
 def warm():
-    """Residual cache off: every plan-cache hit is a warm launch."""
-    return _profiled_hotspot(residual_cache=False)
+    """Residual memo never hitting: every plan-cache hit is a warm launch."""
+    return _profiled_hotspot(replay=False)
 
 
 class TestStudy:
@@ -127,9 +139,10 @@ class TestMutationSweep:
 
     def test_a_digest_blind_to_mutations_is_caught(self, monkeypatch):
         """Plant the bug the sweep exists for: a footprint digest that
-        ignores tracker state serves stale residuals across mutations."""
+        ignores tracker state serves stale residuals across mutations, and
+        the audit run names the residual memo at the first one."""
         from repro.runtime.tracker import SegmentTracker
 
         monkeypatch.setattr(SegmentTracker, "footprint_digest", lambda self, *a, **k: 0)
         failures = mutation_sweep(size=96, iterations=10, schedules=("sequential",))
-        assert any(f.startswith("digest:") for f in failures), failures
+        assert any(f.startswith("audit: memo 'residual'") for f in failures), failures

@@ -127,5 +127,5 @@ def test_random_programs_bitwise_equal(program, n_gpus):
 @settings(max_examples=10, deadline=None)
 @given(program=steps)
 def test_random_programs_survive_write_audit(program):
-    api = MultiGpuApi(APP, RuntimeConfig(n_gpus=3, debug_validate_writes=True))
+    api = MultiGpuApi(APP, RuntimeConfig(n_gpus=3, debug_audit=True))
     _execute(api, program)  # audit raises on any scan/execution divergence

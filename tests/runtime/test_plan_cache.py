@@ -1,16 +1,16 @@
-"""Plan-skeleton cache: LRU mechanics, staleness keys, warm==cold property.
+"""Plan-skeleton memo: LRU mechanics, staleness keys, cached==audited property.
 
-The staged launch planner caches tracker-independent plan skeletons per
+The staged launch planner memoizes tracker-independent plan skeletons per
 launch fingerprint (docs/performance.md). These tests pin:
 
-* the :class:`~repro.runtime.plancache.PlanCache` LRU contract;
+* the :class:`~repro.memo.Memo` LRU contract the skeleton memo (and every
+  other memo) relies on;
 * that every planning-relevant ``RuntimeConfig`` field participates in the
   fingerprint, so a knob flip can never serve a stale skeleton;
-* the invisibility property — a run with the cache enabled is bitwise
-  identical (outputs, trace, tracker state, stats outside the planner
-  counters) to the same run with the cache disabled, across the
-  ``schedule x shared_copies x pipeline_window`` matrix, on a flat node
-  and on a 2x2 cluster.
+* the invisibility property — a shipped run is bitwise identical (outputs,
+  trace, tracker state, every stat) to the same run under ``debug_audit``,
+  which recomputes every hit, across the ``schedule x shared_copies x
+  pipeline_window`` matrix, on a flat node and on a 2x2 cluster.
 """
 
 import dataclasses
@@ -25,10 +25,10 @@ from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
 from repro.harness.calibration import K80_NODE_SPEC, k80_cluster
-from repro.runtime.api import HOST_PLANNER_COUNTERS, MultiGpuApi
+from repro.memo import MISS, Memo
+from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.fingerprint import PLANNING_CONFIG_FIELDS, launch_fingerprint
-from repro.runtime.plancache import PlanCache
 from repro.sched.policy import SCHEDULES
 from repro.sim.engine import SimMachine
 
@@ -56,29 +56,41 @@ def _build_stencil(radius=1):
 
 
 class TestPlanCacheLru:
+    """The :class:`~repro.memo.Memo` behind the skeleton memo and the rest."""
+
     def test_get_put_and_contains(self):
-        cache = PlanCache(capacity=2)
-        assert cache.get("a") is None
-        assert not cache.put("a", 1)
-        assert "a" in cache and cache.get("a") == 1
-        assert len(cache) == 1
-        cache.clear()
-        assert "a" not in cache and len(cache) == 0
+        memo = Memo("m", capacity=2)
+        assert memo.get("a") is MISS
+        assert not memo.put("a", None)
+        assert "a" in memo and memo.get("a") is None  # None is a value
+        assert len(memo) == 1
+        memo.clear()
+        assert "a" not in memo and len(memo) == 0
 
     def test_eviction_is_least_recently_used(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a": now "b" is LRU
-        assert cache.put("c", 3)  # evicts "b"
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
+        memo = Memo("m", capacity=2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # a hit refreshes "a": now "b" is LRU
+        assert memo.put("c", 3)  # evicts "b"
+        assert "b" not in memo
+        assert "a" in memo and "c" in memo
+        assert memo.put("d", 4)  # "a" was refreshed before "c": evicts "a"
+        assert list(memo._entries) == ["c", "d"]
 
     def test_put_reports_eviction_only_when_overflowing(self):
-        cache = PlanCache(capacity=1)
-        assert not cache.put("a", 1)
-        assert cache.put("b", 2)
-        assert not cache.put("b", 3)  # overwrite, no eviction
+        memo = Memo("m", capacity=1)
+        assert not memo.put("a", 1)
+        assert memo.put("b", 2)
+        assert not memo.put("b", 3)  # overwrite, no eviction
+
+    def test_audit_names_the_memo_and_key(self):
+        from repro.errors import MemoAuditError
+
+        memo = Memo("skeleton", capacity=1)
+        memo.audit("k", (1, 2), (1, 2))  # equal: silent
+        with pytest.raises(MemoAuditError, match=r"memo 'skeleton' .* key 'k'"):
+            memo.audit("k", (1, 2), (1, 3))
 
 
 def _fingerprint_for(app, kernel, config):
@@ -120,16 +132,14 @@ class TestFingerprintStaleness:
     def test_knob_flip_forces_a_rebuild(self):
         """Flipping a planning knob mid-run must miss, not reuse stale plans.
 
-        The flipped run must also behave exactly like an uncached run
+        The flipped run must also behave exactly like an audited run
         driven through the same flip — outputs and tracker state bitwise.
         """
         kernel = _build_stencil()
         app = compile_app([kernel])
 
-        def drive(plan_cache):
-            api = MultiGpuApi(
-                app, RuntimeConfig(n_gpus=4, plan_cache=plan_cache)
-            )
+        def drive(audit):
+            api = MultiGpuApi(app, RuntimeConfig(n_gpus=4, debug_audit=audit))
             nbytes = N * N * 4
             a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
             data = np.random.default_rng(3).random((N, N)).astype(np.float32)
@@ -147,34 +157,35 @@ class TestFingerprintStaleness:
             api.cudaMemcpy(out, a, nbytes, MemcpyKind.DeviceToHost)
             return api, out, [vb.coherence_state() for vb in (a, b)]
 
-        api, out, trackers = drive(plan_cache=True)
+        api, out, trackers = drive(audit=False)
         # Buffer identities are not part of the fingerprint, so all four
         # launches share one shape signature — but the flip starts a new
         # config epoch, forcing exactly one fresh miss.
         assert api.stats.plan_cache_misses == 2
         assert api.stats.plan_cache_hits == 2
 
-        _, ref_out, ref_trackers = drive(plan_cache=False)
+        _, ref_out, ref_trackers = drive(audit=True)
         assert np.array_equal(out, ref_out)
         assert trackers == ref_trackers
 
     @pytest.mark.parametrize(
-        "name, value", [("h2d_distribution", "first_touch"), ("debug_validate_writes", True)]
+        "name, value",
+        [("h2d_distribution", "first_touch"), pytest.param("debug_audit", True, id="debug_audit")],
     )
     def test_non_planning_flip_hits(self, name, value):
         """Fields no plan builder reads stay out of the key: a flip hits.
 
         ``h2d_distribution`` steers host-to-device copies and
-        ``debug_validate_writes`` audits a finished partition; neither
-        changes a skeleton, so the flipped run must keep hitting and stay
-        bitwise equal to an uncached run driven through the same flip.
+        ``debug_audit`` re-checks what the memos serve; neither changes a
+        skeleton, so the flipped run must keep hitting and stay bitwise
+        equal to an audited run driven through the same flip.
         """
         assert name not in PLANNING_CONFIG_FIELDS
         kernel = _build_stencil()
         app = compile_app([kernel])
 
-        def drive(plan_cache):
-            api = MultiGpuApi(app, RuntimeConfig(n_gpus=4, plan_cache=plan_cache))
+        def drive(audit):
+            api = MultiGpuApi(app, RuntimeConfig(n_gpus=4, debug_audit=audit))
             nbytes = N * N * 4
             data = np.random.default_rng(5).random((N, N)).astype(np.float32)
             a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
@@ -189,10 +200,10 @@ class TestFingerprintStaleness:
             api.cudaMemcpy(out, b, nbytes, MemcpyKind.DeviceToHost)
             return api, out, [vb.coherence_state() for vb in (a, b)]
 
-        api, out, trackers = drive(plan_cache=True)
+        api, out, trackers = drive(audit=False)
         assert api.stats.plan_cache_misses == 1
         assert api.stats.plan_cache_hits == 2
-        _, ref_out, ref_trackers = drive(plan_cache=False)
+        _, ref_out, ref_trackers = drive(audit=True)
         assert np.array_equal(out, ref_out)
         assert trackers == ref_trackers
 
@@ -216,7 +227,7 @@ class TestFingerprintStaleness:
 
 
 def _observe(app, kernel, config, machine, seed):
-    """One functional run; everything a warm==cold comparison looks at."""
+    """One functional run; everything a cached==audited comparison looks at."""
     api = MultiGpuApi(app, config, machine=machine)
     nbytes = N * N * 4
     a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
@@ -231,31 +242,28 @@ def _observe(app, kernel, config, machine, seed):
     out_b = np.zeros((N, N), dtype=np.float32)
     api.cudaMemcpy(out_a, a, nbytes, MemcpyKind.DeviceToHost)
     api.cudaMemcpy(out_b, b, nbytes, MemcpyKind.DeviceToHost)
-    stats = dataclasses.asdict(api.stats)
-    planner = {name: stats.pop(name) for name in HOST_PLANNER_COUNTERS}
     return (
         (out_a, out_b),
         [vb.coherence_state() for vb in (a, b)],
         list(machine.trace.intervals),
-        stats,
-        planner,
+        dataclasses.asdict(api.stats),
     )
 
 
 def _assert_warm_equals_cold(kernel, app, config_kwargs, make_machine, seed):
     runs = {}
-    for cached in (True, False):
-        cfg = RuntimeConfig(n_gpus=4, plan_cache=cached, **config_kwargs)
-        runs[cached] = _observe(app, kernel, cfg, make_machine(), seed)
-    on, off = runs[True], runs[False]
-    assert np.array_equal(on[0][0], off[0][0]), config_kwargs
-    assert np.array_equal(on[0][1], off[0][1]), config_kwargs
-    assert on[1] == off[1], ("tracker state", config_kwargs)
-    assert on[2] == off[2], ("trace", config_kwargs)
-    assert on[3] == off[3], ("stats", config_kwargs)
-    # The cached run really exercised the cache; the uncached run didn't.
-    assert on[4]["plan_cache_hits"] > 0 and on[4]["plan_cache_misses"] > 0
-    assert off[4]["plan_cache_hits"] == 0 and off[4]["plan_cache_misses"] == 0
+    for audit in (False, True):
+        cfg = RuntimeConfig(n_gpus=4, debug_audit=audit, **config_kwargs)
+        runs[audit] = _observe(app, kernel, cfg, make_machine(), seed)
+    shipped, audited = runs[False], runs[True]
+    assert np.array_equal(shipped[0][0], audited[0][0]), config_kwargs
+    assert np.array_equal(shipped[0][1], audited[0][1]), config_kwargs
+    assert shipped[1] == audited[1], ("tracker state", config_kwargs)
+    assert shipped[2] == audited[2], ("trace", config_kwargs)
+    # Every stat, planner counters included: an audited hit is a hit.
+    assert shipped[3] == audited[3], ("stats", config_kwargs)
+    # The runs really exercised the memo.
+    assert shipped[3]["plan_cache_hits"] > 0 and shipped[3]["plan_cache_misses"] > 0
 
 
 @settings(max_examples=10, deadline=None)
@@ -267,7 +275,7 @@ def _assert_warm_equals_cold(kernel, app, config_kwargs, make_machine, seed):
     seed=st.integers(0, 5),
 )
 def test_plan_cache_is_invisible(schedule, shared, window, radius, seed):
-    """Warm==cold on a flat node over the full configuration matrix."""
+    """Cached==audited on a flat node over the full configuration matrix."""
     kernel = _build_stencil(radius)
     app = compile_app([kernel])
     _assert_warm_equals_cold(
@@ -280,7 +288,7 @@ def test_plan_cache_is_invisible(schedule, shared, window, radius, seed):
 
 
 def test_plan_cache_is_invisible_on_a_cluster():
-    """Warm==cold with cross-node halos (2x2 cluster, overlap+p2p, fused)."""
+    """Cached==audited with cross-node halos (2x2 cluster, overlap+p2p, fused)."""
     from repro.cluster.engine import ClusterSimMachine
 
     kernel = _build_stencil()

@@ -11,10 +11,9 @@ footprint digest vector)``. These tests pin:
   (fingerprint, coherence state) and replays forever after;
 * invalidation soundness — direct host-side mutations (memcpy, memset,
   free) change the digest and force a miss, never a stale replay;
-* the configurable LRU capacities of both planner caches under eviction
-  pressure;
+* both planner memos under eviction pressure, their capacities shrunk;
 * a hypothesis property interleaving launches with random buffer
-  mutations and planning-config flips against a replay-off oracle.
+  mutations and planning-config flips against the ``debug_audit`` oracle.
 """
 
 import dataclasses
@@ -29,7 +28,7 @@ from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
 from repro.errors import TrackerError
-from repro.runtime.api import HOST_PLANNER_COUNTERS, MultiGpuApi
+from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.tracker import SegmentTracker
 
@@ -179,23 +178,14 @@ class TestReplayArithmetic:
         # Replay hits are a subset of plan-cache (skeleton) hits.
         assert s.residual_cache_hits <= s.plan_cache_hits
 
-    def test_disabled_cache_counts_nothing(self):
-        h = _Harness(residual_cache=False)
-        hits, misses = h.converge(6)
-        assert hits == 0 and misses == 0
-        assert h.api.residual_cache is None
-
     def test_replay_skips_tracker_planning_but_mirrors_queries(self):
         cached = _Harness()
         cached.converge(6)
-        oracle = _Harness(residual_cache=False)
+        oracle = _Harness(debug_audit=True)
         oracle.converge(6)
         # Replay is stats-invisible: the mirrored query counts (and every
-        # other counter) match the uncached oracle exactly.
-        mask = {name: 0 for name in HOST_PLANNER_COUNTERS}
-        assert dataclasses.replace(cached.api.stats, **mask) == dataclasses.replace(
-            oracle.api.stats, **mask
-        )
+        # other counter) match the audited run, whose hits re-plan live.
+        assert cached.api.stats == oracle.api.stats
 
 
 class TestDirectMutationsMiss:
@@ -245,8 +235,8 @@ class TestDirectMutationsMiss:
         assert h.api.stats.residual_cache_misses == misses
 
     def test_mutated_run_stays_bitwise_correct(self):
-        def run(residual_cache):
-            h = _Harness(residual_cache=residual_cache)
+        def run(audit):
+            h = _Harness(debug_audit=audit)
             h.converge(4)
             h.api.cudaMemset(h.src, 0, h.nbytes)
             h.converge(3)
@@ -254,14 +244,14 @@ class TestDirectMutationsMiss:
             h.api.cudaMemcpy(out, h.src, h.nbytes, MemcpyKind.DeviceToHost)
             return out, [vb.coherence_state() for vb in (h.a, h.b)]
 
-        out_on, trackers_on = run(True)
-        out_off, trackers_off = run(False)
+        out_on, trackers_on = run(False)
+        out_off, trackers_off = run(True)
         assert np.array_equal(out_on, out_off)
         assert trackers_on == trackers_off
 
 
 class TestEvictionPressure:
-    """Satellite: configurable capacities, LRU behaviour beyond them."""
+    """Both planner memos beyond their capacity: LRU eviction, still exact."""
 
     def _drive_sizes(self, api, kernel, sizes):
         cap = 1 << 12
@@ -271,15 +261,14 @@ class TestEvictionPressure:
         for n in sizes:
             api.launch(kernel, Dim3(n // 32), Dim3(32), [n, x, y])
 
-    def test_cycling_distinct_fingerprints_evicts(self):
+    def test_cycling_distinct_fingerprints_evicts(self, monkeypatch):
+        import repro.runtime.api as api_module
+
+        monkeypatch.setattr(api_module, "SKELETON_CAPACITY", 4)
+        monkeypatch.setattr(api_module, "RESIDUAL_CAPACITY", 4)
         kernel = _build_axpy()
         app = compile_app([kernel])
-        api = MultiGpuApi(
-            app,
-            RuntimeConfig(
-                n_gpus=2, plan_cache_capacity=4, residual_cache_capacity=4
-            ),
-        )
+        api = MultiGpuApi(app, RuntimeConfig(n_gpus=2, debug_audit=True))
         # Eight distinct scalar sizes = eight distinct fingerprints
         # through a capacity-4 LRU: every launch misses, the second half
         # evicts the first.
@@ -310,10 +299,12 @@ class TestEvictionPressure:
         assert s.residual_cache_hits > 0
 
     def test_capacity_must_be_positive(self):
-        with pytest.raises(Exception):
-            RuntimeConfig(n_gpus=2, plan_cache_capacity=0)
-        with pytest.raises(Exception):
-            RuntimeConfig(n_gpus=2, residual_cache_capacity=-1)
+        from repro.memo import Memo
+
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            Memo("skeleton", 0)
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            Memo("residual", -1)
 
 
 @settings(max_examples=12, deadline=None)
@@ -326,21 +317,19 @@ class TestEvictionPressure:
     seed=st.integers(0, 3),
 )
 def test_replay_is_invisible_under_random_interleavings(ops, seed):
-    """Hypothesis: launches x mutations x config flips vs replay-off oracle.
+    """Hypothesis: launches x mutations x config flips vs the audit oracle.
 
     Whatever interleaving of kernel launches, host-side buffer mutations
-    and planning-config flips we drive, the replay-cached run must be
-    indistinguishable from the replay-off oracle in outputs, tracker
-    state and every stat outside the planner counters.
+    and planning-config flips we drive, the shipped run must be
+    indistinguishable from the ``debug_audit`` run — which raises at any
+    stale replay — in outputs, tracker state and every stat.
     """
     kernel = _build_stencil()
     app = compile_app([kernel])
     data = np.random.default_rng(seed).random((N, N)).astype(np.float32)
 
-    def run(residual_cache):
-        api = MultiGpuApi(
-            app, RuntimeConfig(n_gpus=4, residual_cache=residual_cache)
-        )
+    def run(audit):
+        api = MultiGpuApi(app, RuntimeConfig(n_gpus=4, debug_audit=audit))
         nbytes = N * N * 4
         a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
         api.cudaMemcpy(a, data, nbytes, MemcpyKind.HostToDevice)
@@ -364,15 +353,10 @@ def test_replay_is_invisible_under_random_interleavings(ops, seed):
         out_b = np.zeros((N, N), dtype=np.float32)
         api.cudaMemcpy(out_a, a, nbytes, MemcpyKind.DeviceToHost)
         api.cudaMemcpy(out_b, b, nbytes, MemcpyKind.DeviceToHost)
-        mask = {name: 0 for name in HOST_PLANNER_COUNTERS}
-        return (
-            (out_a, out_b),
-            [vb.coherence_state() for vb in (a, b)],
-            dataclasses.replace(api.stats, **mask),
-        )
+        return (out_a, out_b), [vb.coherence_state() for vb in (a, b)], api.stats
 
-    cached = run(True)
-    oracle = run(False)
+    cached = run(False)
+    oracle = run(True)
     assert np.array_equal(cached[0][0], oracle[0][0])
     assert np.array_equal(cached[0][1], oracle[0][1])
     assert cached[1] == oracle[1]

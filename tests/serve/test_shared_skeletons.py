@@ -1,7 +1,7 @@
 """Cross-tenant skeleton sharing: invisible bitwise, visible in counters.
 
 ``ServeRuntime(shared_plan_cache=True)`` hands every tenant one shared
-:class:`~repro.runtime.plancache.PlanCache`. Skeletons are
+skeleton :class:`~repro.memo.Memo`. Skeletons are
 fingerprint-determined and buffer-free, so the only observable difference
 vs per-tenant caches must be the planner counters — outputs, traces,
 clocks and every other stat stay bitwise identical, which
@@ -22,21 +22,14 @@ from repro.serve.bench import (
     shared_skeleton_sweep,
 )
 from repro.serve.runtime import ServeRuntime
-from repro.serve.tenant import TenantSpec
 from repro.sim.engine import SimMachine
 
 
-def _serve_fixture(shared, tenants=2, config=None, specs=None):
-    cfg = config or RuntimeConfig(n_gpus=2)
+def _serve_fixture(shared, tenants=2):
+    cfg = RuntimeConfig(n_gpus=2)
     app = compile_app([build_serve_kernel()])
     machine = SimMachine(K80_NODE_SPEC.with_gpus(cfg.n_gpus))
-    runtime = ServeRuntime(
-        app,
-        cfg,
-        specs if specs is not None else tenants,
-        machine=machine,
-        shared_plan_cache=shared,
-    )
+    runtime = ServeRuntime(app, cfg, tenants, machine=machine, shared_plan_cache=shared)
     return app, runtime
 
 
@@ -71,22 +64,12 @@ class TestWiring:
         for t in runtime.runtimes:
             assert runtime.api(t).plan_cache is runtime.plan_cache
 
-    def test_shared_cache_honors_capacity(self):
-        cfg = RuntimeConfig(n_gpus=2, plan_cache_capacity=3)
-        _, runtime = _serve_fixture(shared=True, config=cfg)
-        assert runtime.plan_cache.capacity == 3
+    def test_shared_cache_honors_capacity(self, monkeypatch):
+        import repro.serve.runtime as serve_runtime
 
-    def test_tenant_opt_out_survives_sharing(self):
-        # A tenant whose own config disables plan caching must stay
-        # uncached even when the serve runtime shares a cache.
-        base = RuntimeConfig(n_gpus=2)
-        specs = [
-            TenantSpec(0),
-            TenantSpec(1, config=RuntimeConfig(n_gpus=2, plan_cache=False)),
-        ]
-        _, runtime = _serve_fixture(shared=True, config=base, specs=specs)
-        assert runtime.api(0).plan_cache is runtime.plan_cache
-        assert runtime.api(1).plan_cache is None
+        monkeypatch.setattr(serve_runtime, "SKELETON_CAPACITY", 3)
+        _, runtime = _serve_fixture(shared=True)
+        assert runtime.plan_cache.capacity == 3
 
     def test_residual_caches_stay_per_tenant(self):
         _, runtime = _serve_fixture(shared=True)

@@ -39,6 +39,8 @@ class TestRun:
         assert main(["run", "hotspot", "--gpus", "4", "--json", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert doc["bitwise_equal"] is True
+        # The memo capacities are constants, not run configuration.
+        assert not any("cache" in key for key in doc["config"])
         counters = doc["host_counters"]
         assert counters["plan_cache_misses"] >= 1
         assert counters["plan_cache_hits"] >= 1
@@ -200,7 +202,26 @@ class TestBenchPlantedViolations:
 
         monkeypatch.setattr(ov, "cache_sweep", lambda: [])
         monkeypatch.setattr(SegmentTracker, "footprint_digest", lambda self, *a, **k: 0)
-        self._fails(["overhead", "--sizes", "small"], capsys, "digest:")
+        self._fails(["overhead", "--sizes", "small"], capsys, "audit: memo 'residual'")
+
+    def test_overhead_corrupt_memo_entry(self, monkeypatch, capsys):
+        import functools
+
+        import repro.harness.overhead as ov
+        from repro.memo import Memo
+
+        put = Memo.put
+
+        def corrupting(self, key, value):
+            if self.name == "estimate":
+                value = (value[0] + 1.0, value[1])
+            return put(self, key, value)
+
+        monkeypatch.setattr(Memo, "put", corrupting)
+        small = dict(windows=(1,), schedules=("auto",), cluster_shape=None)
+        monkeypatch.setattr(ov, "cache_sweep", functools.partial(ov.cache_sweep, **small))
+        monkeypatch.setattr(ov, "mutation_sweep", lambda: [])
+        self._fails(["overhead", "--sizes", "small"], capsys, "audit: memo 'estimate'")
 
 
 class TestMachine:

@@ -167,7 +167,7 @@ def test_performance_doc_covers_the_staged_planner():
     text = (root / "docs" / "performance.md").read_text()
     assert len(text) > 1000, "docs/performance.md is suspiciously short"
     for needle in (
-        "repro.runtime.plancache",  # the fingerprint-keyed LRU
+        "repro.memo",  # the one bounded LRU behind every cache
         "repro.runtime.fingerprint",  # the shared launch identity
         "PLANNING_CONFIG_FIELDS",  # the staleness contract
         "skeleton",  # the staged split ...
@@ -176,8 +176,7 @@ def test_performance_doc_covers_the_staged_planner():
         "residual_cache_hits",  # ... including the replay counters
         "enumerator_fallback",  # scalar-scanner attribution
         "bench overhead",  # the measurement entry point
-        "plan_cache=False",  # the ablation knobs ...
-        "residual_cache=False",
+        "debug_audit",  # the in-place invisibility proof
         "footprint_digest",  # the replay key's tracker summary
         "replay",  # the steady-state hit path
         "mutation_sweep",  # the adversarial sweep
