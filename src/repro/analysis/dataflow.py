@@ -8,10 +8,12 @@ waste a first-class polyhedral object, in the spirit of MAIRS (Maximal
 Atomic Irredundant Sets; Ferry et al., see PAPERS.md):
 
 * :func:`exact_read_ranges` / :class:`ExactReadOracle` — the *exact* flat
-  byte set one partition reads of one array, obtained by enumerating the
-  thread-granular raw accesses (the race detector's concretization) over
-  the partition's block box. Sound: any failure to model an access returns
-  ``None`` and the caller keeps the bounding ranges.
+  byte set one partition reads of one array. Each thread-granular raw
+  access (the race detector's concretization), restricted to the
+  partition's block box, is scanned by a compiled §6 scanner
+  (:func:`~repro.poly.codegen.compile_scanner`) and its rows are flattened
+  to array elements in numpy. Sound: any failure to model an access
+  returns ``None`` and the caller keeps the bounding ranges.
 * :func:`analyze_transfers` — replays ``launches`` back-to-back launches of
   one kernel against a real :class:`~repro.runtime.tracker.SegmentTracker`
   (the same planning code the runtime uses) and classifies every would-be
@@ -39,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.concretize import (
     GID_COORDS,
     UnmodelledAccess,
@@ -48,7 +52,7 @@ from repro.analysis.concretize import (
 )
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 from repro.analysis.passes import AnalysisPass, LaunchContext, register_pass
-from repro.compiler.access_analysis import KernelAccessInfo
+from repro.compiler.access_analysis import KernelAccessInfo, SymAff
 from repro.compiler.enumerators import Enumerator, EnumeratorTable
 from repro.compiler.strategy import Partition, choose_strategy
 from repro.cuda.dim3 import Dim3
@@ -56,6 +60,7 @@ from repro.errors import PolyhedralError
 from repro.memo import MISS, Memo
 from repro.poly.affine import Aff
 from repro.poly.basic_set import BasicSet
+from repro.poly.codegen import compile_scanner
 from repro.poly.constraint import Constraint
 from repro.poly.intervals import (
     Atom,
@@ -115,15 +120,51 @@ def _partition_box_constraints(
     return out
 
 
-def _element_runs(elements: Sequence[int]) -> List[Tuple[int, int]]:
-    """Sorted distinct flat elements -> merged half-open element runs."""
-    runs: List[Tuple[int, int]] = []
-    for e in sorted(set(elements)):
-        if runs and e == runs[-1][1]:
-            runs[-1] = (runs[-1][0], e + 1)
-        else:
-            runs.append((e, e + 1))
-    return runs
+def _scanned_elements(
+    cand: BasicSet,
+    dims: Tuple[str, ...],
+    indices: Sequence[SymAff],
+    extents: Sequence[int],
+    strides: Sequence[int],
+    max_points: int,
+) -> np.ndarray:
+    """Flat elements of every point of ``cand``, scanned row by row.
+
+    The compiled scanner emits each row's innermost range; the rows are
+    flattened together in numpy. Raises :exc:`PolyhedralError` beyond
+    ``max_points`` points, when the scan stops.
+    """
+    rows: List[Tuple[int, ...]] = []
+    los: List[int] = []
+    his: List[int] = []
+    count = 0
+
+    def emit(row: Tuple[int, ...], lo: int, hi: int) -> None:
+        nonlocal count
+        count += hi - lo + 1
+        if count > max_points:
+            raise PolyhedralError("exact read set: too many points")
+        rows.append(row)
+        los.append(lo)
+        his.append(hi)
+
+    compile_scanner(cand)((), emit)
+    lo = np.array(los, dtype=np.int64)
+    sizes = np.array(his, dtype=np.int64) - lo + 1
+    # Each point's row, and its innermost coordinate.
+    which = np.repeat(np.arange(len(rows)), sizes)
+    inner = np.arange(count, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
+    outer = np.array(rows, dtype=np.int64).reshape(len(rows), len(dims) - 1)
+    flat = np.zeros(count, dtype=np.int64)
+    for aff, extent, stride in zip(indices, extents, strides):
+        coeffs = dict(aff.terms)
+        per_row = aff.const + outer @ np.array([coeffs.get(d, 0) for d in dims[:-1]], dtype=np.int64)
+        val = per_row[which] + coeffs.get(dims[-1], 0) * inner
+        # Clamp like the runtime's guarded accesses would; phantom
+        # out-of-range points (approximate domains) only widen the kept
+        # set — still sound.
+        flat += np.minimum(np.maximum(val, 0), extent - 1) * stride
+    return flat
 
 
 def exact_read_ranges(
@@ -141,9 +182,13 @@ def exact_read_ranges(
     """Exact flat byte ranges ``partition`` reads of ``array``, or ``None``.
 
     Every read raw access of the array is concretized (the race detector's
-    machinery), restricted to the partition's block box, and its integer
-    points enumerated; the accessed cells are flattened row-major and
-    merged. The result over-approximates the true read set only through
+    machinery) and restricted to the partition's block box. Each non-empty
+    convex piece is scanned by its compiled scanner, which visits exactly
+    the piece's integer points as per-row innermost ranges; the rows'
+    subscripts are evaluated in numpy, flattened row-major, and the
+    distinct cells merged into runs. A piece with more than ``max_points``
+    points, or an unbounded one, returns ``None``. The result
+    over-approximates the true read set only through
     approximate *domains* (dropped non-affine guards) — never under: any
     access that cannot be modelled at all makes the whole oracle return
     ``None``, and the caller keeps the untrimmed bounding ranges. Sound by
@@ -156,7 +201,7 @@ def exact_read_ranges(
         for raw in info.raw_accesses
         if raw.mode == "read" and raw.array == array
     ]
-    elements: set = set()
+    chunks: List[np.ndarray] = []
     strides = [1] * len(extents)
     for d in range(len(extents) - 2, -1, -1):
         strides[d] = strides[d + 1] * extents[d + 1]
@@ -180,24 +225,21 @@ def exact_read_ranges(
             if cand.is_empty():
                 continue
             try:
-                for point in cand.enumerate_points(max_points=max_points):
-                    values = dict(zip(dims, point))
-                    flat = 0
-                    for j, aff in enumerate(acc.indices):
-                        val = aff.const + sum(
-                            coeff * values[name] for name, coeff in aff.terms
-                        )
-                        # Clamp like the runtime's guarded accesses would;
-                        # phantom out-of-range points (approximate domains)
-                        # only widen the kept set — still sound.
-                        val = min(max(val, 0), extents[j] - 1)
-                        flat += val * strides[j]
-                    elements.add(flat)
+                chunks.append(
+                    _scanned_elements(cand, dims, acc.indices, extents, strides, max_points)
+                )
             except PolyhedralError:
                 return None
+    elements = np.unique(np.concatenate(chunks)) if chunks else []
     if n_elems and len(elements) > n_elems:  # pragma: no cover - safety net
         return None
-    return [(lo * elem_size, hi * elem_size) for lo, hi in _element_runs(elements)]
+    if not len(elements):
+        return []
+    # Half-open runs of consecutive elements.
+    cuts = np.flatnonzero(np.diff(elements) != 1) + 1
+    starts = elements[np.r_[0, cuts]] * elem_size
+    ends = (elements[np.r_[cuts - 1, -1]] + 1) * elem_size
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 class ExactReadOracle:
