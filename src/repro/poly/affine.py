@@ -33,7 +33,7 @@ class Aff:
             raise SpaceMismatchError(
                 f"affine vector has {len(self.vec)} columns, space needs {self.space.ncols}"
             )
-        object.__setattr__(self, "vec", tuple(int(v) for v in self.vec))
+        object.__setattr__(self, "vec", tuple(map(int, self.vec)))
 
     # -- constructors ------------------------------------------------------
 

@@ -349,7 +349,10 @@ def _zeroed(vec: Vec, col: int) -> Vec:
 
 
 def _compact(constraints: Sequence[Constraint], removed_cols: Sequence[int]) -> List[Constraint]:
-    """Delete columns (which must be all-zero) from every constraint vector."""
+    """Delete columns (which must be all-zero) from every constraint vector.
+
+    Dropping zero coefficients keeps a normalized vector normalized.
+    """
     removed = sorted(removed_cols, reverse=True)
     out: List[Constraint] = []
     for c in constraints:
@@ -358,7 +361,7 @@ def _compact(constraints: Sequence[Constraint], removed_cols: Sequence[int]) -> 
             if vec[col] != 0:
                 raise PolyhedralError("internal error: compacting a live column")
             del vec[col]
-        out.append(Constraint(c.kind, tuple(vec)))
+        out.append(Constraint._canonical(c.kind, tuple(vec)))
     return out
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping, Tuple
 
 from repro.poly.affine import Aff
-from repro.poly.linalg import Vec, vec_dot, vec_gcd, vec_is_zero, vec_neg
+from repro.poly.linalg import Vec, vec_dot, vec_neg
 from repro.poly.space import Space
 
 __all__ = ["Kind", "Constraint"]
@@ -35,9 +36,22 @@ class Constraint:
     vec: Vec
 
     def __post_init__(self) -> None:
-        vec = tuple(int(v) for v in self.vec)
-        vec = _normalize(self.kind, vec)
-        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "vec", _normalize(self.kind, tuple(map(int, self.vec))))
+
+    @classmethod
+    def _canonical(cls, kind: Kind, vec: Vec) -> "Constraint":
+        """A constraint over a vector that is already in normal form.
+
+        Skips :func:`_normalize`, so only for vectors canonical by
+        construction: an inequality whose non-constant coefficients are
+        those of a normalized inequality, or a normalized vector with
+        all-zero columns deleted (neither changes the coefficient GCD or the
+        first nonzero coefficient's sign).
+        """
+        c = object.__new__(cls)
+        object.__setattr__(c, "kind", kind)
+        object.__setattr__(c, "vec", vec)
+        return c
 
     # -- constructors ------------------------------------------------------
 
@@ -74,7 +88,7 @@ class Constraint:
 
     def is_tautology(self) -> bool:
         """True for ``0 == 0`` or ``c >= 0`` with ``c >= 0``."""
-        if not vec_is_zero(self.vec[1:]):
+        if any(self.vec[1:]):
             return False
         if self.is_eq:
             return self.vec[0] == 0
@@ -82,7 +96,7 @@ class Constraint:
 
     def is_contradiction(self) -> bool:
         """True for ``c == 0`` with ``c != 0`` or ``c >= 0`` with ``c < 0``."""
-        if not vec_is_zero(self.vec[1:]):
+        if any(self.vec[1:]):
             return False
         if self.is_eq:
             return self.vec[0] != 0
@@ -111,13 +125,12 @@ class Constraint:
 
 def _normalize(kind: Kind, vec: Vec) -> Vec:
     """Canonicalize a raw constraint vector."""
-    g = vec_gcd(vec[1:])
+    g = gcd(*vec[1:])
     if g > 1:
-        if kind is Kind.INEQ:
-            # Tighten: floor-divide the constant (keeps all integer points).
-            vec = (vec[0] // g,) + tuple(v // g for v in vec[1:])
-        elif all(v % g == 0 for v in vec):
-            vec = tuple(v // g for v in vec)
+        # An inequality's constant is floor-divided: tightening keeps every
+        # integer point. The coefficients divide exactly.
+        if kind is Kind.INEQ or vec[0] % g == 0:
+            vec = tuple([v // g for v in vec])
         # else: equality with non-divisible constant; left as-is, the
         # emptiness check will detect the contradiction.
     if kind is Kind.EQ:

@@ -25,6 +25,7 @@ __all__ = [
     "normalize_intervals",
     "union_intervals",
     "intersect_intervals",
+    "intersect_normalized",
     "subtract_intervals",
     "total_bytes",
     "Atom",
@@ -55,7 +56,11 @@ def union_intervals(a: Iterable[Interval], b: Iterable[Interval]) -> List[Interv
 
 def intersect_intervals(a: Iterable[Interval], b: Iterable[Interval]) -> List[Interval]:
     """Pairwise intersection of two normalized-or-not range lists."""
-    xs, ys = normalize_intervals(a), normalize_intervals(b)
+    return intersect_normalized(normalize_intervals(a), normalize_intervals(b))
+
+
+def intersect_normalized(xs: Sequence[Interval], ys: Sequence[Interval]) -> List[Interval]:
+    """Intersection of two range lists already in :func:`normalize_intervals` form."""
     out: List[Interval] = []
     i = j = 0
     while i < len(xs) and j < len(ys):

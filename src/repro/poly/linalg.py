@@ -8,8 +8,8 @@ parameter columns, then dimension columns.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterable, Sequence, Tuple
+import operator
+from typing import Sequence, Tuple
 
 __all__ = [
     "Vec",
@@ -18,9 +18,6 @@ __all__ = [
     "vec_neg",
     "vec_scale",
     "vec_combine",
-    "vec_gcd",
-    "vec_normalize",
-    "vec_is_zero",
     "vec_dot",
     "floordiv",
     "ceildiv",
@@ -45,7 +42,7 @@ def vec_sub(a: Sequence[int], b: Sequence[int]) -> Vec:
 
 def vec_neg(a: Sequence[int]) -> Vec:
     """Component-wise negation."""
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def vec_scale(a: Sequence[int], k: int) -> Vec:
@@ -57,43 +54,7 @@ def vec_combine(a: Sequence[int], ka: int, b: Sequence[int], kb: int) -> Vec:
     """Linear combination ``ka * a + kb * b`` (the Fourier-Motzkin kernel op)."""
     if len(a) != len(b):
         raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return tuple(ka * x + kb * y for x, y in zip(a, b))
-
-
-def vec_gcd(a: Iterable[int]) -> int:
-    """GCD of all components (0 for the zero vector)."""
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return 1
-    return g
-
-
-def vec_normalize(a: Sequence[int], *, skip_const: bool = False) -> Vec:
-    """Divide a vector by the GCD of its components.
-
-    With ``skip_const`` the constant term (index 0) is excluded from the GCD
-    computation and *floor*-divided by it, which is the correct tightening for
-    an inequality ``sum(c_i x_i) + c0 >= 0``: dividing the coefficients by g
-    allows rounding the constant down without losing integer points.
-    """
-    if skip_const:
-        g = vec_gcd(a[1:])
-        if g <= 1:
-            return tuple(a)
-        out = [a[0] // g]
-        out.extend(x // g for x in a[1:])
-        return tuple(out)
-    g = vec_gcd(a)
-    if g <= 1:
-        return tuple(a)
-    return tuple(x // g for x in a)
-
-
-def vec_is_zero(a: Sequence[int]) -> bool:
-    """True when every component is zero."""
-    return all(x == 0 for x in a)
+    return tuple([ka * x + kb * y for x, y in zip(a, b)])
 
 
 def vec_dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.poly.constraint import Constraint, Kind
 from repro.poly.fourier_motzkin import _substitute
-from repro.poly.linalg import Vec, vec_is_zero, vec_neg
+from repro.poly.linalg import Vec, vec_neg
 
 __all__ = ["simplify_system", "SimplifiedSystem"]
 
@@ -121,12 +121,12 @@ def simplify_system(constraints: Sequence[Constraint]) -> SimplifiedSystem:
             return SimplifiedSystem.empty_system()
         # Substitute the echelon equalities into the inequalities for a
         # tighter, more canonical system.
+        leads = [(eq, lead) for eq in eqs if (lead := _leading_col(eq.vec)) is not None]
         new_ineqs: Dict[Vec, int] = {}
         for key, const in ineq_by_coeffs.items():
-            c = Constraint(Kind.INEQ, (const,) + tuple(key))
-            for eq in eqs:
-                lead = _leading_col(eq.vec)
-                if lead is not None and c.vec[lead] != 0:
+            c = Constraint._canonical(Kind.INEQ, (const,) + key)
+            for eq, lead in leads:
+                if c.vec[lead] != 0:
                     c = _substitute(c, eq, lead)
             if c.is_contradiction():
                 return SimplifiedSystem.empty_system()
@@ -148,14 +148,16 @@ def simplify_system(constraints: Sequence[Constraint]) -> SimplifiedSystem:
                 if total == 0:
                     rerun = list(eqs)
                     rerun.extend(
-                        Constraint(Kind.INEQ, (c,) + tuple(k))
+                        Constraint._canonical(Kind.INEQ, (c,) + k)
                         for k, c in ineq_by_coeffs.items()
                     )
                     return simplify_system(rerun)
 
     out = list(eqs)
+    # Every key is the coefficient part of a normalized inequality, so the
+    # rebuilt rows are in normal form whatever their constant.
     out.extend(
-        Constraint(Kind.INEQ, (const,) + tuple(key))
+        Constraint._canonical(Kind.INEQ, (const,) + key)
         for key, const in sorted(ineq_by_coeffs.items(), key=lambda kv: (kv[0], kv[1]))
     )
     return SimplifiedSystem(out, False)

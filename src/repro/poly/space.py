@@ -33,6 +33,12 @@ class Space:
     params: Tuple[str, ...] = ()
     in_dims: Tuple[str, ...] = ()
     out_dims: Tuple[str, ...] = ()
+    #: Number of columns in a constraint vector (1 + params + dims).
+    ncols: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    #: All column names in order (excluding the constant column).
+    all_names: Tuple[str, ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=()
+    )
     _columns: Dict[str, int] = field(
         init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
     )
@@ -41,11 +47,12 @@ class Space:
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "in_dims", tuple(self.in_dims))
         object.__setattr__(self, "out_dims", tuple(self.out_dims))
-        names = list(self.params) + list(self.in_dims) + list(self.out_dims)
+        names = self.params + self.in_dims + self.out_dims
         if len(set(names)) != len(names):
-            raise SpaceMismatchError(f"duplicate dimension names in space: {names}")
-        columns = {name: i + 1 for i, name in enumerate(names)}
-        object.__setattr__(self, "_columns", columns)
+            raise SpaceMismatchError(f"duplicate dimension names in space: {list(names)}")
+        object.__setattr__(self, "ncols", 1 + len(names))
+        object.__setattr__(self, "all_names", names)
+        object.__setattr__(self, "_columns", {name: i + 1 for i, name in enumerate(names)})
 
     # -- constructors ------------------------------------------------------
 
@@ -84,16 +91,6 @@ class Space:
     def n_dims(self) -> int:
         """Number of true (non-parameter) dimensions."""
         return self.n_in + self.n_out
-
-    @property
-    def ncols(self) -> int:
-        """Number of columns in a constraint vector (1 + params + dims)."""
-        return 1 + self.n_params + self.n_dims
-
-    @property
-    def all_names(self) -> Tuple[str, ...]:
-        """All column names in order (excluding the constant column)."""
-        return self.params + self.in_dims + self.out_dims
 
     def column_of(self, name: str) -> int:
         """Constraint-vector column index of a named dimension or parameter."""

@@ -25,11 +25,13 @@ paper's newest-owner rule whenever no sharers exist.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
 
 from repro.compiler.enumerators import Enumerator
 from repro.compiler.strategy import Partition
 from repro.cuda.dim3 import Dim3
+from repro.poly.intervals import normalize_intervals
 from repro.runtime.tracker import Segment
 from repro.runtime.vbuffer import VirtualBuffer
 
@@ -139,12 +141,20 @@ def trim_copies(
     because the bytes are never read — the destination simply keeps a stale
     copy the tracker continues to consider stale.
     """
-    from repro.poly.intervals import intersect_intervals
-
+    keep = normalize_intervals(keep)
+    ends = [hi for _, hi in keep]
     trimmed: List[Segment] = []
     overapprox = overapprox_inter = 0
     for seg in copies:
-        pieces = intersect_intervals([(seg.start, seg.end)], keep)
+        # From the first kept range ending after the copy starts, every one
+        # starting before it ends.
+        pieces = []
+        i = bisect_right(ends, seg.start)
+        while i < len(keep) and keep[i][0] < seg.end:
+            lo, hi = max(keep[i][0], seg.start), min(keep[i][1], seg.end)
+            if lo < hi:
+                pieces.append((lo, hi))
+            i += 1
         slack = seg.nbytes - sum(hi - lo for lo, hi in pieces)
         if slack:
             overapprox += slack

@@ -145,6 +145,7 @@ class Footprint:
 
     key: Any
     buffer: Any
+    #: In :func:`~repro.poly.intervals.normalize_intervals` form.
     intervals: List[Interval] = field(default_factory=list)
     #: False when the spec was opaque and the intervals over-approximate.
     affine: bool = True
@@ -159,7 +160,7 @@ def _whole_intervals(buf: Any, nbytes: Optional[int], what: str) -> List[Interva
             f"{what} needs the buffer size: the object carries no .nbytes; "
             "pass nbytes= explicitly"
         )
-    return [(0, int(size))]
+    return normalize_intervals([(0, size)])
 
 
 def lower_access(spec: Any) -> Footprint:
@@ -167,7 +168,9 @@ def lower_access(spec: Any) -> Footprint:
     if isinstance(spec, Span):
         if spec.hi <= spec.lo:
             raise TaskGraphError(f"empty span [{spec.lo}, {spec.hi}) declared")
-        return Footprint(buffer_key(spec.buffer), spec.buffer, [(spec.lo, spec.hi)])
+        return Footprint(
+            buffer_key(spec.buffer), spec.buffer, normalize_intervals([(spec.lo, spec.hi)])
+        )
     if isinstance(spec, Region2D):
         n_rows, n_cols = spec.shape
         r0 = max(0, spec.rows[0])
@@ -205,7 +208,7 @@ def lower_access(spec: Any) -> Footprint:
     # otherwise (an object we cannot size is by definition unanalyzable).
     size = buffer_nbytes(spec)
     if size is not None:
-        return Footprint(buffer_key(spec), spec, [(0, size)])
+        return Footprint(buffer_key(spec), spec, normalize_intervals([(0, size)]))
     raise TaskGraphError(
         f"cannot lower access spec {spec!r}: not an AccessSpec and the "
         "object carries no .nbytes; wrap it in span()/region2d()/whole() "

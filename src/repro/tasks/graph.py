@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 from repro.analysis.diagnostics import make_diagnostic
 from repro.analysis.passes import LintReport
 from repro.errors import TaskGraphError
-from repro.poly.intervals import Interval, intersect_intervals, total_bytes
+from repro.poly.intervals import Interval, intersect_normalized, total_bytes
 from repro.tasks.footprints import Footprint, lower_access
 from repro.tasks.spec import _GRAPH_STACK, Task, TaskHandle
 
@@ -205,7 +205,11 @@ class TaskGraph:
 
     @staticmethod
     def _overlap(a: Sequence[Footprint], b: Sequence[Footprint]) -> Tuple[int, bool]:
-        """(overlapping bytes, any side non-affine) between two footprint sets."""
+        """(overlapping bytes, any side non-affine) between two footprint sets.
+
+        Footprint intervals are normalized when lowered, so they intersect
+        as they are.
+        """
         nbytes = 0
         opaque = False
         by_key: Dict[Any, List[Tuple[List[Interval], bool]]] = {}
@@ -213,9 +217,9 @@ class TaskGraph:
             by_key.setdefault(fp.key, []).append((fp.intervals, fp.affine))
         for fp in b:
             for intervals, affine in by_key.get(fp.key, ()):
-                common = intersect_intervals(intervals, fp.intervals)
+                common = intersect_normalized(intervals, fp.intervals)
                 if common:
-                    nbytes += total_bytes(common)
+                    nbytes += sum(hi - lo for lo, hi in common)
                     opaque = opaque or not affine or not fp.affine
         return nbytes, opaque
 

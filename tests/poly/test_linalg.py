@@ -8,10 +8,7 @@ from repro.poly.linalg import (
     vec_add,
     vec_combine,
     vec_dot,
-    vec_gcd,
-    vec_is_zero,
     vec_neg,
-    vec_normalize,
     vec_scale,
     vec_sub,
 )
@@ -41,33 +38,6 @@ class TestVectorOps:
 
     def test_dot(self):
         assert vec_dot((1, 2, 3), (4, 5, 6)) == 32
-
-    def test_is_zero(self):
-        assert vec_is_zero((0, 0))
-        assert not vec_is_zero((0, 1))
-        assert vec_is_zero(())
-
-
-class TestGcdNormalize:
-    def test_gcd_basic(self):
-        assert vec_gcd((4, 6, 8)) == 2
-        assert vec_gcd((0, 0)) == 0
-        assert vec_gcd((7,)) == 7
-        assert vec_gcd((3, 5)) == 1
-
-    def test_normalize_plain(self):
-        assert vec_normalize((4, 6, 8)) == (2, 3, 4)
-
-    def test_normalize_skip_const_tightens(self):
-        # 2x + 3 >= 0  =>  x >= -3/2  =>  x >= -1  =>  x + 1 >= 0
-        assert vec_normalize((3, 2), skip_const=True) == (1, 1)
-
-    def test_normalize_skip_const_floor_negative(self):
-        # 2x - 3 >= 0  =>  x >= 3/2  =>  x >= 2  =>  x - 2 >= 0
-        assert vec_normalize((-3, 2), skip_const=True) == (-2, 1)
-
-    def test_normalize_unit_gcd_unchanged(self):
-        assert vec_normalize((5, 3, 7), skip_const=True) == (5, 3, 7)
 
 
 class TestDivision:

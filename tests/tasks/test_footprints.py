@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TaskGraphError
+from repro.poly.intervals import normalize_intervals
 from repro.tasks.footprints import (
     buffer_key,
     lower_access,
@@ -93,3 +94,38 @@ class TestBufferKey:
         a, b = Buf(nbytes=8), Buf(nbytes=8)
         assert buffer_key(a) != buffer_key(b)
         assert buffer_key(a) == buffer_key(a)
+
+
+class TestNormalizedInvariant:
+    """Every lowering yields intervals in ``normalize_intervals`` form: the
+    task graph intersects footprints without normalizing them again."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            span(Buf(), 16, 64),
+            region2d(Buf(), (8, 8), (1, 3), (2, 4)),
+            region2d(Buf(), (8, 8), (-1, 3), (0, 8)),
+            whole(Buf(nbytes=128)),
+            whole(Buf(), nbytes=0),
+            opaque(Buf(nbytes=64)),
+            opaque(Buf(), nbytes=0),
+            Buf(nbytes=64),
+            Buf(nbytes=0),
+        ],
+        ids=[
+            "span",
+            "region2d",
+            "region2d-clipped",
+            "whole",
+            "whole-zero",
+            "opaque",
+            "opaque-zero",
+            "bare",
+            "bare-zero",
+        ],
+    )
+    def test_lowered_intervals_are_normalized(self, spec):
+        intervals = lower_access(spec).intervals
+        assert intervals == normalize_intervals(intervals)
+        assert all(type(b) is int for iv in intervals for b in iv)
