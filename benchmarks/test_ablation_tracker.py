@@ -1,8 +1,11 @@
-"""Ablation: B-tree segment tracker vs a flat-list tracker (§8.1).
+"""Ablation: the segment tracker vs a whole-list rebuild tracker (§8.1).
 
-The paper bases its tracker on a B-tree map; this ablation compares it with
-the obvious alternative (a sorted Python list with linear splicing) on a
-fragmentation-heavy workload, and also measures the batched update path.
+The paper bases its tracker on a B-tree map. Here the sorted map is three
+parallel lists searched with ``bisect``, and an update splices only the
+segments it overlaps plus one neighbor on each side. This ablation compares
+that with the naive list tracker, which rebuilds, re-sorts and re-merges the
+whole segment list on every update, on a fragmentation-heavy workload, and
+also measures the batched update path.
 """
 
 import random
@@ -61,7 +64,7 @@ def _workload(ops=400, size=1 << 20, owners=16, seed=5):
     return out, size
 
 
-def test_btree_tracker(benchmark):
+def test_segment_tracker(benchmark):
     ops, size = _workload()
 
     def run():

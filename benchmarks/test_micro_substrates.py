@@ -2,8 +2,7 @@
 
 Not a paper figure — these watch the performance of the pieces the toolchain
 leans on hardest: Fourier-Motzkin projection, emptiness/injectivity proofs,
-scanner compilation, B-tree operations and the vectorized kernel
-interpreter.
+scanner compilation and the vectorized kernel interpreter.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.cuda.dim3 import Dim3
 from repro.cuda.exec.interpreter import run_kernel
 from repro.poly import parse_basic_set
 from repro.poly.codegen import compile_scanner
-from repro.runtime.btree import BTreeMap
 from repro.workloads.hotspot import build_hotspot_kernel
 from repro.workloads.matmul import build_matmul_kernel
 
@@ -55,21 +53,6 @@ def test_micro_injectivity_proof(benchmark):
     info = analyze_kernel(build_matmul_kernel(256))
     axes = benchmark(lambda: check_partitionable(info))
     assert axes is not None
-
-
-def test_micro_btree_mixed_ops(benchmark):
-    keys = np.random.default_rng(0).integers(0, 1 << 20, 4000).tolist()
-
-    def run():
-        bt = BTreeMap(8)
-        for k in keys:
-            bt.insert(k, k)
-        for k in keys[::2]:
-            bt.delete(k)
-        hits = sum(1 for k in keys if bt.floor(k) is not None)
-        return hits
-
-    assert benchmark(run) > 0
 
 
 def test_micro_interpreter_throughput(benchmark):

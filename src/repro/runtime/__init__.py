@@ -2,7 +2,6 @@
 
 High-level, application-independent primitives:
 
-* :mod:`~repro.runtime.btree` — the B-tree map underlying segment trackers;
 * :mod:`~repro.runtime.tracker` — per-buffer segment trackers (§8.1);
 * :mod:`~repro.runtime.vbuffer` — virtual buffers (one device-local instance
   per GPU plus a tracker);
@@ -16,14 +15,12 @@ High-level, application-independent primitives:
   measurement configurations of §9.2.
 """
 
-from repro.runtime.btree import BTreeMap
 from repro.runtime.tracker import SegmentTracker, Segment
 from repro.runtime.vbuffer import VirtualBuffer
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.api import MultiGpuApi
 
 __all__ = [
-    "BTreeMap",
     "SegmentTracker",
     "Segment",
     "VirtualBuffer",

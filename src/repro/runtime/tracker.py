@@ -9,6 +9,12 @@ owner's data. Adjacent segments with equal owner and sharers are merged
 eagerly, so a kernel with a 1:1 write pattern keeps exactly one segment per
 partition (§8.1's observation about locality limiting fragmentation).
 
+The paper keys a B-tree map by segment start. Canonical coalescing keeps a
+tracker down to a few segments, so here the sorted map is three parallel
+lists — starts, owners, sharer sets — searched with :mod:`bisect` and
+spliced in place; segment *i* ends where segment *i + 1* starts (the last
+one at ``size``), so coverage holds by construction.
+
 The sharer set relaxes the paper's §8.3 limitation ("the tracker does not
 support shared copies"): a synchronization copy may *register* its
 destination as a sharer (:meth:`SegmentTracker.add_sharer`), so the next
@@ -26,16 +32,19 @@ in sole-owner mode equals the original single-counter accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import TrackerError
-from repro.runtime.btree import BTreeMap
 
 __all__ = ["Segment", "SegmentTracker"]
 
 #: The empty sharer set (interned: almost every segment uses it).
 _NO_SHARERS: FrozenSet[int] = frozenset()
+
+#: A clipped segment as a plain tuple: ``(start, end, owner, sharers)``.
+_Piece = Tuple[int, int, int, FrozenSet[int]]
 
 
 @dataclass(frozen=True)
@@ -60,13 +69,15 @@ class Segment:
 class SegmentTracker:
     """Maps every byte of ``[0, size)`` to its owner and valid-copy sharer set."""
 
-    def __init__(self, size: int, initial_owner: int = 0, *, min_degree: int = 8) -> None:
+    def __init__(self, size: int, initial_owner: int = 0) -> None:
         if size <= 0:
             raise TrackerError(f"tracker over empty range (size={size})")
         self.size = size
-        # key = segment start; value = (segment end, owner, sharers)
-        self._map = BTreeMap(min_degree)
-        self._map.insert(0, (size, initial_owner, _NO_SHARERS))
+        # Segment i is [_starts[i], _starts[i + 1]) (the last ends at size),
+        # owned by _owners[i] and shared with _sharers[i].
+        self._starts: List[int] = [0]
+        self._owners: List[int] = [initial_owner]
+        self._sharers: List[FrozenSet[int]] = [_NO_SHARERS]
         #: Tracker operations per class (host-cost accounting): ``query``
         #: (interval lookups), ``update`` (ownership writes), ``share``
         #: (sharer registrations), ``invalidate`` (updates that discarded at
@@ -89,29 +100,54 @@ class SegmentTracker:
 
     # -- queries ------------------------------------------------------------------
 
+    def _clipped(self, lo: int, hi: int) -> List[_Piece]:
+        """Every segment overlapping ``[lo, hi)``, clipped to it, in order.
+
+        A zero-length range strictly inside a segment yields one zero-length
+        piece; one on a segment boundary or at ``size`` yields none.
+        """
+        if lo >= self.size:
+            return []
+        starts = self._starts
+        i = bisect_right(starts, lo) - 1
+        j = bisect_left(starts, hi, i)
+        if i == j:
+            return []
+        ends = starts[i + 1 : j + 1]
+        if len(ends) < j - i:
+            ends.append(self.size)
+        out = list(zip(starts[i:j], ends, self._owners[i:j], self._sharers[i:j]))
+        start, end, owner, sharers = out[0]
+        if start < lo:
+            out[0] = (lo, end, owner, sharers)
+        start, end, owner, sharers = out[-1]
+        if end > hi:
+            out[-1] = (start, hi, owner, sharers)
+        return out
+
     def query(self, lo: int, hi: int) -> List[Segment]:
         """Segments overlapping ``[lo, hi)``, clipped to it, in order."""
         self._check_range(lo, hi)
         self.op_counts["query"] += 1
-        return self._query_nocount(lo, hi)
+        return [Segment(*piece) for piece in self._clipped(lo, hi)]
 
-    def _query_nocount(self, lo: int, hi: int) -> List[Segment]:
+    def query_many(self, ranges: List[Tuple[int, int]]) -> List[Segment]:
+        """Clipped segments for many sorted, non-overlapping ranges.
+
+        The read set of a launch makes this the runtime's hot path.
+        ``op_counts`` charge one logical tracker operation per range (the
+        cost model charges what the paper's per-interval queries would).
+        """
+        if not ranges:
+            return []
+        self.op_counts["query"] += len(ranges)
         out: List[Segment] = []
-        entry = self._map.floor(lo)
-        if entry is None:
-            raise TrackerError("tracker lost coverage of offset 0")
-        start = entry[0]
-        for key, (end, owner, sharers) in self._map.items_from(start):
-            if key >= hi:
-                break
-            if end <= lo:
-                continue
-            out.append(Segment(max(key, lo), min(end, hi), owner, sharers))
+        for lo, hi in ranges:
+            self._check_range(lo, hi)
+            out.extend(Segment(*piece) for piece in self._clipped(lo, hi))
         return out
 
-    def footprint_digest(
-        self, runs: List[Tuple[int, int]]
-    ) -> Tuple[Tuple[int, int, int, FrozenSet[int]], ...]:
+    def footprint_digest(self, runs: List[Tuple[int, int]]) -> Tuple[_Piece, ...]:
         """Stable summary of the tracker state intersecting ``runs``.
 
         Returns the clipped ``(start, end, owner, sharers)`` tuples of every
@@ -123,29 +159,15 @@ class SegmentTracker:
         the residual replay cache key memoized plans on
         ``(fingerprint, digest vector)`` soundly.
 
-        Costs O(segments-in-footprint) tree walking and charges *no* tracker
-        operation: computing the digest is cache bookkeeping, not a
-        dependency-resolution query, so ``op_counts`` stay untouched and the
-        replay path remains invisible to host-cost accounting.
+        Costs one bisection per run and charges *no* tracker operation:
+        computing the digest is cache bookkeeping, not a dependency-resolution
+        query, so ``op_counts`` stay untouched and the replay path remains
+        invisible to host-cost accounting.
         """
-        if not runs:
-            return ()
-        out: List[Tuple[int, int, int, FrozenSet[int]]] = []
-        # Inlined tuple-only variant of _query_nocount: the digest runs on
-        # every launch's hot path, so no Segment objects are built.
-        floor = self._map.floor
-        items_from = self._map.items_from
+        out: List[_Piece] = []
         for lo, hi in runs:
             self._check_range(lo, hi)
-            entry = floor(lo)
-            if entry is None:
-                raise TrackerError("tracker lost coverage of offset 0")
-            for key, (end, owner, sharers) in items_from(entry[0]):
-                if key >= hi:
-                    break
-                if end <= lo:
-                    continue
-                out.append((max(key, lo), min(end, hi), owner, sharers))
+            out += self._clipped(lo, hi)
         return tuple(out)
 
     def owner_at(self, offset: int) -> int:
@@ -160,16 +182,46 @@ class SegmentTracker:
 
     def segments(self) -> List[Segment]:
         """All segments in order."""
-        return [Segment(k, end, owner, sharers) for k, (end, owner, sharers) in self._map.items()]
+        return [Segment(*piece) for piece in self._clipped(0, self.size)]
 
     def owners(self) -> Set[int]:
-        return {owner for _, (_, owner, _) in self._map.items()}
+        return set(self._owners)
 
     @property
     def n_segments(self) -> int:
-        return len(self._map)
+        return len(self._starts)
 
     # -- updates --------------------------------------------------------------------
+
+    def _replace(self, lo: int, hi: int, pieces: List[_Piece]) -> None:
+        """Overwrite ``[lo, hi)`` with ``pieces`` and restore canonical form.
+
+        ``pieces`` are non-empty, contiguous and cover ``lo < hi`` exactly.
+        One splice replaces the segments overlapping the window plus one
+        neighbor on each side, merging equal neighbors on the way, so the
+        window's edges coalesce in the same pass.
+        """
+        starts, owners, sharers = self._starts, self._owners, self._sharers
+        n = len(starts)
+        i = bisect_right(starts, lo) - 1
+        j = bisect_left(starts, hi, i + 1)
+        p, q = max(i - 1, 0), min(j + 1, n)
+        runs: List[Tuple[int, int, FrozenSet[int]]] = []
+
+        def push(start: int, owner: int, shared: FrozenSet[int]) -> None:
+            if not runs or runs[-1][1] != owner or runs[-1][2] != shared:
+                runs.append((start, owner, shared))
+
+        for k in range(p, i + 1):  # the left neighbor and the head of segment i
+            if starts[k] < lo:
+                push(starts[k], owners[k], sharers[k])
+        for start, _, owner, shared in pieces:
+            push(start, owner, shared)
+        if (starts[j] if j < n else self.size) > hi:  # the tail of segment j - 1
+            push(hi, owners[j - 1], sharers[j - 1])
+        if j < n:  # the right neighbor
+            push(starts[j], owners[j], sharers[j])
+        starts[p:q], owners[p:q], sharers[p:q] = zip(*runs)
 
     def update(self, lo: int, hi: int, owner: int) -> int:
         """Mark ``[lo, hi)`` as most recently written by ``owner``.
@@ -183,18 +235,9 @@ class SegmentTracker:
         if lo == hi:
             return 0
         self.op_counts["update"] += 1
-        invalidated = 1 if any(s.sharers for s in self._query_nocount(lo, hi)) else 0
+        invalidated = 1 if any(piece[3] for piece in self._clipped(lo, hi)) else 0
         self.op_counts["invalidate"] += invalidated
-
-        self._split_at(lo)
-        self._split_at(hi)
-
-        # Remove all segments fully inside [lo, hi).
-        doomed = [k for k, _ in self._map.range_items(lo, hi)]
-        for k in doomed:
-            self._map.delete(k)
-        self._map.insert(lo, (hi, owner, _NO_SHARERS))
-        self._coalesce(lo, hi)
+        self._replace(lo, hi, [(lo, hi, owner, _NO_SHARERS)])
         return invalidated
 
     def add_sharer(self, lo: int, hi: int, dev: int) -> None:
@@ -209,100 +252,23 @@ class SegmentTracker:
         if lo == hi:
             return
         self.op_counts["share"] += 1
-
-        self._split_at(lo)
-        self._split_at(hi)
-        changes: List[Tuple[int, Tuple[int, int, FrozenSet[int]]]] = []
-        for key, (end, owner, sharers) in self._map.range_items(lo, hi):
-            if dev == owner or dev in sharers:
-                continue
-            changes.append((key, (end, owner, sharers | {dev})))
-        for key, value in changes:
-            self._map.insert(key, value)
-        # Re-coalesce the window (registration may equalize neighbors). The
-        # reverse walk keeps every remaining key valid: merging into the
-        # previous segment only deletes keys not yet visited via `get`.
-        for key in reversed([k for k, _ in self._map.range_items(lo, hi)]):
-            value = self._map.get(key)
-            if value is not None:
-                self._coalesce(key, value[0])
-
-    def _split_at(self, offset: int) -> None:
-        """Split the segment containing ``offset`` so a boundary falls on it."""
-        if offset <= 0 or offset >= self.size:
-            return
-        entry = self._map.floor(offset)
-        if entry is None:
-            raise TrackerError("tracker lost coverage of offset 0")
-        key, (end, owner, sharers) = entry
-        if key < offset < end:
-            self._map.insert(key, (offset, owner, sharers))
-            self._map.insert(offset, (end, owner, sharers))
-
-    def _coalesce(self, lo: int, hi: int) -> None:
-        """Merge the segment starting at ``lo`` with equal-value neighbors."""
-        start, (end, owner, sharers) = lo, self._map.get(lo)
-        prev = self._map.floor(lo - 1) if lo > 0 else None
-        if prev is not None:
-            pk, (pend, powner, psharers) = prev
-            if pend == start and powner == owner and psharers == sharers:
-                self._map.delete(start)
-                self._map.insert(pk, (end, owner, sharers))
-                start = pk
-        nxt = self._map.ceiling(end)
-        if nxt is not None:
-            nk, (nend, nowner, nsharers) = nxt
-            if nk == end and nowner == owner and nsharers == sharers:
-                self._map.delete(nk)
-                self._map.insert(start, (nend, owner, sharers))
-
-    # -- batched operations ------------------------------------------------------------
-
-    def query_many(self, ranges: List[Tuple[int, int]]) -> List[Segment]:
-        """Clipped segments for many sorted, non-overlapping ranges.
-
-        One descent to the first range, then one merge-join pass over the
-        segments up to the last range's end, instead of one descent per
-        range; the ranges of a launch's read set make this the runtime's
-        hot path. ``op_counts`` still charge one logical tracker operation
-        per range (the cost model charges what the paper's per-interval
-        queries would).
-        """
-        if not ranges:
-            return []
-        self.op_counts["query"] += len(ranges)
-        self._check_range(*ranges[0])
-        window_hi = ranges[-1][1]
-        segs: List[Tuple[int, int, int, FrozenSet[int]]] = []
-        for key, (end, owner, sharers) in self._map.items_from(self._map.floor(ranges[0][0])[0]):
-            if key >= window_hi:
-                break
-            segs.append((key, end, owner, sharers))
-        out: List[Segment] = []
-        i = 0
-        n = len(segs)
-        for lo, hi in ranges:
-            self._check_range(lo, hi)
-            while i < n and segs[i][1] <= lo:
-                i += 1
-            j = i
-            while j < n and segs[j][0] < hi:
-                start, end, owner, sharers = segs[j]
-                out.append(Segment(max(start, lo), min(end, hi), owner, sharers))
-                j += 1
-            # The last overlapping segment may also overlap the next range.
-            i = max(i, j - 1)
-        return out
+        self._replace(
+            lo,
+            hi,
+            [
+                (start, end, owner, sharers if dev == owner or dev in sharers else sharers | {dev})
+                for start, end, owner, sharers in self._clipped(lo, hi)
+            ],
+        )
 
     def update_many(self, ranges: List[Tuple[int, int]], owner: int) -> int:
         """Bulk form of :meth:`update` for sorted, non-overlapping ranges.
 
-        Rebuilds the affected window in one pass: listed ranges collapse to
-        the new sole owner (invalidating sharer copies), gaps keep their
-        current owner+sharers, and the result is coalesced before touching
-        the B-tree — so a stencil's thousands of per-row write ranges
-        collapse into a handful of tree operations. Returns the number of
-        ranges whose write discarded at least one sharer copy.
+        Rebuilds the affected window in one splice: listed ranges collapse
+        to the new sole owner (invalidating sharer copies) and gaps keep
+        their current owner+sharers — so a stencil's thousands of per-row
+        write ranges cost one list splice. Returns the number of ranges
+        whose write discarded at least one sharer copy.
         """
         ranges = [(lo, hi) for lo, hi in ranges if lo < hi]
         if not ranges:
@@ -310,14 +276,14 @@ class SegmentTracker:
         self.op_counts["update"] += len(ranges)
         window_lo, window_hi = ranges[0][0], ranges[-1][1]
         self._check_range(window_lo, window_hi)
-        existing = self._query_nocount(window_lo, window_hi)
-        if len(existing) == 1 and existing[0].owner == owner and not existing[0].sharers:
+        existing = self._clipped(window_lo, window_hi)
+        if len(existing) == 1 and existing[0][2] == owner and not existing[0][3]:
             # The writer already solely owns the whole window (a ping-pong
-            # loop's steady state): the rebuild would reproduce the tree.
+            # loop's steady state): the rebuild would reproduce the segments.
             return 0
 
         invalidated = 0
-        shared = [(s.start, s.end) for s in existing if s.sharers]
+        shared = [(start, end) for start, end, _, sharers in existing if sharers]
         if shared:
             si = 0
             for lo, hi in ranges:
@@ -327,81 +293,43 @@ class SegmentTracker:
                     invalidated += 1
         self.op_counts["invalidate"] += invalidated
 
-        # Build the window's new (start, end, owner, sharers) list.
-        pieces: List[Tuple[int, int, int, FrozenSet[int]]] = []
-
-        def add(lo: int, hi: int, who: int, sharers: FrozenSet[int]) -> None:
-            if lo >= hi:
-                return
-            if pieces and pieces[-1][2:] == (who, sharers) and pieces[-1][1] == lo:
-                pieces[-1] = (pieces[-1][0], hi, who, sharers)
-            else:
-                pieces.append((lo, hi, who, sharers))
-
+        pieces: List[_Piece] = []
         ei = 0
         cursor = window_lo
         for lo, hi in ranges:
-            # Gap before this range keeps existing ownership.
-            gap_lo = cursor
-            while gap_lo < lo:
-                while ei < len(existing) and existing[ei].end <= gap_lo:
+            # The gap before this range keeps its existing ownership.
+            while cursor < lo:
+                while existing[ei][1] <= cursor:
                     ei += 1
-                seg = existing[ei]
-                add(gap_lo, min(seg.end, lo), seg.owner, seg.sharers)
-                gap_lo = min(seg.end, lo)
-            add(lo, hi, owner, _NO_SHARERS)
+                _, end, who, sharers = existing[ei]
+                pieces.append((cursor, min(end, lo), who, sharers))
+                cursor = min(end, lo)
+            pieces.append((lo, hi, owner, _NO_SHARERS))
             cursor = hi
-
-        # Replace the window in the tree.
-        entry = self._map.floor(window_lo)
-        assert entry is not None
-        k0, (end0, owner0, sharers0) = entry
-        head = (k0, window_lo, owner0, sharers0) if k0 < window_lo else None
-        entry = self._map.floor(window_hi - 1)
-        assert entry is not None
-        k1, (end1, owner1, sharers1) = entry
-        tail = (window_hi, end1, owner1, sharers1) if end1 > window_hi else None
-        for k in [k for k, _ in self._map.range_items(k0, window_hi)]:
-            self._map.delete(k)
-        if head is not None:
-            if pieces and pieces[0][2:] == head[2:] and head[1] == pieces[0][0]:
-                pieces[0] = (head[0], pieces[0][1], head[2], head[3])
-            else:
-                self._map.insert(head[0], (head[1], head[2], head[3]))
-        if tail is not None:
-            if pieces and pieces[-1][2:] == tail[2:] and pieces[-1][1] == tail[0]:
-                pieces[-1] = (pieces[-1][0], tail[1], tail[2], tail[3])
-            else:
-                self._map.insert(tail[0], (tail[1], tail[2], tail[3]))
-        for lo, hi, who, sharers in pieces:
-            self._map.insert(lo, (hi, who, sharers))
-        # Merge across the window edges.
-        first_key = pieces[0][0] if pieces else window_lo
-        if self._map.get(first_key) is not None:
-            self._coalesce(first_key, self._map.get(first_key)[0])
-        last = self._map.floor(window_hi - 1)
-        if last is not None:
-            self._coalesce(last[0], last[1][0])
+        self._replace(window_lo, window_hi, pieces)
         return invalidated
 
     # -- invariants ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Full coverage, no overlap, no mergeable neighbors, owner ∉ sharers."""
-        segs = self.segments()
-        if not segs:
-            raise TrackerError("tracker has no segments")
-        if segs[0].start != 0 or segs[-1].end != self.size:
+        """Full coverage, no empty segment, no mergeable neighbors, owner ∉ sharers."""
+        starts = self._starts
+        if not starts or len(starts) != len(self._owners) or len(starts) != len(self._sharers):
+            raise TrackerError("tracker segment lists are empty or of unequal length")
+        if starts[0] != 0:
             raise TrackerError(f"tracker does not cover [0, {self.size})")
-        for a, b in zip(segs, segs[1:]):
-            if a.end != b.start:
-                raise TrackerError(f"gap or overlap between {a} and {b}")
-            if a.owner == b.owner and a.sharers == b.sharers:
-                raise TrackerError(f"unmerged neighbors {a} and {b}")
+        segs = [
+            Segment(*piece)
+            for piece in zip(starts, starts[1:] + [self.size], self._owners, self._sharers)
+        ]
         for s in segs:
+            if s.start >= s.end:
+                raise TrackerError(f"empty or out-of-order segment {s}")
             if s.owner in s.sharers:
                 raise TrackerError(f"segment {s} lists its owner as a sharer")
-        self._map.check_invariants()
+        for a, b in zip(segs, segs[1:]):
+            if a.owner == b.owner and a.sharers == b.sharers:
+                raise TrackerError(f"unmerged neighbors {a} and {b}")
 
     def _check_range(self, lo: int, hi: int) -> None:
         if not (0 <= lo <= hi <= self.size):

@@ -320,6 +320,15 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
                 api.stats.tracker_invalidate_ops += up.vb.tracker.update_many(
                     up.ranges, up.gpu
                 )
+        if api.config.debug_audit:
+            # The replay cache's "equal digests => equal answers" rests on
+            # maximally coalesced segments: check every tracker touched.
+            touched = dict.fromkeys(
+                [t.vb.tracker for syncs in plan.reads for rs in syncs for t in rs.transfers]
+                + [up.vb.tracker for ups in plan.updates for up in ups]
+            )
+            for tracker in touched:
+                tracker.check_invariants()
 
 
 def _charge_read_sync_sim(api: "MultiGpuApi", rs: ReadSync) -> None:

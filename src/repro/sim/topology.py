@@ -91,7 +91,8 @@ class MachineSpec:
     #: Cost per element range emitted by an enumerator (callback + interval
     #: arithmetic in the runtime).
     per_range_cost: float = 0.25e-6
-    #: Cost per segment-tracker query or update (one B-tree operation).
+    #: Cost per segment-tracker query or update (one operation on the
+    #: paper's B-tree map, charged per operation, not per node).
     tracker_op_cost: float = 0.35e-6
     #: Fixed host cost for each kernel-launch replacement iteration
     #: (partition computation, argument rewriting; Figure 4's loop bodies).

@@ -16,7 +16,7 @@ from repro.cluster.engine import ClusterSimMachine
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
-from repro.errors import MemoAuditError, PartitioningError
+from repro.errors import MemoAuditError, PartitioningError, TrackerError
 from repro.harness.calibration import K80_NODE_SPEC, k80_cluster
 from repro.harness.identity import FACETS, identity_sweep, observe
 from repro.runtime.api import MultiGpuApi
@@ -91,6 +91,40 @@ class TestAuditCatchesLies:
         api.cudaMemcpy(d_s, rng.random(64, dtype=np.float32), 64 * 4, MemcpyKind.HostToDevice)
         with pytest.raises(PartitioningError, match="write-scan audit failed"):
             api.launch(k, Dim3(8), Dim3(8), [64, d_s, d_d])
+
+
+class TestTrackerCanonicalForm:
+    """Audited launches check the trackers they touched for maximal coalescing."""
+
+    @pytest.mark.parametrize("audit", [True, False])
+    def test_uncoalesced_tracker_raises_only_under_audit(self, audit, rng):
+        from repro.cuda.dtypes import f32
+        from repro.cuda.ir.builder import KernelBuilder
+
+        kb = KernelBuilder("copy_prefix")
+        n = kb.scalar("n")
+        src = kb.array("src", f32, (n,))
+        dst = kb.array("dst", f32, (n,))
+        gi = kb.global_id("x")
+        with kb.if_(gi < n):
+            dst[gi,] = src[gi,]
+        k = kb.finish()
+        api = MultiGpuApi(compile_app([k]), RuntimeConfig(n_gpus=2, debug_audit=audit))
+        d_s = api.cudaMalloc(64 * 4)
+        d_d = api.cudaMalloc(64 * 4)
+        api.cudaMemcpy(d_s, rng.random(64, dtype=np.float32), 64 * 4, MemcpyKind.HostToDevice)
+        # Two equal neighbors in dst's unwritten tail: [160, 192) and [192, 256).
+        tr = d_d.tracker
+        tr._starts[:] = [0, 160, 192]
+        tr._owners[:] = [tr._owners[0], 1, 1]
+        tr._sharers[:] = [frozenset()] * 3
+        args = (k, Dim3(4), Dim3(8), [32, d_s, d_d])  # writes dst's bytes [0, 128)
+        if audit:
+            with pytest.raises(TrackerError, match="unmerged neighbors"):
+                api.launch(*args)
+        else:
+            api.launch(*args)
+            assert tr.n_segments == 5  # the launch did not merge them either
 
 
 def _entries(memo):

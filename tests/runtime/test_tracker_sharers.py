@@ -21,21 +21,33 @@ SIZE = 200
 
 
 class ByteModel:
-    """Naive dict-of-bytes coherence model: one (owner, sharers) per byte."""
+    """Naive coherence model: one (owner, sharers) pair per byte.
+
+    It also keeps the op counts the tracker documents: one ``update`` per
+    non-empty written range (plus one ``invalidate`` when that range
+    discarded a sharer copy), one ``share`` per non-empty registration, one
+    ``query`` per queried range, and nothing for a footprint digest.
+    """
 
     def __init__(self, size, owner=0):
         self.cells = [(owner, frozenset())] * size
+        self.op_counts = {"query": 0, "update": 0, "share": 0, "invalidate": 0}
 
     def update(self, lo, hi, owner):
+        if lo == hi:
+            return 0
         invalidated = 1 if any(self.cells[i][1] for i in range(lo, hi)) else 0
-        for i in range(lo, hi):
-            self.cells[i] = (owner, frozenset())
+        self.cells[lo:hi] = [(owner, frozenset())] * (hi - lo)
+        self.op_counts["update"] += 1
+        self.op_counts["invalidate"] += invalidated
         return invalidated
 
     def update_many(self, ranges, owner):
         return sum(self.update(lo, hi, owner) for lo, hi in ranges)
 
     def add_sharer(self, lo, hi, dev):
+        if lo < hi:
+            self.op_counts["share"] += 1
         for i in range(lo, hi):
             o, s = self.cells[i]
             if dev != o:
@@ -45,12 +57,41 @@ class ByteModel:
         o, s = self.cells[i]
         return s | {o}
 
+    def runs(self, lo, hi):
+        """Maximal runs of equal cells (the canonical segmentation), clipped to [lo, hi).
 
-def _flatten(tracker):
-    cells = [None] * tracker.size
-    for s in tracker.segments():
-        cells[s.start : s.end] = [(s.owner, s.sharers)] * s.nbytes
-    return cells
+        A zero-length range strictly inside a run yields one zero-length
+        run; on a run boundary or at the end of the buffer it yields none.
+        """
+        out = []
+        start = 0
+        for i in range(1, len(self.cells) + 1):
+            if i == len(self.cells) or self.cells[i] != self.cells[start]:
+                if start < hi and i > lo:
+                    out.append((max(start, lo), min(i, hi), *self.cells[start]))
+                start = i
+        return out
+
+    def query(self, lo, hi):
+        self.op_counts["query"] += 1
+        return self.runs(lo, hi)
+
+    def query_many(self, ranges):
+        self.op_counts["query"] += len(ranges)
+        return self.footprint_digest(ranges)
+
+    def footprint_digest(self, ranges):
+        return [run for lo, hi in ranges for run in self.runs(lo, hi)]
+
+
+def _tuples(segments):
+    return [(s.start, s.end, s.owner, s.sharers) for s in segments]
+
+
+def _ranges(points, gaps):
+    """Sorted, non-overlapping ranges between consecutive points (empty ones included)."""
+    points = sorted(points)
+    return list(zip(points, points[1:]))[:: 2 if gaps else 1]
 
 
 # One op: (kind, a, b, device) — kind 0 = update, 1 = add_sharer, 2 = batched
@@ -66,27 +107,58 @@ ops_strategy = st.lists(
     max_size=40,
 )
 
+# One op: (kind, points, device, gaps). Kinds 0-2 write over [min, max) of the
+# points: 0 = update, 1 = add_sharer, 2 = update_many over the ranges between
+# consecutive points. Kinds 3-5 read: 3 = query over [min, max), 4 =
+# query_many and 5 = footprint_digest over those ranges. Half the points are
+# landmarks shared by all ops, so writes leave boundaries there and later
+# zero-length ranges land on them, inside segments and at SIZE alike.
+model_ops_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.lists(
+            st.integers(0, SIZE) | st.sampled_from([0, SIZE // 4, SIZE // 2, SIZE]),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 5),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
 
-@settings(max_examples=100, deadline=None)
-@given(ops=ops_strategy)
+
+@settings(max_examples=150, deadline=None)
+@given(ops=model_ops_strategy)
 def test_sharer_tracker_matches_byte_model(ops):
-    """Property: random write/sync interleavings equal the byte map."""
+    """Property: every op's answer, the segments and the op counts equal the byte map.
+
+    ``segments()`` must be the maximal-run encoding of the cells (the
+    canonical form the replay cache's digests rely on), every read must
+    return the clipped runs, and the invariants must hold after every op.
+    """
     tr = SegmentTracker(SIZE, 0)
     model = ByteModel(SIZE, 0)
-    for kind, a, b, dev in ops:
-        lo, hi = min(a, b), max(a, b)
+    for kind, points, dev, gaps in ops:
+        lo, hi = min(points), max(points)
+        ranges = _ranges(points, gaps)
         if kind == 0:
             assert tr.update(lo, hi, dev) == model.update(lo, hi, dev)
         elif kind == 1:
             tr.add_sharer(lo, hi, dev)
             model.add_sharer(lo, hi, dev)
-        else:
-            third = (hi - lo) // 3
-            ranges = [(lo, lo + third), (hi - third, hi)]
-            ranges = [(x, y) for x, y in ranges if x < y]
+        elif kind == 2:
             assert tr.update_many(ranges, dev) == model.update_many(ranges, dev)
+        elif kind == 3:
+            assert _tuples(tr.query(lo, hi)) == model.query(lo, hi)
+        elif kind == 4:
+            assert _tuples(tr.query_many(ranges)) == model.query_many(ranges)
+        else:
+            assert list(tr.footprint_digest(ranges)) == model.footprint_digest(ranges)
+        assert _tuples(tr.segments()) == model.runs(0, SIZE)
+        assert tr.op_counts == model.op_counts
         tr.check_invariants()
-    assert _flatten(tr) == model.cells
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,16 +326,16 @@ def test_query_many_walks_only_its_window(ops, points, gaps):
 class TestOpClasses:
     """Unit tests for the per-class operation accounting."""
 
-    def test_update_many_inside_own_segment_leaves_the_tree_alone(self):
+    def test_update_many_inside_own_segment_leaves_the_segments_alone(self):
         """The writer already solely owns the window: counted, not rebuilt."""
         tr = SegmentTracker(100, 0)
         tr.update(10, 90, 3)
         before = tr.segments()
 
         def frozen(*args):
-            raise AssertionError("a no-op write must not touch the tree")
+            raise AssertionError("a no-op write must not touch the segments")
 
-        tr._map.insert = tr._map.delete = frozen
+        tr._replace = frozen
         assert tr.update_many([(20, 30), (40, 50), (60, 60)], 3) == 0
         assert tr.op_counts["update"] == 3  # the whole-range write + two non-empty ranges
         assert tr.op_counts["invalidate"] == 0
