@@ -29,7 +29,7 @@ from repro.cuda.ir.kernel import Kernel
 from repro.errors import RuntimeApiError, UnsupportedMemcpyError
 from repro.memo import Memo
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.launch import launch_fallback, launch_partitioned
+from repro.runtime.launch import launch_partitioned
 from repro.runtime.memcpy import d2h_gather, h2d_scatter
 from repro.runtime.vbuffer import VirtualBuffer
 from repro.sched.executor import DataflowLog, PipelineExecutor
@@ -211,7 +211,7 @@ class MultiGpuApi:
         #: plan's transfer/compute estimate (repro.sched.policy).
         self.auto_schedule = config.schedule == "auto"
         #: Launch-scheduler policy (sequential | overlap | overlap+p2p).
-        #: Auto runs the non-launch paths (memcpy, memset, fallback) under
+        #: Auto runs the non-launch paths (memcpy, memset) under
         #: ``overlap`` so their dataflow events are always recorded.
         self.policy = select_policy("overlap" if self.auto_schedule else config.schedule)
         #: Per-(buffer, device, byte interval) completion events for
@@ -386,11 +386,7 @@ class MultiGpuApi:
         grid = Dim3.of(grid)
         block = Dim3.of(block)
         self._launch_index = next(self._launch_counter)
-        ck = self.app.kernel(kernel.name)
-        if ck.partitionable and self.config.n_gpus >= 1:
-            launch_partitioned(self, ck, grid, block, args)
-        else:
-            launch_fallback(self, ck, grid, block, args)
+        launch_partitioned(self, self.app.kernel(kernel.name), grid, block, args)
 
     # -- misc (§8.4) ------------------------------------------------------------------------------
 

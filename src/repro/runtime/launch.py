@@ -21,48 +21,28 @@ configured policy — ``sequential`` reproduces the paper's
 barrier-structured loops exactly, ``overlap``/``overlap+p2p`` pipeline
 transfers against compute.
 
-Kernels the compiler rejected for partitioning take :func:`launch_fallback`:
-single-GPU execution on device 0 (whole read buffers synchronized there
-first), issued directly with no plan.
+Every launch takes that path. A kernel the compiler rejected, or a launch
+whose runtime coverage proof fails, runs on one GPU (§4) as a
+one-partition whole-buffer plan built by :func:`launch_fallback`.
 """
 
 from __future__ import annotations
 
+from math import prod
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
 
 from repro.compiler.pipeline import CompiledKernel
+from repro.compiler.strategy import Partition
 from repro.cuda.api import resolve_array_shapes, split_launch_args
 from repro.cuda.dim3 import Dim3
-from repro.cuda.exec.interpreter import run_kernel
-from repro.cuda.ir.kernel import ArrayParam, ScalarParam
-from repro.errors import PartitioningError, RuntimeApiError
 from repro.memo import MISS
-from repro.runtime.sync import plan_stale_copies_tiered, register_sharer
-from repro.runtime.vbuffer import VirtualBuffer
-from repro.sim.trace import Category
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.api import MultiGpuApi
+    from repro.sched.graph import PlanSkeleton
 
 __all__ = ["launch_partitioned", "launch_fallback"]
-
-
-def _bind_functional_args(
-    api: "MultiGpuApi", ck: CompiledKernel, by_name, shapes, gpu: int
-) -> Dict[str, object]:
-    bound: Dict[str, object] = {}
-    for p in ck.kernel.params:
-        if isinstance(p, ArrayParam):
-            vb = by_name[p.name]
-            if not isinstance(vb, VirtualBuffer):
-                raise RuntimeApiError(
-                    f"array argument {p.name!r} must be a VirtualBuffer, got {type(vb)}"
-                )
-            bound[p.name] = vb.typed_on(gpu, p.dtype.to_numpy(), shapes[p.name])
-        elif isinstance(p, ScalarParam):
-            bound[p.name] = by_name[p.name]
-    return bound
 
 
 def launch_partitioned(
@@ -75,7 +55,8 @@ def launch_partitioned(
     2. *skeleton* — partition intervals, enumerated access ranges and DAG
        shape; looked up in the per-api plan cache and built (including the
        unit-axis and runtime-coverage validation, whose outcomes are
-       fingerprint-determined) only on a miss;
+       fingerprint-determined) only on a miss — :func:`launch_fallback`'s
+       for a kernel that runs unpartitioned;
     3. *residual* — tracker queries and stale-segment copy planning, run
        against live coherence state. A cheap per-array footprint digest of
        the live trackers keys a replay memo of fully materialized
@@ -96,7 +77,6 @@ def launch_partitioned(
     ``RuntimeConfig.debug_audit`` every hit also runs its miss path and
     must reproduce the cached skeleton, residual and plan (repro.memo).
     """
-    assert ck.partitioned is not None
     from repro.runtime.fingerprint import launch_fingerprint, residual_key
     from repro.sched.graph import (
         build_plan_skeleton,
@@ -139,12 +119,6 @@ def launch_partitioned(
                 api, ck, grid, block, scalars, fingerprint=key, validate=True
             )
             cache.audit(key, skel, fresh)
-
-    if skel.fallback:
-        # Runtime coverage validation rejected this launch shape (cached
-        # along with the skeleton: the outcome is fingerprint-determined).
-        launch_fallback(api, ck, grid, block, args)
-        return
 
     t = perf_counter() if prof else 0.0
     # Digest the live trackers over the skeleton's per-array read envelope.
@@ -196,108 +170,39 @@ def launch_partitioned(
         prof.count_launch(temp)
 
 
-def _audit_write_scan(api, ck, trace, part, block, grid, scalars, shapes) -> None:
-    """Debug audit: scanned write sets must equal the executed writes.
-
-    Runs only under ``RuntimeConfig.debug_audit`` in functional
-    mode. An over-claimed cell would mislead the trackers into serving stale
-    data from the wrong device; an under-claimed cell would let a newer copy
-    go unnoticed — either way, fail loudly at the offending launch.
-    """
-    for enum in api.app.enumerators.for_kernel(ck.kernel.name, "write"):
-        ranges, _ = enum.element_ranges(
-            part, block, grid, scalars, shapes[enum.array]
-        )
-        scanned = set()
-        for lo, hi in ranges:
-            scanned.update(range(lo, hi))
-        actual = trace.writes.get(enum.array, set())
-        if scanned != actual:
-            extra = sorted(scanned - actual)[:5]
-            missing = sorted(actual - scanned)[:5]
-            raise PartitioningError(
-                f"write-scan audit failed for kernel {ck.kernel.name!r}, "
-                f"array {enum.array!r}, partition {part}: "
-                f"scanned-but-unwritten {extra}, written-but-unscanned {missing}"
-            )
-
-
 def launch_fallback(
-    api: "MultiGpuApi", ck: CompiledKernel, grid: Dim3, block: Dim3, args: Sequence[object]
-) -> None:
-    """Single-GPU fallback for kernels the compiler could not partition.
+    api: "MultiGpuApi", ck: CompiledKernel, grid: Dim3, block: Dim3,
+    scalars: Mapping[str, int], shapes: Mapping[str, Sequence[int]], fingerprint: tuple,
+) -> "PlanSkeleton":
+    """The skeleton of a launch that runs unpartitioned on device 0.
 
-    All read buffers are made fully current on device 0, the unmodified
-    kernel runs there over the whole grid, and the trackers mark every
-    (potentially) written array as owned by device 0.
+    One partition, the whole grid. Its read scans cover every array the
+    kernel may read (its reads and writes, or every array when the access
+    analysis gave up), its write scans every array parameter, each over
+    the resolved shape the kernel can address. The scans have no
+    enumerator and no exact read set, so no copy is trimmed.
     """
-    # The fallback issues machine work directly (no launch plan), so any
-    # pipelined launches ahead of it must drain first to keep issue order.
-    api.pipeline.flush()
-    kernel = ck.kernel
-    by_name, scalars = split_launch_args(kernel, args)
-    shapes = resolve_array_shapes(kernel, scalars)
-    gpu = api.devices[0].device_id
-    launch_index = api._launch_index
+    from repro.sched.graph import PlanSkeleton, ReadScan, SkeletonPartition, WriteScan
 
-    read_names = set(ck.info.reads) | set(ck.info.writes)  # conservative
-    if api.config.tracking_enabled:
-        for p in kernel.array_params:
-            if p.name not in read_names and ck.info.partitionable:
-                continue
-            vb = by_name[p.name]
-            segments = vb.tracker.query(0, vb.nbytes)
-            if api.spec:
-                api.host_pattern_cost(api.spec.tracker_op_cost * max(1, len(segments)))
-            api.stats.tracker_ops += 1
-            api.stats.tracker_query_ops += 1
-            copies, avoided, avoided_inter = plan_stale_copies_tiered(
-                segments, gpu, api.cluster
+    whole = Partition.whole(grid)
+    skel = PlanSkeleton(
+        fingerprint, ck, grid, block, scalars, shapes, [whole], fallback=True
+    )
+    synced = set(ck.info.reads) | set(ck.info.writes)
+    reads: List[ReadScan] = []
+    writes: List[WriteScan] = []
+    for p in ck.kernel.array_params:
+        if not api.config.tracking_enabled:
+            writes.append(WriteScan(None, p.name, None, 0, None))
+            continue
+        nbytes = p.dtype.size * prod(shapes[p.name])
+        ranges = [(0, nbytes)] if nbytes else []
+        if p.name in synced or not ck.info.partitionable:
+            reads.append(
+                ReadScan(None, p.name, p.dtype.size, ranges, len(ranges), ranges, keep=None)
             )
-            api.stats.redundant_bytes_avoided += avoided
-            api.stats.redundant_bytes_avoided_inter += avoided_inter
-            for seg in copies:
-                api.stats.sync_transfers += 1
-                api.stats.sync_bytes += seg.nbytes
-                if api.config.transfers_enabled:
-                    if api.functional:
-                        vb.bytes_on(gpu)[seg.start : seg.end] = vb.bytes_on(seg.owner)[
-                            seg.start : seg.end
-                        ]
-                    if api.machine:
-                        api.machine.transfer(
-                            seg.owner, gpu, seg.nbytes, category=Category.TRANSFERS,
-                            label=f"fallback:{p.name}", launch=launch_index,
-                        )
-                    register_sharer(api, vb, seg.start, seg.end, gpu)
-        if api.machine:
-            api.machine.synchronize()
-
-    if api.functional:
-        bound = _bind_functional_args(api, ck, by_name, shapes, gpu)
-        run_kernel(kernel, grid, block, bound)
-    if api.machine:
-        duration = 0.0
-        if api.kernel_cost is not None:
-            duration = api.kernel_cost(kernel, grid.volume, block, scalars)
-        end = api.machine.launch_kernel(
-            gpu, duration, label=kernel.name, launch=launch_index
-        )
-        if api.policy.overlap:
-            # The fallback conservatively reads and writes every array on
-            # device 0; later DAG-scheduled copies must order behind it.
-            for p in kernel.array_params:
-                vb = by_name[p.name]
-                if isinstance(vb, VirtualBuffer):
-                    api.dataflow.note_read(vb.vb_id, gpu, 0, vb.nbytes, end)
-                    api.dataflow.note_write(vb.vb_id, gpu, 0, vb.nbytes, end)
-    api.stats.fallback_launches += 1
-
-    if api.config.tracking_enabled:
-        for p in kernel.array_params:
-            vb = by_name[p.name]
-            api.stats.tracker_invalidate_ops += vb.tracker.update(0, vb.nbytes, gpu)
-            api.stats.tracker_ops += 1
-            api.stats.tracker_update_ops += 1
-            if api.spec:
-                api.host_pattern_cost(api.spec.tracker_op_cost)
+        writes.append(WriteScan(None, p.name, ranges, len(ranges), ranges))
+    skel.partitions.append(
+        SkeletonPartition(0, api.devices[0].device_id, whole, reads, writes)
+    )
+    return skel

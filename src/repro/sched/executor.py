@@ -39,9 +39,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.cuda.exec.interpreter import run_kernel
-from repro.cuda.ir.kernel import partition_field_name
+from repro.cuda.exec.interpreter import AccessTrace, run_kernel
+from repro.cuda.ir.kernel import ArrayParam, ScalarParam, partition_field_name
+from repro.errors import PartitioningError, RuntimeApiError
 from repro.runtime.sync import register_sharer
+from repro.runtime.vbuffer import VirtualBuffer
 from repro.sched.graph import (
     KernelTask,
     LaunchPlan,
@@ -76,8 +78,8 @@ class DataflowLog:
     Each table maps ``(vb_id, dev)`` to a short list of
     ``(lo, hi, event, wave)`` records. Noting an interval drops records it
     strictly dominates (contained, no later, same wave); querying takes the
-    max event over overlapping records. Whole-buffer callers (fallback
-    launches) simply pass the full byte range.
+    max event over overlapping records. A single-GPU fallback plan's
+    whole-buffer scans arrive as one full-range record per array.
 
     **Waves.** A *dependence wave* groups launches that the task-graph
     frontend (:mod:`repro.tasks`) proved pairwise footprint-disjoint: any
@@ -308,7 +310,10 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
     for ktask in plan.kernels:
         if api.functional:
             _run_partition(api, plan, ktask)
-        api.stats.partition_launches += 1
+        if plan.fallback:
+            api.stats.fallback_launches += 1
+        else:
+            api.stats.partition_launches += 1
 
     if api.config.tracking_enabled:
         for ups in plan.updates:
@@ -443,6 +448,7 @@ def issue_plan_sim(
             node_barriers = _sequential_barrier(api, plan, transfer_events)
 
     ck = plan.ck
+    label = ck.kernel.name if plan.fallback else ck.partitioned.name
     for barrier_event, ktask in _kernel_issue_order(api, plan, node_barriers):
         if barrier_event is not None and machine:
             machine.wait_until(barrier_event, label="node-barrier", charge=False)
@@ -476,7 +482,7 @@ def issue_plan_sim(
                             api.dataflow.instance_free(vb.vb_id, ktask.gpu, lo, hi, wave)
                         )
             end = machine.launch_kernel(
-                ktask.gpu, duration, label=ck.partitioned.name, deps=deps, launch=launch
+                ktask.gpu, duration, label=label, deps=deps, launch=launch
             )
             # Recorded under every policy (see _issue_transfer_sim).
             for vb, runs in ktask.reads:
@@ -608,23 +614,55 @@ class PipelineExecutor:
         api.stats.pipeline_max_batch = max(api.stats.pipeline_max_batch, batch)
 
 
-def _run_partition(api: "MultiGpuApi", plan: LaunchPlan, ktask) -> None:
-    """Interpret one kernel partition (functional mode)."""
-    from repro.runtime.launch import _audit_write_scan, _bind_functional_args
+def _audit_write_scan(api: "MultiGpuApi", plan: LaunchPlan, part, trace) -> None:
+    """Debug audit: scanned write sets must equal the executed writes.
 
+    Runs only under ``RuntimeConfig.debug_audit`` in functional
+    mode. An over-claimed cell would mislead the trackers into serving stale
+    data from the wrong device; an under-claimed cell would let a newer copy
+    go unnoticed — either way, fail loudly at the offending launch.
+    """
+    name = plan.ck.kernel.name
+    for enum in api.app.enumerators.for_kernel(name, "write"):
+        ranges, _ = enum.element_ranges(
+            part, plan.block, plan.grid, plan.scalars, plan.shapes[enum.array]
+        )
+        scanned = set()
+        for lo, hi in ranges:
+            scanned.update(range(lo, hi))
+        actual = trace.writes.get(enum.array, set())
+        if scanned != actual:
+            extra = sorted(scanned - actual)[:5]
+            missing = sorted(actual - scanned)[:5]
+            raise PartitioningError(
+                f"write-scan audit failed for kernel {name!r}, "
+                f"array {enum.array!r}, partition {part}: "
+                f"scanned-but-unwritten {extra}, written-but-unscanned {missing}"
+            )
+
+
+def _run_partition(api: "MultiGpuApi", plan: LaunchPlan, ktask: KernelTask) -> None:
+    """Interpret one kernel partition, or a fallback plan's whole grid."""
     ck = plan.ck
-    bound = _bind_functional_args(api, ck, plan.by_name, plan.shapes, ktask.gpu)
+    bound: Dict[str, object] = {}
+    for p in ck.kernel.params:
+        if isinstance(p, ScalarParam):
+            bound[p.name] = plan.by_name[p.name]
+        elif isinstance(p, ArrayParam):
+            vb = plan.by_name[p.name]
+            if not isinstance(vb, VirtualBuffer):
+                raise RuntimeApiError(
+                    f"array argument {p.name!r} must be a VirtualBuffer, got {type(vb)}"
+                )
+            bound[p.name] = vb.typed_on(ktask.gpu, p.dtype.to_numpy(), plan.shapes[p.name])
+    if plan.fallback:  # the original kernel; whole-buffer writes over-claim
+        run_kernel(ck.kernel, plan.grid, plan.block, bound)
+        return
     for f, value in zip(
         ("min_z", "max_z", "min_y", "max_y", "min_x", "max_x"), ktask.part.as_tuple()
     ):
         bound[partition_field_name("partition", f)] = value
-    trace = None
-    if api.config.debug_audit:
-        from repro.cuda.exec.interpreter import AccessTrace
-
-        trace = AccessTrace()
+    trace = AccessTrace() if api.config.debug_audit else None
     run_kernel(ck.partitioned, ktask.part.grid(), plan.block, bound, trace=trace)
     if trace is not None:
-        _audit_write_scan(
-            api, ck, trace, ktask.part, plan.block, plan.grid, plan.scalars, plan.shapes
-        )
+        _audit_write_scan(api, plan, ktask.part, trace)

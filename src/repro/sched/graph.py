@@ -156,7 +156,7 @@ class ReadSync:
     gpu: int
     array: str
     vb: VirtualBuffer
-    enum: Enumerator
+    enum: Optional[Enumerator]  # None in a fallback plan
     ranges: List[Tuple[int, int]]  # byte ranges of the partition's read set
     emitted: int  # raw enumerator callback count (host-cost driver)
     n_segments: int  # tracker segments returned by the query
@@ -195,7 +195,7 @@ class WriteUpdate:
     gpu: int
     array: str
     vb: VirtualBuffer
-    enum: Enumerator
+    enum: Optional[Enumerator]
     ranges: List[Tuple[int, int]]
     emitted: int
 
@@ -214,6 +214,9 @@ class LaunchPlan:
     #: Launch fingerprint (repro.runtime.fingerprint) of the skeleton this
     #: plan was instantiated from; keys the time-estimate memo.
     fingerprint: tuple
+    #: True for a single-GPU fallback plan: its one kernel task runs the
+    #: unmodified kernel over the whole grid (see PlanSkeleton.fallback).
+    fallback: bool = False
     #: Per non-empty partition (in device order): its read-enumerator syncs.
     reads: List[List[ReadSync]] = field(default_factory=list)
     kernels: List[KernelTask] = field(default_factory=list)
@@ -427,9 +430,13 @@ _KEEP_UNKNOWN = object()
 
 @dataclass
 class ReadScan:
-    """Tracker-independent scan of one read enumerator for one partition."""
+    """Tracker-independent scan of one read enumerator for one partition.
 
-    enum: Enumerator
+    A fallback skeleton's whole-buffer scans have ``enum=None`` and
+    ``keep=None``: no enumerator ran and no exact read set trims them.
+    """
+
+    enum: Optional[Enumerator]
     array: str
     elem_size: int
     #: Byte ranges of the partition's read set. Shared by every plan
@@ -450,9 +457,10 @@ class WriteScan:
 
     ``ranges is None`` encodes the γ configuration (tracking disabled): no
     enumerators ran and the write conservatively covers the whole buffer.
+    ``enum is None`` marks a fallback skeleton's whole-buffer write.
     """
 
-    enum: Enumerator
+    enum: Optional[Enumerator]
     array: str
     ranges: Optional[List[Tuple[int, int]]]
     emitted: int
@@ -489,9 +497,10 @@ class PlanSkeleton:
     scalars: Mapping[str, int]
     shapes: Mapping[str, Sequence[int]]
     parts: List[Partition]
-    #: True when runtime coverage validation rejected this launch shape:
-    #: the launch (and every future launch with this fingerprint) must take
-    #: the single-GPU fallback instead of a plan.
+    #: True for the single-GPU fallback (repro.runtime.launch.launch_fallback):
+    #: the compiler rejected the kernel, or runtime coverage validation
+    #: rejected this launch shape, so the one partition is the whole grid
+    #: on device 0 and every scan covers a whole buffer.
     fallback: bool = False
     partitions: List[SkeletonPartition] = field(default_factory=list)
     #: Lazily-computed per-array read-footprint envelopes (see
@@ -570,16 +579,22 @@ def build_plan_skeleton(
     """Build the fingerprint-determined half of one launch's plan.
 
     Runs the enumerator scans (vectorized where possible) but touches no
-    tracker. With ``validate=True`` the staged launch path's checks run
-    here too: unit-axis extents raise :class:`PartitioningError` *before*
-    anything is cached, and a failed runtime-coverage validation returns a
-    skeleton with ``fallback=True`` — both are fingerprint-determined, so
-    caching their outcome is sound. ``stats`` (the launch path passes the
+    tracker. A kernel the compiler rejected gets the single-GPU fallback
+    skeleton of :func:`~repro.runtime.launch.launch_fallback`. With
+    ``validate=True`` the staged launch path's checks run here too:
+    unit-axis extents raise :class:`PartitioningError` *before* anything is
+    cached, and a failed runtime-coverage validation also returns the
+    fallback skeleton — both are fingerprint-determined, so caching their
+    outcome is sound. ``stats`` (the launch path passes the
     api's ``RunStats``) attributes each scan to its enumerator backend;
     the default None keeps direct plan construction stats-pure.
     """
+    from repro.runtime.launch import launch_fallback
+
     kernel = ck.kernel
     shapes = resolve_array_shapes(kernel, scalars)
+    if not ck.partitionable:
+        return launch_fallback(api, ck, grid, block, scalars, shapes, fingerprint)
     if validate and api.config.validate_unit_axes:
         for axis in ck.model.unit_axes:
             if grid.axis(axis) * block.axis(axis) != 1:
@@ -605,8 +620,7 @@ def build_plan_skeleton(
                 if not part.is_empty
             )
             if not ok:
-                skel.fallback = True
-                return skel
+                return launch_fallback(api, ck, grid, block, scalars, shapes, fingerprint)
 
     read_enums = api.app.enumerators.for_kernel(kernel.name, "read")
     write_enums = api.app.enumerators.for_kernel(kernel.name, "write")
@@ -661,10 +675,9 @@ def _materialise_plan(
     follows skeleton scan order, so it is the same whichever launch built
     the skeleton and wherever the record came from.
     """
-    assert not skel.fallback, "fallback skeletons never instantiate plans"
     plan = LaunchPlan(
         skel.ck, skel.grid, skel.block, by_name, skel.scalars, skel.shapes,
-        skel.parts, skel.fingerprint,
+        skel.parts, skel.fingerprint, skel.fallback,
     )
     next_node = 0
     entries = iter(record.scans)
@@ -742,8 +755,9 @@ def instantiate_plan(
             overapprox = overapprox_inter = 0
             if irredundant and copies:
                 keep = scan.keep
-                # Audited, the exact-read memo is asked (and checked) again.
-                if keep is _KEEP_UNKNOWN or audit:
+                # Audited, the exact-read memo is asked (and checked) again;
+                # whole-buffer scans (no enumerator) have nothing to ask.
+                if keep is _KEEP_UNKNOWN or (audit and scan.enum is not None):
                     from repro.analysis.dataflow import runtime_exact_read_ranges
 
                     keep = runtime_exact_read_ranges(

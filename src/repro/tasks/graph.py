@@ -33,8 +33,8 @@ against.
 
 Non-affine tasks (opaque footprints, ``RP701``) degrade to whole-buffer
 synchronization: the graph drains the pipeline and synchronizes the device
-before and after the task's body, mirroring the runtime's whole-buffer
-fallback discipline for unpartitionable kernels.
+before and after the task's body — the task-level counterpart of the
+runtime's whole-buffer plans for unpartitionable kernels.
 """
 
 from __future__ import annotations
@@ -326,8 +326,7 @@ class TaskGraph:
         try:
             if not t.affine:
                 # Whole-buffer degrade: drain pipelined launches and barrier
-                # the machine around the opaque body (the fallback-path
-                # discipline).
+                # the machine around the opaque body.
                 api.cudaDeviceSynchronize()
                 t.fn(api)
                 api.cudaDeviceSynchronize()

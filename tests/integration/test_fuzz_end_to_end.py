@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.engine import ClusterSimMachine
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import CudaApi, MemcpyKind
 from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
+from repro.harness.calibration import K80_NODE_SPEC, k80_cluster
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
+from repro.sim.engine import SimMachine
 
 N = 64
 GRID, BLOCK = Dim3(8), Dim3(8)
@@ -129,3 +132,41 @@ def test_random_programs_bitwise_equal(program, n_gpus):
 def test_random_programs_survive_write_audit(program):
     api = MultiGpuApi(APP, RuntimeConfig(n_gpus=3, debug_audit=True))
     _execute(api, program)  # audit raises on any scan/execution divergence
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    program=steps,
+    at=st.integers(0, 12),
+    schedule=st.sampled_from(["sequential", "overlap+p2p", "auto"]),
+    shared_copies=st.booleans(),
+    pipeline_window=st.sampled_from([1, 4]),
+    irredundant=st.booleans(),
+    cluster=st.booleans(),
+)
+def test_fallback_bitwise_equal_across_configs(
+    program, at, schedule, shared_copies, pipeline_window, irredundant, cluster
+):
+    """Whole-buffer launches stay invisible under every schedule and topology.
+
+    Each program gets at least one launch of the non-partitionable kernel,
+    and the runtime drives a simulated machine: a flat 4-GPU node or a 2x2
+    cluster.
+    """
+    program = list(program)
+    program.insert(min(at, len(program)), ("launch", len(KERNELS) - 1, 0, 1))
+    machine = (
+        ClusterSimMachine(k80_cluster(2, 2)) if cluster
+        else SimMachine(K80_NODE_SPEC.with_gpus(4))
+    )
+    config = RuntimeConfig(
+        n_gpus=4, schedule=schedule, shared_copies=shared_copies,
+        pipeline_window=pipeline_window, irredundant_transfers=irredundant,
+    )
+    ref = _execute(CudaApi(), program)
+    api = MultiGpuApi(APP, config, machine=machine)
+    got = _execute(api, program)
+    assert api.stats.fallback_launches >= 1
+    assert len(ref) == len(got)
+    for i, (a, b) in enumerate(zip(ref, got)):
+        assert np.array_equal(a, b), (i, program, config)
