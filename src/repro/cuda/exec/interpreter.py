@@ -405,12 +405,27 @@ def run_kernel(
     _run_body(kernel.body, lanes, _Frame(values), None)
 
 
+def _scalar_lanes() -> _Lanes:
+    """The one-lane grid of a scalar expression, with read-only coordinates."""
+    lanes = _Lanes(Dim3(1), Dim3(1))
+    for axes in (lanes.block_idx, lanes.thread_idx):
+        for coords in axes.values():
+            coords.flags.writeable = False
+    return lanes
+
+
+#: Shared by every :func:`eval_scalar_expr` call: a launch resolves one
+#: expression per array dimension, and building a lane grid (``np.indices``)
+#: for each cost more than evaluating it.
+_SCALAR_LANES = _scalar_lanes()
+
+
 def eval_scalar_expr(expr: Expr, scalars: Mapping[str, object]):
     """Evaluate an expression that references only scalar parameters.
 
     Used for array shape expressions and loop trip counts at launch time.
     """
-    lanes = _Lanes(Dim3(1), Dim3(1))
+    lanes = _SCALAR_LANES
     frame = _Frame({k: np.asarray(v)[()] for k, v in scalars.items()})
     value = _eval(expr, lanes, frame, None)
     return np.asarray(value)[()]

@@ -61,7 +61,7 @@ def observe(api, outputs: Mapping[str, np.ndarray]) -> Observation:
     apis = list(api) if isinstance(api, (list, tuple)) else [api]
     machine = apis[0].machine
     stats = tuple(asdict(a.stats) for a in apis)
-    trace = list(machine.trace.intervals) if machine is not None else None
+    trace = machine.trace.intervals if machine is not None else None
     clock = machine.elapsed() if machine is not None else None
     tracker = tuple(
         (vb_id, tuple(vb.coherence_state()))

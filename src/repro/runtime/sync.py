@@ -8,14 +8,15 @@ copy (:func:`plan_stale_copies_tiered`, optionally trimmed to the exact
 read set by :func:`trim_copies`). The launch planner (``repro.sched.graph``)
 composes these per partition; the executor issues the planned copies. With
 :attr:`~repro.runtime.config.RuntimeConfig.shared_copies` enabled each copy
-also *registers* the target as a sharer of the segment
-(:func:`register_sharer`), so the next launch skips it — the remedy for the
-redundant re-broadcast traffic §8.3 calls out. With the flag off the
-tracker keeps the paper's sole-owner behaviour: copies never update
-ownership and shared data is re-transferred every launch. A partition's
-*write set* is marked by the executor straight on the tracker
-(``update_many``), invalidating every sharer copy of the written ranges
-(MSI).
+also *registers* the target as a sharer of the segment (the executor
+batches one launch's registrations per buffer and device through
+:meth:`~repro.runtime.tracker.SegmentTracker.add_sharer_many`), so the next
+launch skips it — the remedy for the redundant re-broadcast traffic §8.3
+calls out. With the flag off the tracker keeps the paper's sole-owner
+behaviour: copies never update ownership and shared data is re-transferred
+every launch. A partition's *write set* is marked by the executor straight
+on the tracker (``update_many``), invalidating every sharer copy of the
+written ranges (MSI).
 
 Source selection (:func:`pick_source`) prefers, in order: a valid copy on
 the destination's own cluster node (avoiding the network fabric), the
@@ -26,17 +27,13 @@ paper's newest-owner rule whenever no sharers exist.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.compiler.enumerators import Enumerator
 from repro.compiler.strategy import Partition
 from repro.cuda.dim3 import Dim3
 from repro.poly.intervals import normalize_intervals
 from repro.runtime.tracker import Segment
-from repro.runtime.vbuffer import VirtualBuffer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.api import MultiGpuApi
 
 __all__ = [
     "byte_ranges",
@@ -163,26 +160,3 @@ def trim_copies(
         trimmed.extend(Segment(lo, hi, seg.owner) for lo, hi in pieces)
     return trimmed, overapprox, overapprox_inter
 
-
-def register_sharer(
-    api: "MultiGpuApi",
-    vb: VirtualBuffer,
-    lo: int,
-    hi: int,
-    gpu: int,
-    charge: bool = True,
-) -> None:
-    """Record ``gpu`` as a valid-copy sharer of ``[lo, hi)`` after a copy.
-
-    No-op unless shared-copy tracking is enabled; charges one tracker
-    operation of the ``share`` class for host-cost accounting. The
-    pipelined executor passes ``charge=False`` — it registers sharers
-    eagerly at submit time but charges the host cost at flush, right behind
-    the copy's simulated issue.
-    """
-    if not (api.config.shared_copies and api.config.tracking_enabled):
-        return
-    vb.tracker.add_sharer(lo, hi, gpu)
-    api.stats.tracker_share_ops += 1
-    if charge and api.spec:
-        api.host_pattern_cost(api.spec.tracker_op_cost)

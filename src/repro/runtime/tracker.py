@@ -17,13 +17,15 @@ one at ``size``), so coverage holds by construction.
 
 The sharer set relaxes the paper's §8.3 limitation ("the tracker does not
 support shared copies"): a synchronization copy may *register* its
-destination as a sharer (:meth:`SegmentTracker.add_sharer`), so the next
-launch skips segments the reader already holds. MSI-style invalidation
-keeps the representation coherent: every write (:meth:`SegmentTracker.update`
-/ :meth:`~SegmentTracker.update_many`) resets the written range to a sole
-owner, discarding all sharer copies. With no ``add_sharer`` calls the
-tracker degenerates to the paper's single-owner semantics exactly —
-segment boundaries, owners, and operation counts are all unchanged.
+destination as a sharer (:meth:`SegmentTracker.add_sharer`; one launch's
+copies into one device go through :meth:`~SegmentTracker.add_sharer_many`
+in a single splice), so the next launch skips segments the reader already
+holds. MSI-style invalidation keeps the representation coherent: every
+write (:meth:`SegmentTracker.update` / :meth:`~SegmentTracker.update_many`)
+resets the written range to a sole owner, discarding all sharer copies.
+With no ``add_sharer`` calls the tracker degenerates to the paper's
+single-owner semantics exactly — segment boundaries, owners, and operation
+counts are all unchanged.
 
 Operations are counted per class (``query`` / ``update`` / ``share`` /
 ``invalidate``) for host-cost accounting; ``op_count`` is their sum, which
@@ -260,6 +262,47 @@ class SegmentTracker:
                 for start, end, owner, sharers in self._clipped(lo, hi)
             ],
         )
+
+    def add_sharer_many(self, ranges: List[Tuple[int, int]], dev: int) -> None:
+        """Bulk form of :meth:`add_sharer`: one splice for any list of ranges.
+
+        The ranges may be unsorted and may overlap (one launch's copies
+        into one device, in plan order). Registration is a per-byte set
+        union, so the result equals calling :meth:`add_sharer` per range in
+        any order, and ``op_counts["share"]`` still counts one per non-empty
+        range. A range outside the tracker raises before anything changes.
+        """
+        for lo, hi in ranges:
+            self._check_range(lo, hi)
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in sorted(ranges):
+            if lo == hi:
+                continue
+            self.op_counts["share"] += 1
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        if not merged:
+            return
+        window_lo, window_hi = merged[0][0], merged[-1][1]
+        pieces: List[_Piece] = []
+        mi = 0
+        for start, end, owner, sharers in self._clipped(window_lo, window_hi):
+            added = sharers if dev == owner or dev in sharers else sharers | {dev}
+            while start < end:
+                while merged[mi][1] <= start:
+                    mi += 1
+                lo, hi = merged[mi]
+                if lo <= start:  # inside a registered range
+                    cut = min(end, hi)
+                    pieces.append((start, cut, owner, added))
+                else:  # in the gap before it
+                    cut = min(end, lo)
+                    pieces.append((start, cut, owner, sharers))
+                start = cut
+        self._replace(window_lo, window_hi, pieces)
 
     def update_many(self, ranges: List[Tuple[int, int]], owner: int) -> int:
         """Bulk form of :meth:`update` for sorted, non-overlapping ranges.

@@ -24,6 +24,12 @@ touches the machine:
   - ``overlap+p2p`` additionally routes device-to-device copies over
     direct peer DMA instead of staging them through host memory.
 
+  The simulated half is decided by the plan and the policy alone, so it is
+  lowered once (:func:`lower_issue_program`) into a flat tuple of
+  plain-data ops memoized on the plan, and every later issue of the same
+  plan — every replayed launch of a steady loop — only runs that tuple
+  against the machine and the dataflow log.
+
 Cross-launch dependencies are carried by :class:`DataflowLog`: per
 (virtual buffer, device instance) it remembers the last completion events
 that wrote or read each *byte interval* of that instance. A transfer out
@@ -41,8 +47,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cuda.exec.interpreter import AccessTrace, run_kernel
 from repro.cuda.ir.kernel import ArrayParam, ScalarParam, partition_field_name
-from repro.errors import PartitioningError, RuntimeApiError
-from repro.runtime.sync import register_sharer
+from repro.errors import MemoAuditError, PartitioningError, RuntimeApiError
 from repro.runtime.vbuffer import VirtualBuffer
 from repro.sched.graph import (
     KernelTask,
@@ -60,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DataflowLog",
     "apply_plan_functional",
+    "lower_issue_program",
     "issue_plan_sim",
     "PipelineExecutor",
 ]
@@ -192,78 +198,20 @@ class DataflowLog:
             self._query(self._write, (vb_id, dev), lo, hi, wave),
         ]
 
-    def copy_deps(self, t: TransferTask, wave: Optional[int] = None) -> List[float]:
-        """Dependency events of one stale-segment copy."""
+    def copy_deps(
+        self, vb_id: int, src: int, dst: int, lo: int, hi: int, wave: Optional[int] = None
+    ) -> List[float]:
+        """Dependency events of one stale-segment copy of ``[lo, hi)``, ``src`` -> ``dst``.
+
+        :meth:`write_event` on the source plus :meth:`instance_free` on the
+        destination, queried directly.
+        """
+        query = self._query
         return [
-            self.write_event(t.vb.vb_id, t.owner, t.start, t.end, wave)
-        ] + self.instance_free(t.vb.vb_id, t.gpu, t.start, t.end, wave)
-
-
-def _sequential_barrier(
-    api: "MultiGpuApi",
-    plan: LaunchPlan,
-    transfer_events: Dict[int, float],
-) -> Optional[Dict[int, float]]:
-    """The post-transfer barrier of a ``barrier`` policy, per gang.
-
-    On a flat machine or a 1-node cluster this is the global
-    ``machine.synchronize()`` of Figure 4, unchanged. On a multi-node
-    cluster the barrier is *per node*: each node's gang waits for its own
-    resources to drain plus the completion of this plan's copies that
-    touch the node — one node's interior copies no longer hold up every
-    other node's kernels. Returns the per-node barrier events, or None
-    when the global barrier ran.
-    """
-    machine = api.machine
-    cluster = api.cluster
-    if cluster is None or cluster.n_nodes <= 1:
-        machine.synchronize()  # all_devs_synchronize()
-        return None
-    # One host-side barrier charge, exactly as the global path pays.
-    machine.host_compute(machine.spec.sync_overhead, Category.HOST, "gang-sync")
-    by_dag_node = {t.node: t for t in plan.transfers}
-    events = {n: machine.node_resource_avail(n) for n in range(cluster.n_nodes)}
-    for dag_node, end in transfer_events.items():
-        t = by_dag_node.get(dag_node)
-        if t is None:
-            continue
-        # Completion events, not lane occupancies: a cross-node copy's
-        # per-resource busy windows (NIC, bus) can end before the copy's
-        # full duration does.
-        for n in {cluster.endpoint_node(t.owner), cluster.endpoint_node(t.gpu)}:
-            if end > events[n]:
-                events[n] = end
-    return events
-
-
-def _kernel_issue_order(
-    api: "MultiGpuApi",
-    plan: LaunchPlan,
-    node_barriers: Optional[Dict[int, float]],
-) -> List[Tuple[Optional[float], KernelTask]]:
-    """Kernel issue sequence with per-node barrier waits attached.
-
-    With ``node_barriers`` (multi-node sequential policy), kernels group
-    by node and nodes issue in barrier-event order; the event rides on
-    each node's first kernel, so the host waits for a node's gang barrier
-    right before issuing that node's kernels and an early-barrier node
-    starts while a late one is still copying. Partitions write disjoint
-    ranges (and CUDA gives no cross-block write order anyway), so
-    reordering across nodes cannot change functional results. Without
-    barriers the plan order is kept with no waits.
-    """
-    if node_barriers is None:
-        return [(None, k) for k in plan.kernels]
-    cluster = api.cluster
-    by_node: Dict[int, List[KernelTask]] = {}
-    for ktask in plan.kernels:
-        by_node.setdefault(cluster.node_of(ktask.gpu), []).append(ktask)
-    order: List[Tuple[Optional[float], KernelTask]] = []
-    for node in sorted(by_node, key=lambda n: (node_barriers.get(n, 0.0), n)):
-        gang = by_node[node]
-        order.append((node_barriers.get(node, 0.0), gang[0]))
-        order.extend((None, ktask) for ktask in gang[1:])
-    return order
+            query(self._write, (vb_id, src), lo, hi, wave),
+            query(self._read, (vb_id, dst), lo, hi, wave),
+            query(self._write, (vb_id, dst), lo, hi, wave),
+        ]
 
 
 def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
@@ -283,6 +231,11 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
     behind.
     """
     cluster = api.cluster
+    share = api.config.shared_copies and api.config.transfers_enabled
+    # Copied ranges per (buffer, destination), registered as sharers in one
+    # splice each once every copy is applied: registration is a set union
+    # per byte, so its order cannot change the tracker.
+    shared: Dict[Tuple[int, int], Tuple[VirtualBuffer, List[Tuple[int, int]]]] = {}
     if api.config.tracking_enabled:
         for syncs in plan.reads:
             for rs in syncs:
@@ -300,12 +253,17 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
                     if cluster is not None and not cluster.same_node(t.owner, t.gpu):
                         api.stats.inter_node_transfers += 1
                         api.stats.inter_node_bytes += t.nbytes
-                    if api.config.transfers_enabled:
-                        if api.functional:
-                            t.vb.bytes_on(t.gpu)[t.start : t.end] = t.vb.bytes_on(
-                                t.owner
-                            )[t.start : t.end]
-                        register_sharer(api, t.vb, t.start, t.end, t.gpu, charge=False)
+                    if api.functional and api.config.transfers_enabled:
+                        t.vb.bytes_on(t.gpu)[t.start : t.end] = t.vb.bytes_on(t.owner)[
+                            t.start : t.end
+                        ]
+                    if share:
+                        shared.setdefault((t.vb.vb_id, t.gpu), (t.vb, []))[1].append(
+                            (t.start, t.end)
+                        )
+        for (_, gpu), (vb, ranges) in shared.items():
+            vb.tracker.add_sharer_many(ranges, gpu)
+            api.stats.tracker_share_ops += len(ranges)
 
     for ktask in plan.kernels:
         if api.functional:
@@ -336,57 +294,252 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
                 tracker.check_invariants()
 
 
-def _charge_read_sync_sim(api: "MultiGpuApi", rs: ReadSync) -> None:
-    """Host cost of one read-enumerator evaluation (stats counted at submit)."""
-    if api.spec:
+# -- the simulated half: lower once, run per launch ------------------------------
+
+#: Op tags of an issue program: the first field of every op.
+#:
+#: * ``(_CHARGE, seconds)`` — one host pattern charge;
+#: * ``(_COPY, src, dst, lo, hi, vb_id, label)`` — a barrier-era copy
+#:   (:meth:`SimMachine.transfer`);
+#: * ``(_STREAM_COPY, src, dst, lo, hi, vb_id, label, p2p)`` — a copy on the
+#:   copy engines gated by its dataflow events;
+#: * ``(_SYNC,)`` — the global device barrier;
+#: * ``(_GANG_SYNC, n_nodes, copy_nodes, groups)`` — per-node barriers on a
+#:   multi-node cluster: ``copy_nodes`` holds the endpoint nodes of each
+#:   copy in issue order, ``groups`` one ``(node, ops)`` sub-program per
+#:   node, issued in barrier-event order;
+#: * ``(_KERNEL, gpu, n_blocks, label, dep_slots, reads, writes)`` and
+#:   ``_DAG_KERNEL`` alike — a partition launch, without and with dataflow
+#:   gating; ``dep_slots`` index the copies it waits for, ``reads`` and
+#:   ``writes`` are its ``(vb_id, lo, hi)`` event runs on its own device.
+#:
+#: Copy completion events are numbered in issue order: copy ``i`` of a
+#: program is event slot ``i``.
+_CHARGE, _COPY, _STREAM_COPY, _SYNC, _GANG_SYNC, _KERNEL, _DAG_KERNEL = range(7)
+
+IssueProgram = Tuple[tuple, ...]
+
+
+def lower_issue_program(
+    api: "MultiGpuApi",
+    plan: LaunchPlan,
+    policy: SchedulePolicy,
+    transfer_order: Optional[Sequence[Tuple[ReadSync, TransferTask]]] = None,
+) -> IssueProgram:
+    """One plan's simulated issue under ``policy`` as a flat op tuple.
+
+    Figure 4's three loops on the simulated machine, in issue order: per
+    partition, the setup and read-enumerator pattern charges with each
+    stale-segment copy issued behind its charge (lines 2-8) and, under a
+    ``barrier`` policy, the device barrier; per partition, the setup charge
+    and the kernel launch (lines 10-19); per partition, the update-phase
+    pattern charges (lines 21-26), which run on the host concurrently with
+    the asynchronous kernels.
+
+    ``transfer_order`` overrides the copy *issue* order (the pipelined
+    executor passes the halo-first tiers on clusters): the per-read-sync
+    pattern charges are then batched ahead of the reordered copies, since
+    every one of them precedes every copy in the fused view.
+
+    Everything the issue depends on but the machine's state is decided
+    here — charges, routes, labels, which copies each kernel waits for —
+    so the program holds plain data only; a machine-less runtime issues
+    nothing and lowers to ``()``.
+    """
+    spec = api.spec
+    if spec is None:
+        return ()
+    config = api.config
+    ops: List[tuple] = []
+    # Transfer node -> event slot, for the copies actually issued.
+    slots: Dict[int, int] = {}
+    share_cost = spec.tracker_op_cost if config.shared_copies and config.tracking_enabled else 0.0
+    p2p = True if policy.p2p else None
+
+    def charge(seconds: float) -> None:
+        if seconds > 0:
+            ops.append((_CHARGE, seconds))
+
+    def read_sync(rs: ReadSync) -> None:
         # One aggregated host interval covering: the enumerator call, the
         # per-emitted-range callback work, and one tracker query per range.
-        api.host_pattern_cost(
-            api.spec.enumerator_call_cost
-            + api.spec.per_range_cost * rs.emitted
-            + api.spec.tracker_op_cost * max(len(rs.ranges), rs.n_segments)
+        charge(
+            spec.enumerator_call_cost
+            + spec.per_range_cost * rs.emitted
+            + spec.tracker_op_cost * max(len(rs.ranges), rs.n_segments)
         )
 
-
-def _issue_transfer_sim(
-    api: "MultiGpuApi",
-    policy: SchedulePolicy,
-    t: TransferTask,
-    label: str,
-    events: Dict[int, float],
-    launch: Optional[int],
-    wave: Optional[int] = None,
-) -> None:
-    """Simulated issue of one stale-segment copy (+ its sharer host cost)."""
-    if not api.config.transfers_enabled:
-        return
-    if api.machine is not None:
+    def copy(rs: ReadSync, t: TransferTask) -> None:
+        if not config.transfers_enabled:
+            return
+        slots[t.node] = len(slots)
+        label = f"sync:{rs.array}"
         if policy.overlap:
-            end = api.machine.stream_transfer(
-                t.owner,
-                t.gpu,
-                t.nbytes,
-                deps=api.dataflow.copy_deps(t, wave),
-                category=Category.TRANSFERS,
-                label=label,
-                p2p=True if policy.p2p else None,
-                launch=launch,
-            )
+            ops.append((_STREAM_COPY, t.owner, t.gpu, t.start, t.end, t.vb.vb_id, label, p2p))
         else:
-            end = api.machine.transfer(
-                t.owner, t.gpu, t.nbytes, category=Category.TRANSFERS, label=label,
+            ops.append((_COPY, t.owner, t.gpu, t.start, t.end, t.vb.vb_id, label))
+        # The sharer registration itself happened at submit; its tracker-op
+        # host charge belongs here, right after the copy's issue.
+        charge(share_cost)
+
+    gang = None
+    if config.tracking_enabled:
+        for syncs in plan.reads:
+            charge(spec.partition_setup_cost)
+            for rs in syncs:
+                read_sync(rs)
+                if transfer_order is None:
+                    for t in rs.transfers:
+                        copy(rs, t)
+        for rs, t in transfer_order or ():
+            copy(rs, t)
+        if policy.barrier:
+            cluster = api.cluster
+            if cluster is None or cluster.n_nodes <= 1:
+                ops.append((_SYNC,))  # all_devs_synchronize()
+            else:
+                gang = cluster
+
+    ck = plan.ck
+    label = ck.kernel.name if plan.fallback else ck.partitioned.name
+    tag = _DAG_KERNEL if policy.overlap else _KERNEL
+
+    def kernel(ktask: KernelTask) -> List[tuple]:
+        deps = tuple(slots[n] for n in ktask.transfer_deps if n in slots) if policy.overlap else ()
+        reads = tuple((vb.vb_id, lo, hi) for vb, runs in ktask.reads for lo, hi in runs)
+        writes = tuple((vb.vb_id, lo, hi) for vb, runs in ktask.writes for lo, hi in runs)
+        setup = [(_CHARGE, spec.partition_setup_cost)] if spec.partition_setup_cost > 0 else []
+        return setup + [(tag, ktask.gpu, ktask.part.n_blocks, label, deps, reads, writes)]
+
+    if gang is None:
+        for ktask in plan.kernels:
+            ops.extend(kernel(ktask))
+    else:
+        # On a multi-node cluster the barrier is per node: each node's gang
+        # waits for its own resources to drain plus this plan's copies that
+        # touch the node, so one node's interior copies do not hold up the
+        # other nodes' kernels. Nodes issue in barrier-event order, decided
+        # when the program runs. Partitions write disjoint ranges (and CUDA
+        # gives no cross-block write order anyway), so reordering across
+        # nodes cannot change functional results.
+        groups: Dict[int, List[tuple]] = {}
+        for ktask in plan.kernels:
+            groups.setdefault(gang.node_of(ktask.gpu), []).extend(kernel(ktask))
+        by_node = {t.node: t for t in plan.transfers}
+        copy_nodes = tuple(
+            tuple({gang.endpoint_node(by_node[n].owner), gang.endpoint_node(by_node[n].gpu)})
+            for n in slots
+        )
+        ops.append(
+            (
+                _GANG_SYNC,
+                gang.n_nodes,
+                copy_nodes,
+                tuple((node, tuple(group)) for node, group in groups.items()),
+            )
+        )
+
+    if config.tracking_enabled:
+        for ups in plan.updates:
+            charge(spec.partition_setup_cost)
+            for up in ups:
+                charge(
+                    spec.enumerator_call_cost
+                    + spec.per_range_cost * up.emitted
+                    + spec.tracker_op_cost * len(up.ranges)
+                )
+    return tuple(ops)
+
+
+def _run_issue_program(
+    api: "MultiGpuApi",
+    plan: LaunchPlan,
+    program: IssueProgram,
+    launch: Optional[int],
+    wave: Optional[int],
+    events: List[float],
+) -> None:
+    """Issue one lowered program onto the machine, op by op.
+
+    Every op goes through the engine's public calls and the
+    :class:`DataflowLog`'s, exactly as an interpretation of the plan
+    would; ``events`` collects the copies' completion events by slot.
+    """
+    machine = api.machine
+    dataflow = api.dataflow
+    host_compute = machine.host_compute
+    note_read, note_write = dataflow.note_read, dataflow.note_write
+    kernel_cost = api.kernel_cost
+    patterns, transfers = Category.PATTERNS, Category.TRANSFERS
+    for op in program:
+        kind = op[0]
+        if kind == _CHARGE:
+            host_compute(op[1], patterns, "patterns")
+        elif kind == _STREAM_COPY:
+            _, src, dst, lo, hi, vb_id, label, p2p = op
+            end = machine.stream_transfer(
+                src,
+                dst,
+                hi - lo,
+                deps=dataflow.copy_deps(vb_id, src, dst, lo, hi, wave),
+                category=transfers,
+                label=label,
+                p2p=p2p,
                 launch=launch,
             )
-        # Dataflow events are recorded under every policy so that adjacent
-        # launches of an adaptive (auto) run may mix policies soundly: an
-        # overlap launch must see the copies its sequential predecessor issued.
-        api.dataflow.note_read(t.vb.vb_id, t.owner, t.start, t.end, end)
-        api.dataflow.note_write(t.vb.vb_id, t.gpu, t.start, t.end, end)
-        events[t.node] = end
-    # The sharer registration itself happened at submit; its tracker-op
-    # host charge belongs here, right after the copy's issue.
-    if api.config.shared_copies and api.config.tracking_enabled and api.spec:
-        api.host_pattern_cost(api.spec.tracker_op_cost)
+            # Dataflow events are recorded under every policy so that
+            # adjacent launches of an adaptive (auto) run may mix policies
+            # soundly: an overlap launch must see the copies its sequential
+            # predecessor issued.
+            note_read(vb_id, src, lo, hi, end)
+            note_write(vb_id, dst, lo, hi, end)
+            events.append(end)
+        elif kind == _COPY:
+            _, src, dst, lo, hi, vb_id, label = op
+            end = machine.transfer(
+                src, dst, hi - lo, category=transfers, label=label, launch=launch
+            )
+            note_read(vb_id, src, lo, hi, end)
+            note_write(vb_id, dst, lo, hi, end)
+            events.append(end)
+        elif kind == _DAG_KERNEL or kind == _KERNEL:
+            _, gpu, n_blocks, label, dep_slots, reads, writes = op
+            duration = 0.0
+            if kernel_cost is not None:
+                # Cost the *original* kernel: the partition clone only adds
+                # loop-invariant offset arithmetic that any real backend
+                # hoists (the paper measures a median 2.1 % single-GPU
+                # slowdown, i.e. the clone itself is not slower).
+                duration = kernel_cost(plan.ck.kernel, n_blocks, plan.block, plan.scalars)
+            deps: List[float] = []
+            if kind == _DAG_KERNEL:
+                deps = [events[slot] for slot in dep_slots]
+                for vb_id, lo, hi in reads:
+                    deps.append(dataflow.write_event(vb_id, gpu, lo, hi, wave))
+                for vb_id, lo, hi in writes:
+                    deps.extend(dataflow.instance_free(vb_id, gpu, lo, hi, wave))
+            end = machine.launch_kernel(gpu, duration, label=label, deps=deps, launch=launch)
+            for vb_id, lo, hi in reads:
+                note_read(vb_id, gpu, lo, hi, end, wave)
+            for vb_id, lo, hi in writes:
+                note_write(vb_id, gpu, lo, hi, end, wave)
+        elif kind == _SYNC:
+            machine.synchronize()
+        else:
+            _, n_nodes, copy_nodes, groups = op
+            # One host-side barrier charge, exactly as the global path pays.
+            host_compute(machine.spec.sync_overhead, Category.HOST, "gang-sync")
+            barriers = [machine.node_resource_avail(n) for n in range(n_nodes)]
+            # Completion events, not lane occupancies: a cross-node copy's
+            # per-resource busy windows (NIC, bus) can end before the copy's
+            # full duration does.
+            for end, nodes in zip(events, copy_nodes):
+                for n in nodes:
+                    if end > barriers[n]:
+                        barriers[n] = end
+            for node, group in sorted(groups, key=lambda g: (barriers[g[0]], g[0])):
+                machine.wait_until(barriers[node], label="node-barrier", charge=False)
+                _run_issue_program(api, plan, group, launch, wave, events)
 
 
 def issue_plan_sim(
@@ -400,109 +553,30 @@ def issue_plan_sim(
 ) -> None:
     """The flush-time half of one launch: simulated host charges + device ops.
 
-    Figure 4's three loops on the simulated machine, for a plan whose
-    functional half :func:`apply_plan_functional` already applied: per
-    partition, the setup and read-enumerator pattern charges with each
-    stale-segment copy issued behind its charge (lines 2-8) and, under a
-    ``barrier`` policy, the device barrier; per partition, the setup charge
-    and the kernel launch (lines 10-19); per partition, the update-phase
-    pattern charges (lines 21-26), which run on the host concurrently with
-    the asynchronous kernels. ``launch`` tags every device op for per-launch
-    trace attribution; ``wave`` is the launch's dependence wave captured at
-    submit time (see :class:`DataflowLog`).
-
-    ``transfer_order`` overrides the transfer *issue* order (the pipelined
-    executor passes the halo-first tiers on clusters): the per-read-sync
-    pattern charges are then batched ahead of the reordered copies, since
-    every one of them precedes every copy in the fused view. With
-    ``transfer_order=None`` copies issue in plan order, each right behind
-    its read sync's charge.
+    Issues the plan's program (:func:`lower_issue_program`) for ``policy``,
+    lowering it on the plan's first issue under that policy and order: a
+    replayed plan is the same object every iteration, so a steady loop
+    lowers once and only runs afterwards. ``launch`` tags every device op
+    for per-launch trace attribution; ``wave`` is the launch's dependence
+    wave captured at submit time (see :class:`DataflowLog`).
+    ``transfer_order`` is the halo-first copy order, a function of the plan
+    and the cluster; only whether one is given keys the memo.
     """
-    machine = api.machine
-    transfer_events: Dict[int, float] = {}
-    node_barriers: Optional[Dict[int, float]] = None
-
-    if api.config.tracking_enabled:
-        if transfer_order is None:
-            for syncs in plan.reads:
-                if api.spec:
-                    api.host_pattern_cost(api.spec.partition_setup_cost)
-                for rs in syncs:
-                    _charge_read_sync_sim(api, rs)
-                    for t in rs.transfers:
-                        _issue_transfer_sim(
-                            api, policy, t, f"sync:{rs.array}", transfer_events,
-                            launch, wave,
-                        )
-        else:
-            for syncs in plan.reads:
-                if api.spec:
-                    api.host_pattern_cost(api.spec.partition_setup_cost)
-                for rs in syncs:
-                    _charge_read_sync_sim(api, rs)
-            for rs, t in transfer_order:
-                _issue_transfer_sim(
-                    api, policy, t, f"sync:{rs.array}", transfer_events, launch, wave
-                )
-        if machine and policy.barrier:
-            node_barriers = _sequential_barrier(api, plan, transfer_events)
-
-    ck = plan.ck
-    label = ck.kernel.name if plan.fallback else ck.partitioned.name
-    for barrier_event, ktask in _kernel_issue_order(api, plan, node_barriers):
-        if barrier_event is not None and machine:
-            machine.wait_until(barrier_event, label="node-barrier", charge=False)
-        if api.spec:
-            api.host_pattern_cost(api.spec.partition_setup_cost)
-        if machine:
-            duration = 0.0
-            if api.kernel_cost is not None:
-                # Cost the *original* kernel: the partition clone only adds
-                # loop-invariant offset arithmetic that any real backend
-                # hoists (the paper measures a median 2.1 % single-GPU
-                # slowdown, i.e. the clone itself is not slower).
-                duration = api.kernel_cost(
-                    ck.kernel, ktask.part.n_blocks, plan.block, plan.scalars
-                )
-            deps: List[float] = []
-            if policy.overlap:
-                deps = [
-                    transfer_events[n]
-                    for n in ktask.transfer_deps
-                    if n in transfer_events
-                ]
-                for vb, runs in ktask.reads:
-                    for lo, hi in runs:
-                        deps.append(
-                            api.dataflow.write_event(vb.vb_id, ktask.gpu, lo, hi, wave)
-                        )
-                for vb, runs in ktask.writes:
-                    for lo, hi in runs:
-                        deps.extend(
-                            api.dataflow.instance_free(vb.vb_id, ktask.gpu, lo, hi, wave)
-                        )
-            end = machine.launch_kernel(
-                ktask.gpu, duration, label=label, deps=deps, launch=launch
+    key = (policy, transfer_order is not None)
+    program = plan.issue_programs.get(key)
+    if program is None:
+        program = plan.issue_programs[key] = lower_issue_program(
+            api, plan, policy, transfer_order
+        )
+    elif api.config.debug_audit:
+        fresh = lower_issue_program(api, plan, policy, transfer_order)
+        if fresh != program:
+            raise MemoAuditError(
+                f"plan of kernel {plan.ck.kernel.name!r} served a stale issue "
+                f"program for schedule {policy.name!r}"
             )
-            # Recorded under every policy (see _issue_transfer_sim).
-            for vb, runs in ktask.reads:
-                for lo, hi in runs:
-                    api.dataflow.note_read(vb.vb_id, ktask.gpu, lo, hi, end, wave)
-            for vb, runs in ktask.writes:
-                for lo, hi in runs:
-                    api.dataflow.note_write(vb.vb_id, ktask.gpu, lo, hi, end, wave)
-
-    if api.config.tracking_enabled:
-        for ups in plan.updates:
-            if api.spec:
-                api.host_pattern_cost(api.spec.partition_setup_cost)
-            for up in ups:
-                if api.spec:
-                    api.host_pattern_cost(
-                        api.spec.enumerator_call_cost
-                        + api.spec.per_range_cost * up.emitted
-                        + api.spec.tracker_op_cost * len(up.ranges)
-                    )
+    if program:
+        _run_issue_program(api, plan, program, launch, wave, [])
 
 
 class PipelineExecutor:

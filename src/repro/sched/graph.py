@@ -222,6 +222,12 @@ class LaunchPlan:
     kernels: List[KernelTask] = field(default_factory=list)
     #: Per non-empty partition (in device order): its tracker updates.
     updates: List[List[WriteUpdate]] = field(default_factory=list)
+    #: Lowered simulated issue per (policy, halo-first order or not), filled
+    #: on first issue (repro.sched.executor.issue_plan_sim). Derived from
+    #: the fields above, so it takes no part in plan equality.
+    issue_programs: Dict[tuple, tuple] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def transfers(self) -> List[TransferTask]:

@@ -1,6 +1,7 @@
 """Execution traces for the timing simulator.
 
-Every scheduled operation is recorded as an :class:`Interval` tagged with a
+Every scheduled operation is recorded as one interval — a row of the
+:class:`Trace` columns, read back as an :class:`Interval` — tagged with a
 category matching the paper's Figure 7 terminology:
 
 * ``APPLICATION`` — kernel execution on a device,
@@ -64,10 +65,25 @@ class Interval:
 
 
 class Trace:
-    """An append-only list of intervals with per-category aggregation."""
+    """An append-only record of intervals, stored column by column.
+
+    :meth:`record` appends one value to each of seven parallel lists —
+    ``resources``, ``starts``, ``ends``, ``categories``, ``labels``,
+    ``launches``, ``tenants`` — so recording an operation allocates no
+    object of its own. :attr:`intervals` builds the :class:`Interval` view
+    on read; the aggregations walk the columns directly, in record order,
+    so every sum adds the same floats in the same order as a walk over
+    the interval list would.
+    """
 
     def __init__(self) -> None:
-        self.intervals: List[Interval] = []
+        self.resources: List[str] = []
+        self.starts: List[float] = []
+        self.ends: List[float] = []
+        self.categories: List[Category] = []
+        self.labels: List[str] = []
+        self.launches: List[Optional[int]] = []
+        self.tenants: List[Optional[int]] = []
         #: Tenant id stamped onto every interval recorded while set (the
         #: serve runtime brackets each job's service with it); None outside
         #: multi-tenant serving, which keeps single-job traces unchanged.
@@ -84,8 +100,32 @@ class Trace:
     ) -> None:
         if end < start:
             raise ValueError(f"interval ends before it starts: {start} .. {end}")
-        self.intervals.append(
-            Interval(resource, start, end, category, label, launch, self.current_tenant)
+        self.resources.append(resource)
+        self.starts.append(start)
+        self.ends.append(end)
+        self.categories.append(category)
+        self.labels.append(label)
+        self.launches.append(launch)
+        self.tenants.append(self.current_tenant)
+
+    @property
+    def intervals(self) -> List[Interval]:
+        """Every recorded operation as an :class:`Interval`, in record order.
+
+        Built on each read: callers that walk it more than once should
+        keep the list.
+        """
+        return list(
+            map(
+                Interval,
+                self.resources,
+                self.starts,
+                self.ends,
+                self.categories,
+                self.labels,
+                self.launches,
+                self.tenants,
+            )
         )
 
     def busy_time_by_tenant(self, category: Optional[Category] = None) -> Dict[Optional[int], float]:
@@ -96,29 +136,29 @@ class Trace:
         keys reproduces :meth:`busy_time` exactly.
         """
         out: Dict[Optional[int], float] = {}
-        for iv in self.intervals:
-            if category is None or iv.category is category:
-                out[iv.tenant] = out.get(iv.tenant, 0.0) + iv.duration
+        for s, e, c, tenant in zip(self.starts, self.ends, self.categories, self.tenants):
+            if category is None or c is category:
+                out[tenant] = out.get(tenant, 0.0) + (e - s)
         return out
 
     def busy_time(self, category: Optional[Category] = None) -> float:
         """Total busy time, optionally restricted to one category."""
         return sum(
-            iv.duration
-            for iv in self.intervals
-            if category is None or iv.category is category
+            e - s
+            for s, e, c in zip(self.starts, self.ends, self.categories)
+            if category is None or c is category
         )
 
     def by_category(self) -> Dict[Category, float]:
         out: Dict[Category, float] = {c: 0.0 for c in Category}
-        for iv in self.intervals:
-            out[iv.category] += iv.duration
+        for s, e, c in zip(self.starts, self.ends, self.categories):
+            out[c] += e - s
         return out
 
     def by_resource(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for iv in self.intervals:
-            out[iv.resource] = out.get(iv.resource, 0.0) + iv.duration
+        for r, s, e in zip(self.resources, self.starts, self.ends):
+            out[r] = out.get(r, 0.0) + (e - s)
         return out
 
     def transfer_exposure(self) -> Dict[str, float]:
@@ -138,9 +178,9 @@ class Trace:
     def _compute_union(self) -> List[tuple]:
         """Disjoint union of all kernel-execution windows (overlap witness)."""
         return _union(
-            (iv.start, iv.end)
-            for iv in self.intervals
-            if iv.category is Category.APPLICATION and iv.resource.startswith("gpu")
+            (s, e)
+            for r, s, e, c in zip(self.resources, self.starts, self.ends, self.categories)
+            if c is Category.APPLICATION and r.startswith("gpu")
         )
 
     def transfer_exposure_by_launch(self) -> Dict[Optional[int], Dict[str, Dict[str, float]]]:
@@ -157,20 +197,22 @@ class Trace:
         """
         compute = self._compute_union()
         out: Dict[Optional[int], Dict[str, Dict[str, float]]] = {}
-        for iv in self.intervals:
-            if iv.category is not Category.TRANSFERS:
+        for r, s, e, c, launch in zip(
+            self.resources, self.starts, self.ends, self.categories, self.launches
+        ):
+            if c is not Category.TRANSFERS:
                 continue
             tiers = out.setdefault(
-                iv.launch,
+                launch,
                 {
                     "intra": {"hidden": 0.0, "exposed": 0.0},
                     "inter": {"hidden": 0.0, "exposed": 0.0},
                 },
             )
-            bucket = tiers["inter" if iv.resource == "net" else "intra"]
-            hidden = _overlap(iv.start, iv.end, compute)
+            bucket = tiers["inter" if r == "net" else "intra"]
+            hidden = _overlap(s, e, compute)
             bucket["hidden"] += hidden
-            bucket["exposed"] += iv.duration - hidden
+            bucket["exposed"] += (e - s) - hidden
         return out
 
     def transfer_exposure_by_tier(self) -> Dict[str, Dict[str, float]]:
@@ -195,7 +237,7 @@ class Trace:
         return tiers
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.starts)
 
 
 def _union(intervals) -> List[tuple]:

@@ -166,3 +166,64 @@ class TestMathAndTypes:
     def test_eval_scalar_expr(self):
         e = BinOp("add", BinOp("mul", Param("n", i64), Const(4, i64)), Const(2, i64))
         assert eval_scalar_expr(e, {"n": 10}) == 42
+
+
+class TestScalarShapes:
+    """Shape expressions evaluate on one shared, read-only one-lane grid."""
+
+    @staticmethod
+    def _fresh(expr, scalars):
+        """The evaluation as it was: a new one-lane grid per expression."""
+        from repro.cuda.exec.interpreter import _eval, _Frame, _Lanes
+
+        frame = _Frame({k: np.asarray(v)[()] for k, v in scalars.items()})
+        return np.asarray(_eval(expr, _Lanes(Dim3(1), Dim3(1)), frame, None))[()]
+
+    def _kernel(self):
+        kb = KernelBuilder("shapes")
+        n, m = kb.scalar("n"), kb.scalar("m")
+        a = kb.array("a", f32, (n, n * 2 + 1))
+        b = kb.array("b", f32, (m - 3,))
+        gi = kb.global_id("x")
+        with kb.if_(gi < m - 3):
+            b[gi,] = a[0, gi]
+        return kb.finish()
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (7, 12), (64, 100)])
+    def test_shapes_unchanged(self, n, m):
+        from repro.cuda.api import resolve_array_shapes
+
+        k = self._kernel()
+        scalars = {"n": n, "m": m}
+        want = {
+            p.name: tuple(int(self._fresh(e, scalars)) for e in p.shape) for p in k.array_params
+        }
+        assert want == {"a": (n, 2 * n + 1), "b": (m - 3,)}
+        assert resolve_array_shapes(k, scalars) == want
+        assert resolve_array_shapes(k, scalars) == want  # the shared grid is unchanged
+
+    @pytest.mark.parametrize(
+        "n,m,message",
+        [
+            (0, 8, "array 'a' has non-positive extent (0, 1)"),
+            (4, 3, "array 'b' has non-positive extent (0,)"),
+            (-2, 8, "array 'a' has non-positive extent (-2, -3)"),
+        ],
+    )
+    def test_non_positive_extent_error_unchanged(self, n, m, message):
+        from repro.cuda.api import resolve_array_shapes
+        from repro.errors import RuntimeApiError
+
+        with pytest.raises(RuntimeApiError) as err:
+            resolve_array_shapes(self._kernel(), {"n": n, "m": m})
+        assert str(err.value) == message
+
+    def test_grid_registers_read_the_one_lane(self):
+        from repro.cuda.ir.exprs import GridIdx
+
+        for register in ("threadIdx", "blockIdx", "blockDim", "gridDim"):
+            e = GridIdx(register, "x")
+            assert eval_scalar_expr(e, {}) == self._fresh(e, {})
+        lane = eval_scalar_expr(GridIdx("threadIdx", "x"), {})
+        with pytest.raises(ValueError):
+            lane[...] = 5  # the shared coordinates are read-only

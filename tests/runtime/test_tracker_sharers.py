@@ -266,6 +266,51 @@ def test_update_many_equals_per_range_updates(ops):
         batched.check_invariants()
 
 
+#: One batch of sharer registrations: (ranges, device). The ranges come
+#: unsorted, may overlap or touch, and may be empty.
+share_batch_strategy = st.tuples(
+    st.lists(st.tuples(st.integers(0, SIZE), st.integers(0, SIZE)), max_size=8),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=twin_ops_strategy, batches=st.lists(share_batch_strategy, min_size=1, max_size=40))
+def test_add_sharer_many_equals_per_range_add_sharer(ops, batches):
+    """Property: one splice per batch is the per-range registration.
+
+    Twin trackers take the same writes and registrations; then each batch
+    goes to one as a single :meth:`SegmentTracker.add_sharer_many` and to
+    the other one :meth:`SegmentTracker.add_sharer` per range. Segments and
+    every op count must agree, and the batched tracker stay canonical,
+    after each step.
+    """
+    batched, twin = SegmentTracker(SIZE, 0), SegmentTracker(SIZE, 0)
+    for (kind, a, b, dev, cuts), (pairs, share_dev) in zip(ops, batches):
+        lo, hi = min(a, b), max(a, b)
+        for tr in (batched, twin):
+            if kind == 0:
+                tr.add_sharer(lo, hi, dev)
+            else:
+                tr.update_many(_cut(lo, hi, cuts), dev)
+        ranges = [(min(x, y), max(x, y)) for x, y in pairs]
+        batched.add_sharer_many(ranges, share_dev)
+        for x, y in ranges:
+            twin.add_sharer(x, y, share_dev)
+        assert batched.segments() == twin.segments()
+        assert batched.op_counts == twin.op_counts
+        batched.check_invariants()
+
+
+def test_add_sharer_many_rejects_a_stray_range_untouched():
+    tr = SegmentTracker(SIZE, 0)
+    tr.update(50, 100, 1)
+    before = (tr.segments(), dict(tr.op_counts))
+    with pytest.raises(TrackerError):
+        tr.add_sharer_many([(0, 10), (SIZE - 5, SIZE + 1)], 2)
+    assert (tr.segments(), tr.op_counts) == before
+
+
 def _query_many_over_every_segment(self, ranges):
     """``SegmentTracker.query_many`` as it was when it built every segment."""
     if not ranges:
