@@ -21,7 +21,6 @@ valid everywhere and the steady-state coherence traffic drops to zero —
 bitwise-identical results, MSI-style invalidation on writes.
 
 Run:  python examples/redundant_transfers.py
-The benchmark twin lives in benchmarks/test_redundant_transfers.py, and
 ``python -m repro bench redundancy`` runs the same study with self-checks.
 """
 

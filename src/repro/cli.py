@@ -203,7 +203,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "host_counters": counters,
         }
         write_json_report(
-            args.json, f"benchmarks/results/run_{args.workload}.json", payload
+            args.json, f"results/run_{args.workload}.json", payload
         )
     return 0
 
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _json_flag(
         p,
         "write the run's stats (including the staged-planner counters) "
-        "as JSON; bare flag uses a default path under benchmarks/results/",
+        "as JSON; bare flag uses a default path under results/",
     )
     p.set_defaults(fn=_cmd_run)
 

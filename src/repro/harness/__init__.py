@@ -1,30 +1,11 @@
-"""``repro.harness`` — experiment drivers for the paper's evaluation (§9)."""
+"""``repro.harness`` — the experiments of the paper's evaluation (§9).
 
-from repro.harness.calibration import K80_NODE_SPEC, GPU_COUNTS
-from repro.harness.experiments import (
-    run_timed,
-    reference_time,
-    figure6,
-    figure7,
-    figure8,
-    single_gpu_overhead,
-    compile_time_ratio,
-    table1_rows,
-)
-from repro.harness.identity import Observation, identity_sweep, observe
+:mod:`~repro.harness.experiments` runs the studies,
+:mod:`~repro.harness.benches` is the ``repro bench`` registry that prints
+and checks them against :mod:`~repro.harness.paper`, and
+:mod:`~repro.harness.calibration` holds the simulated K80 testbed.
+"""
 
-__all__ = [
-    "K80_NODE_SPEC",
-    "GPU_COUNTS",
-    "run_timed",
-    "reference_time",
-    "figure6",
-    "figure7",
-    "figure8",
-    "single_gpu_overhead",
-    "compile_time_ratio",
-    "table1_rows",
-    "Observation",
-    "identity_sweep",
-    "observe",
-]
+from repro.harness import calibration, experiments, identity
+
+__all__ = ["calibration", "experiments", "identity"]

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.engine import ClusterSimMachine
 from repro.cluster.topology import ClusterSpec
 from repro.compiler.costmodel import KernelCostModel
-from repro.compiler.pipeline import CompiledApp, baseline_compile, compile_app
+from repro.compiler.pipeline import CompiledApp, compile_app
 from repro.cuda.api import CudaApi
 from repro.cuda.device import Device
 from repro.harness.calibration import GPU_COUNTS, K80_CLUSTER_SPEC, K80_NODE_SPEC
@@ -44,6 +44,7 @@ __all__ = [
     "cluster_scaling",
     "redundancy_study",
     "pipeline_study",
+    "percentile",
     "single_gpu_overhead",
     "compile_time_ratio",
     "table1_rows",
@@ -656,6 +657,18 @@ def redundancy_study(
 # ---------------------------------------------------------------------------
 
 
+def percentile(values: Iterable[float], q: float) -> float:
+    """The ``q`` quantile of ``values``, interpolated linearly between ranks."""
+    data = sorted(values)
+    if not data:
+        return float("nan")
+    idx = q * (len(data) - 1)
+    lo = int(idx)
+    hi = min(lo + 1, len(data) - 1)
+    frac = idx - lo
+    return data[lo] * (1 - frac) + data[hi] * frac
+
+
 @dataclass
 class OverheadStats:
     n_gpus: int
@@ -666,14 +679,7 @@ class OverheadStats:
         return statistics.median(self.fractions)
 
     def percentile(self, q: float) -> float:
-        data = sorted(self.fractions)
-        if not data:
-            return float("nan")
-        idx = q * (len(data) - 1)
-        lo = int(idx)
-        hi = min(lo + 1, len(data) - 1)
-        frac = idx - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
+        return percentile(self.fractions, q)
 
 
 def figure8(

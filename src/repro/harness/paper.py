@@ -7,6 +7,7 @@ values are approximate (the paper prints no tables for Figures 6-8).
 from __future__ import annotations
 
 __all__ = [
+    "TABLE1",
     "MAX_SPEEDUP",
     "MAX_SPEEDUP_GPUS",
     "OVERHEAD_PERCENTILES",
@@ -14,6 +15,13 @@ __all__ = [
     "COMPILE_TIME_RATIO",
     "NON_TRANSFER_OVERHEAD_MAX",
 ]
+
+#: §9.1 / Table 1: (benchmark, small, medium, large, iterations).
+TABLE1 = (
+    ("hotspot", 8192, 16384, 36864, "1500"),
+    ("nbody", 65536, 131072, 327680, "96"),
+    ("matmul", 8192, 16384, 30656, "N/A"),
+)
 
 #: §9.1 / Figure 6: maximum speedup per workload (best size).
 MAX_SPEEDUP = {"hotspot": 7.1, "nbody": 12.4, "matmul": 6.3}

@@ -4,8 +4,8 @@ The paper (Section 6) uses isl's AST generation: control flow is limited to
 ``for`` loops and conditionals, and expressions are closed-form trees whose
 operators map 1:1 onto LLVM IR. Here the same AST maps 1:1 onto Python
 source; :mod:`repro.poly.codegen` renders and compiles it, and
-:func:`eval_expr` / :func:`interpret` provide the interpreted fallback used
-by the ablation benchmarks.
+:func:`eval_expr` / :func:`interpret` provide the interpreted fallback
+(the scalar scanner backend, ``use_codegen=False``).
 """
 
 from __future__ import annotations

@@ -19,10 +19,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import RuntimeApiError
 
-__all__ = ["H2D_DISTRIBUTIONS", "RuntimeConfig"]
-
-#: Valid ``h2d_distribution`` values, in documentation order.
-H2D_DISTRIBUTIONS = ("linear", "first_touch")
+__all__ = ["RuntimeConfig"]
 
 
 @dataclass(frozen=True)
@@ -36,16 +33,6 @@ class RuntimeConfig:
     #: γ switch: when False, dependency resolution and tracker updates are
     #: skipped entirely (which also disables synchronization transfers).
     tracking_enabled: bool = True
-    #: Verify at launch that axes the injectivity proof ignored have unit
-    #: extent (see repro.compiler.legality.check_write_access).
-    validate_unit_axes: bool = True
-    #: Host-to-device distribution pattern (§8.2). ``linear`` is the
-    #: paper's predefined distribution ("currently, this pattern is a
-    #: linear distribution among all GPUs"); ``first_touch`` keeps the data
-    #: host-resident and lets the first kernel's buffer synchronization
-    #: pull exactly each partition's read set — a partition-aligned scatter
-    #: with no redistribution traffic.
-    h2d_distribution: str = "linear"
     #: Shared-copy (owner + sharer set) coherence tracking. When True, each
     #: synchronization copy registers its destination as a *sharer* of the
     #: copied segments, so later launches skip data the reader already
@@ -90,11 +77,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.n_gpus < 1:
             raise RuntimeApiError("runtime needs at least one GPU")
-        if self.h2d_distribution not in H2D_DISTRIBUTIONS:
-            raise RuntimeApiError(
-                f"unsupported H2D distribution {self.h2d_distribution!r} "
-                f"(choose from {', '.join(H2D_DISTRIBUTIONS)})"
-            )
         from repro.sched.policy import SCHEDULES
 
         if self.schedule != "auto" and self.schedule not in SCHEDULES:

@@ -42,14 +42,13 @@ __all__ = [
 #: RuntimeConfig fields that influence plan construction (partitioning,
 #: which scans run, how copies are trimmed). Toggling any of these between
 #: otherwise-identical launches changes the fingerprint, so a cached plan
-#: can never leak across a knob flip. ``h2d_distribution`` (read by the
-#: memcpy path) and ``debug_audit`` (which only re-checks what the memos
-#: serve) stay out: neither changes what a plan contains.
+#: can never leak across a knob flip. ``debug_audit`` (which only
+#: re-checks what the memos serve) stays out: it does not change what a
+#: plan contains.
 PLANNING_CONFIG_FIELDS = (
     "n_gpus",
     "transfers_enabled",
     "tracking_enabled",
-    "validate_unit_axes",
     "shared_copies",
     "schedule",
     "pipeline_window",

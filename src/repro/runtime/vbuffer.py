@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cuda.device import HOST, DevPtr, Device
+from repro.cuda.device import DevPtr, Device
 from repro.errors import RuntimeApiError
 from repro.runtime.tracker import SegmentTracker
 
@@ -35,10 +35,6 @@ class VirtualBuffer:
         }
         self.tracker = SegmentTracker(nbytes, initial_owner=devices[0].device_id)
         self.freed = False
-        #: Host-resident staging copy, created on first use. The tracker may
-        #: name ``HOST`` as a segment owner (first-touch H2D distribution);
-        #: this array backs those segments until the first kernel pulls them.
-        self._host_mirror: Optional[np.ndarray] = None
         #: Invoked when the host observes this buffer's coherence state —
         #: the runtime wires the pipelined executor's flush here so a user
         #: tracker query is a pipeline drain point.
@@ -53,22 +49,9 @@ class VirtualBuffer:
                 f"virtual buffer {self.vb_id} has no instance on device {device_id}"
             ) from None
 
-    def host_mirror(self) -> np.ndarray:
-        """The host-resident staging copy (lazily allocated)."""
-        self._check()
-        if self._host_mirror is None:
-            self._host_mirror = np.zeros(self.nbytes, dtype=np.uint8)
-        return self._host_mirror
-
     def bytes_on(self, device_id: int) -> np.ndarray:
-        """Mutable byte view of the instance on one device (functional mode).
-
-        ``HOST`` resolves to the host mirror, so transfers sourced from
-        host-owned tracker segments read through the same interface.
-        """
+        """Mutable byte view of the instance on one device (functional mode)."""
         self._check()
-        if device_id == HOST:
-            return self.host_mirror()
         return self._devices[device_id].bytes_view(self.instance(device_id))
 
     def typed_on(self, device_id: int, np_dtype: np.dtype, shape) -> np.ndarray:

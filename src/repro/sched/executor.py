@@ -43,7 +43,8 @@ neighbour's buffer proceed concurrently.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cuda.exec.interpreter import AccessTrace, run_kernel
 from repro.cuda.ir.kernel import ArrayParam, ScalarParam, partition_field_name
@@ -107,6 +108,11 @@ class DataflowLog:
     def __init__(self) -> None:
         self._write: Dict[_Key, List[_Event]] = {}
         self._read: Dict[_Key, List[_Event]] = {}
+        self._waves = itertools.count(1)
+
+    def new_wave(self) -> int:
+        """A fresh wave id, unique and increasing within this log."""
+        return next(self._waves)
 
     @staticmethod
     def _note(
@@ -318,13 +324,14 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
 _CHARGE, _COPY, _STREAM_COPY, _SYNC, _GANG_SYNC, _KERNEL, _DAG_KERNEL = range(7)
 
 IssueProgram = Tuple[tuple, ...]
+TransferOrder = Sequence[Tuple[ReadSync, TransferTask]]
 
 
 def lower_issue_program(
     api: "MultiGpuApi",
     plan: LaunchPlan,
     policy: SchedulePolicy,
-    transfer_order: Optional[Sequence[Tuple[ReadSync, TransferTask]]] = None,
+    transfer_order: Optional[TransferOrder] = None,
 ) -> IssueProgram:
     """One plan's simulated issue under ``policy`` as a flat op tuple.
 
@@ -549,27 +556,29 @@ def issue_plan_sim(
     *,
     launch: Optional[int] = None,
     wave: Optional[int] = None,
-    transfer_order: Optional[Sequence[Tuple[ReadSync, TransferTask]]] = None,
+    transfer_order: Optional[Callable[[LaunchPlan], Optional[TransferOrder]]] = None,
 ) -> None:
     """The flush-time half of one launch: simulated host charges + device ops.
 
     Issues the plan's program (:func:`lower_issue_program`) for ``policy``,
-    lowering it on the plan's first issue under that policy and order: a
-    replayed plan is the same object every iteration, so a steady loop
-    lowers once and only runs afterwards. ``launch`` tags every device op
-    for per-launch trace attribution; ``wave`` is the launch's dependence
-    wave captured at submit time (see :class:`DataflowLog`).
-    ``transfer_order`` is the halo-first copy order, a function of the plan
-    and the cluster; only whether one is given keys the memo.
+    lowering it on the plan's first issue under that policy: a replayed
+    plan is the same object every iteration, so a steady loop lowers once
+    and only runs afterwards. ``launch`` tags every device op for
+    per-launch trace attribution; ``wave`` is the launch's dependence wave
+    captured at submit time (see :class:`DataflowLog`).
+    ``transfer_order(plan)`` gives the halo-first copy order or None. It is
+    called only when lowering: plans live in their api's residual memo, so
+    whether an order exists is fixed per plan object.
     """
-    key = (policy, transfer_order is not None)
-    program = plan.issue_programs.get(key)
+    def lower() -> IssueProgram:
+        order = transfer_order(plan) if transfer_order is not None else None
+        return lower_issue_program(api, plan, policy, order)
+
+    program = plan.issue_programs.get(policy)
     if program is None:
-        program = plan.issue_programs[key] = lower_issue_program(
-            api, plan, policy, transfer_order
-        )
+        program = plan.issue_programs[policy] = lower()
     elif api.config.debug_audit:
-        fresh = lower_issue_program(api, plan, policy, transfer_order)
+        fresh = lower()
         if fresh != program:
             raise MemoAuditError(
                 f"plan of kernel {plan.ck.kernel.name!r} served a stale issue "
@@ -680,7 +689,7 @@ class PipelineExecutor:
                 policy,
                 launch=launch_index,
                 wave=wave,
-                transfer_order=self._transfer_order(plan),
+                transfer_order=self._transfer_order,
             )
         self.pending.clear()
         self._policies.clear()

@@ -222,10 +222,10 @@ class LaunchPlan:
     kernels: List[KernelTask] = field(default_factory=list)
     #: Per non-empty partition (in device order): its tracker updates.
     updates: List[List[WriteUpdate]] = field(default_factory=list)
-    #: Lowered simulated issue per (policy, halo-first order or not), filled
-    #: on first issue (repro.sched.executor.issue_plan_sim). Derived from
-    #: the fields above, so it takes no part in plan equality.
-    issue_programs: Dict[tuple, tuple] = field(
+    #: Lowered simulated issue per policy, filled on first issue
+    #: (repro.sched.executor.issue_plan_sim). Derived from the fields above
+    #: (and the api's halo-first order), so it takes no part in plan equality.
+    issue_programs: Dict[object, tuple] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -601,7 +601,7 @@ def build_plan_skeleton(
     shapes = resolve_array_shapes(kernel, scalars)
     if not ck.partitionable:
         return launch_fallback(api, ck, grid, block, scalars, shapes, fingerprint)
-    if validate and api.config.validate_unit_axes:
+    if validate:
         for axis in ck.model.unit_axes:
             if grid.axis(axis) * block.axis(axis) != 1:
                 from repro.errors import PartitioningError

@@ -39,7 +39,6 @@ runtime's whole-buffer plans for unpartitionable kernels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -53,10 +52,6 @@ from repro.tasks.spec import _GRAPH_STACK, Task, TaskHandle
 __all__ = ["TaskEdge", "TaskGraph", "TaskGraphStats"]
 
 _PASS_NAME = "taskgraph"
-
-#: Process-unique dependence-wave ids: two graphs run against one API must
-#: never reuse a wave id, or the dataflow log would skip true dependencies.
-_WAVE_IDS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -370,6 +365,8 @@ class TaskGraph:
             indegree[e.dst] += 1
             succs[e.src].append(e.dst)
         ready = sorted(i for i, d in enumerate(indegree) if d == 0)
+        # A single-device CudaApi keeps no dataflow log and has no waves.
+        log = getattr(api, "dataflow", None)
         try:
             while ready:
                 self.stats.ready_peak = max(self.stats.ready_peak, len(ready))
@@ -378,7 +375,7 @@ class TaskGraph:
                 # pair is either footprint-disjoint or RAR-only — there is
                 # no edge between them by construction. The shared wave id
                 # tells the dataflow log their launches may overlap.
-                wave = next(_WAVE_IDS)
+                wave = log.new_wave() if log is not None else None
                 unlocked: List[int] = []
                 for i in ready:
                     t = self.tasks[i]

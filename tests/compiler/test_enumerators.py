@@ -153,3 +153,22 @@ class TestEnumeratorTable:
         assert table.get("stencil", "dst", "write") is not None
         assert table.get("stencil", "dst", "read") is None
         assert [e.array for e in table.for_kernel("stencil", "read")] == ["src"]
+
+
+def test_union_scan_is_exact_per_convex_piece():
+    """§6.1: the bands [0, n) and [3n, 4n) scan apart; their hull would
+    ship the 2n gap too."""
+    kb = KernelBuilder("tworeads")
+    n = kb.scalar("n")
+    src = kb.array("src", f32, (4 * n,))
+    dst = kb.array("dst", f32, (n,))
+    gi = kb.global_id("x")
+    with kb.if_(gi < n):
+        dst[gi,] = src[gi,] + src[gi + 3 * n,]
+    enum = build_enumerator(analyze_kernel(kb.finish()), "src", "read")
+    grid, n = Dim3(8), 256
+    ranges, _ = enum.element_ranges(Partition.whole(grid), Dim3(32), grid, {"n": n}, (4 * n,))
+    assert ranges == [(0, n), (3 * n, 4 * n)]
+    exact = sum(hi - lo for lo, hi in ranges)
+    hull = max(hi for _, hi in ranges) - min(lo for lo, _ in ranges)
+    assert hull >= 1.9 * exact

@@ -17,10 +17,6 @@ class TestValidation:
         with pytest.raises(RuntimeApiError):
             RuntimeConfig(n_gpus=0)
 
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(RuntimeApiError):
-            RuntimeConfig(h2d_distribution="round_robin")
-
 
 class TestMeasurementModes:
     def test_alpha(self):

@@ -107,7 +107,6 @@ class TestFingerprintStaleness:
         "n_gpus": 2,
         "transfers_enabled": False,
         "tracking_enabled": False,
-        "validate_unit_axes": False,
         "shared_copies": True,
         "schedule": "overlap",
         "pipeline_window": 4,
@@ -170,13 +169,12 @@ class TestFingerprintStaleness:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("h2d_distribution", "first_touch"), pytest.param("debug_audit", True, id="debug_audit")],
+        [pytest.param("debug_audit", True, id="debug_audit")],
     )
     def test_non_planning_flip_hits(self, name, value):
         """Fields no plan builder reads stay out of the key: a flip hits.
 
-        ``h2d_distribution`` steers host-to-device copies and
-        ``debug_audit`` re-checks what the memos serve; neither changes a
+        ``debug_audit`` re-checks what the memos serve; it does not change a
         skeleton, so the flipped run must keep hitting and stay bitwise
         equal to an audited run driven through the same flip.
         """

@@ -10,7 +10,6 @@ must agree on the trace (interval for interval), on both
 """
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.sched import executor
 from repro.sim.engine import SimMachine
-from repro.tasks import graph as taskgraph
 from repro.workloads import ALL_WORKLOADS, EXTRA_WORKLOADS, functional_config
 from tests.sched import issue_oracle
 
@@ -80,18 +78,17 @@ def _observe(api, host):
     return states, trace, dataclasses.asdict(api.stats)
 
 
-def _twice(monkeypatch, make_api, host):
-    """(shipped, oracle) observations of one host program.
+def _oracle_issue(api, plan, policy, *, transfer_order=None, **kwargs):
+    """The oracle, handed the halo-first order the executor would lower with."""
+    order = transfer_order(plan) if transfer_order is not None else None
+    issue_oracle.issue_plan_sim(api, plan, policy, transfer_order=order, **kwargs)
 
-    Task-graph waves draw their ids from a process-wide counter; each run
-    numbers them from zero so the event tables compare equal.
-    """
+
+def _twice(monkeypatch, make_api, host):
+    """(shipped, oracle) observations of one host program."""
+    shipped = _observe(make_api(), host)
     with monkeypatch.context() as m:
-        m.setattr(taskgraph, "_WAVE_IDS", itertools.count())
-        shipped = _observe(make_api(), host)
-    with monkeypatch.context() as m:
-        m.setattr(taskgraph, "_WAVE_IDS", itertools.count())
-        m.setattr(executor, "issue_plan_sim", issue_oracle.issue_plan_sim)
+        m.setattr(executor, "issue_plan_sim", _oracle_issue)
         oracle = _observe(make_api(), host)
     return shipped, oracle
 
@@ -228,12 +225,12 @@ def test_transfers_or_tracking_off_issue_as_the_oracle(ablation, schedule, monke
         _assert_same(*_twice(monkeypatch, make_api, host), (ablation, schedule, topology))
 
 
-def _hotspot_api(**config):
+def _hotspot_api(machine=None, **config):
     wl = ALL_WORKLOADS["hotspot"](functional_config("hotspot", iterations=4))
     api = MultiGpuApi(
         compile_app(wl.build_kernels()),
         RuntimeConfig(n_gpus=4, **config),
-        machine=SimMachine(K80_NODE_SPEC.with_gpus(4)),
+        machine=machine or SimMachine(K80_NODE_SPEC.with_gpus(4)),
         functional=False,
     )
     plans = []
@@ -257,6 +254,42 @@ def test_a_replayed_plan_lowers_once():
     assert all(len(p.issue_programs) == 1 for p in plans)
 
 
+def test_halo_first_order_is_computed_once_per_plan(monkeypatch):
+    """Replayed launches reuse the lowered program, order included."""
+    from repro.cluster import gang
+
+    tiers, calls = gang.transfer_priority_tiers, []
+
+    def counted(plan, cluster):
+        calls.append(id(plan))
+        return tiers(plan, cluster)
+
+    monkeypatch.setattr(gang, "transfer_priority_tiers", counted)
+    api, plans = _hotspot_api(
+        ClusterSimMachine(k80_cluster(2, 2)), schedule="overlap+p2p", pipeline_window=4
+    )
+    distinct = {id(p) for p in plans}
+    assert api.stats.residual_cache_hits > 0 and len(distinct) < len(plans)
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_identical_task_graph_runs_record_equal_event_tables():
+    """Waves are numbered per dataflow log, not per process."""
+    wl = EXTRA_WORKLOADS["cholesky"](functional_config("cholesky", size=16))
+    inputs = wl.make_inputs(seed=0)
+    app = compile_app(wl.build_kernels())
+
+    def tables():
+        api = MultiGpuApi(app, RuntimeConfig(n_gpus=4, schedule="overlap"), machine=_MACHINES["flat"]())
+        wl.run(api, inputs, mode="graph")
+        return _state(api)[2]
+
+    first = tables()
+    waves = {r[3] for table in first for records in table.values() for r in records}
+    assert waves - {None}, "the graph run recorded no wave-tagged events"
+    assert tables() == first
+
+
 def test_programs_take_no_part_in_plan_equality():
     _, plans = _hotspot_api(schedule="overlap")
     plan = plans[-1]
@@ -267,13 +300,13 @@ def test_programs_take_no_part_in_plan_equality():
 def test_audit_catches_a_stale_program():
     api, plans = _hotspot_api(schedule="overlap", debug_audit=True)
     plan = plans[-1]
-    ((key, program),) = plan.issue_programs.items()
+    ((policy, program),) = plan.issue_programs.items()
     charge = next(i for i, op in enumerate(program) if op[0] == executor._CHARGE)
     doubled = (executor._CHARGE, program[charge][1] * 2)
     stale = program[:charge] + (doubled,) + program[charge + 1 :]
-    plan.issue_programs[key] = stale
+    plan.issue_programs[policy] = stale
     with pytest.raises(MemoAuditError, match="stale issue program"):
-        executor.issue_plan_sim(api, plan, key[0])
+        executor.issue_plan_sim(api, plan, policy)
 
 
 def test_gang_barriers_issue_nodes_in_event_order(monkeypatch):

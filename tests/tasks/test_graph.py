@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TaskGraphError, exit_code_for
+from repro.sched.executor import DataflowLog
 from repro.tasks import TaskGraph, TaskSpace, opaque, span, task, whole
 
 
@@ -12,12 +13,13 @@ class Buf:
 
 
 class FakeApi:
-    """Just enough API surface for the graph runtime: a barrier counter."""
+    """Just enough API surface for the graph runtime: barriers and waves."""
 
     def __init__(self):
         self.syncs = 0
         self._placement_offset = None
         self._dataflow_wave = None
+        self.dataflow = DataflowLog()
 
     def cudaDeviceSynchronize(self):
         self.syncs += 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.harness import experiments as ex
 
 
 class TestAnalyze:
@@ -72,14 +73,15 @@ def _replace_where(points, match, **changes):
 class TestBench:
     def test_table1(self, capsys):
         assert main(["bench", "table1"]) == 0
-        assert "36864" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "36864" in out and "checks passed" in out
 
     def test_figure6_tiny(self, capsys):
         assert (
             main(["bench", "figure6", "--gpu-counts", "1", "2", "--sizes", "small"]) == 0
         )
         out = capsys.readouterr().out
-        assert "Speedup" in out and "hotspot" in out
+        assert "Speedup" in out and "hotspot" in out and "checks passed" in out
 
     def test_overhead(self, monkeypatch, capsys):
         import functools
@@ -125,17 +127,38 @@ class TestBenchPlantedViolations:
         err = capsys.readouterr().err
         assert f"FAIL: {needle}" in err, err
 
-    def test_schedules(self, monkeypatch, capsys):
-        from repro.harness import experiments as ex
+    def test_table1(self, monkeypatch, capsys):
+        _doctor(monkeypatch, ex, "table1_rows", lambda rows: rows[:2])
+        self._fails(["table1"], capsys, "table1: no row ('matmul'")
 
+    def test_figure6(self, monkeypatch, capsys):
+        _doctor(monkeypatch, ex, "figure6", lambda pts: _replace_where(
+            pts, lambda p: p.workload == "nbody", time=1e3
+        ))
+        self._fails(["figure6", "--gpu-counts", "1", "--sizes", "small"], capsys,
+                    "baseline: nbody/small")
+
+    def test_figure7(self, monkeypatch, capsys):
+        _doctor(monkeypatch, ex, "figure7", lambda rows: _replace_where(
+            rows, lambda r: r.workload == "matmul", gamma=0.0
+        ))
+        self._fails(["figure7", "--gpu-counts", "2"], capsys,
+                    "shares: matmul at 2 GPUs spends no time")
+
+    def test_figure8(self, monkeypatch, capsys):
+        _doctor(monkeypatch, ex, "figure8", lambda stats: _replace_where(
+            stats, lambda s: True, fractions=[0.5]
+        ))
+        self._fails(["figure8", "--gpu-counts", "2", "--sizes", "small"], capsys,
+                    "bound: overall max")
+
+    def test_schedules(self, monkeypatch, capsys):
         _doctor(monkeypatch, ex, "schedule_comparison", lambda pts: _replace_where(
             pts, lambda p: p.schedule == "overlap" and p.n_gpus == 4, time=1e3
         ))
         self._fails(["schedules", "--gpu-counts", "1", "4"], capsys, "regression: hotspot overlap")
 
     def test_cluster(self, monkeypatch, capsys):
-        from repro.harness import experiments as ex
-
         _doctor(monkeypatch, ex, "cluster_scaling", lambda pts: _replace_where(
             pts, lambda p: p.n_nodes == 1, inter_node_transfers=3
         ))
@@ -143,8 +166,6 @@ class TestBenchPlantedViolations:
         self._fails(argv, capsys, "1-node run reports inter-node traffic")
 
     def test_pipeline(self, monkeypatch, capsys):
-        from repro.harness import experiments as ex
-
         _doctor(monkeypatch, ex, "pipeline_study", lambda pts: _replace_where(
             pts, lambda p: p.pipeline_window == 4, exposed_transfer_time=1.0
         ))
@@ -155,7 +176,6 @@ class TestBenchPlantedViolations:
         import functools
 
         from repro.harness import benches
-        from repro.harness import experiments as ex
 
         monkeypatch.setattr(ex, "redundancy_study", functools.partial(ex.redundancy_study, n=256))
         # The linter cross-check has its own tests in tests/analysis/test_dataflow.py.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.pipeline import compile_app
+from repro.cuda.api import CudaApi
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.workloads import EXTRA_WORKLOADS, functional_config
@@ -17,6 +18,15 @@ def _run(wl, mode="graph", n_gpus=4, **cfg_kwargs):
     api = MultiGpuApi(app, RuntimeConfig(n_gpus=n_gpus, **cfg_kwargs))
     got = wl.run(api, inputs, mode=mode)
     return got, inputs, api
+
+
+@pytest.mark.parametrize("name", ["cholesky", "imgpipe"])
+def test_graph_runs_on_the_single_device_api(name):
+    """The workloads' single-GPU reference runs graph mode, bitwise like MultiGpuApi."""
+    wl = EXTRA_WORKLOADS[name](functional_config(name))
+    got, inputs, _ = _run(wl)
+    ref = wl.run(CudaApi(), inputs, mode="graph")
+    assert all(np.array_equal(got[key], ref[key]) for key in ref)
 
 
 class TestRegistration:
