@@ -13,7 +13,7 @@ Three transfer pathologies, one lint code each:
 3. `RP603` false cross-launch serialization — a column-gather kernel whose
    128 single-element column reads blow the dataflow log's 64-run event
    cap; the capped read envelope overlaps every partition's writes even
-   though the exact sets are disjoint, so the pipelined scheduler
+   though the exact sets are disjoint, so the scheduler
    serializes launches that are actually independent.
 
 The demo then shows the remedy twice over: modelling

@@ -1,28 +1,25 @@
 #!/usr/bin/env python3
-"""Cross-launch pipelining, demonstrated (see docs/scheduler.md).
+"""``pipeline_window`` on a cluster: plan-order against halo-first copies.
 
-An iteration loop normally drains each launch's task DAG before the host
-builds the next one: the first halo copies of iteration k+1 wait for the
-*slowest* kernel of iteration k even though the partitions they feed
-finished long ago. With ``RuntimeConfig(pipeline_window=N)`` the runtime
-buffers up to N consecutive launches and drains them as one fused DAG —
-cross-launch dependencies stay interval-precise (an interior partition of
-iteration k+1 starts with *zero* edges into iteration k), and on a
-cluster the fused window issues inter-node halo copies before interior
-traffic so the scarce NIC lanes start early.
+Every launch is issued when it is submitted, as the paper's host code
+drains every launch (Figure 4), so the window buffers nothing. Its one
+effect is the order in which a launch's copies go out on a cluster: at
+``pipeline_window=1`` they issue in plan order, partition by partition;
+at any value > 1 they issue halo-first — inter-node halo copies, then
+intra-node seam feeders, then interior copies
+(``repro.cluster.gang.halo_first_order``), whenever the halo is a
+minority of the launch's copy bytes. See docs/scheduler.md.
 
 Three things to observe in the output:
 
-1. the host-visible results are **bitwise identical** at every window
-   (buffering only moves *simulated issue*; the functional half of each
-   launch still runs at submit time);
-2. ``window=1`` reproduces the per-launch orchestration exactly — same
-   simulated time, same trace — so pipelining is purely opt-in;
-3. the flush counter drops from one flush per launch to one per window,
-   and on the cluster the fused window reorders copy issue halo-first.
-   How much *exposed* transfer time that trims is size-dependent (this
-   demo's grid is deliberately tiny); ``repro bench pipeline`` enforces
-   the >=25 % reduction at paper sizes.
+1. the host-visible results are **bitwise identical** under both orders
+   (the order moves simulated issue only);
+2. the first copies of one launch: plan order starts on the intra-node
+   lanes, halo-first on the network (``net``);
+3. time and exposed transfer time per order and schedule. Whether the
+   halo-first order helps depends on the schedule and the problem size;
+   ``repro bench pipeline`` and docs/scheduler.md record where it trims
+   exposed time and where it adds to it.
 
 Run:  python examples/pipeline_demo.py
 """
@@ -34,92 +31,65 @@ from repro.cluster.topology import ClusterSpec
 from repro.compiler import compile_app
 from repro.harness.calibration import K80_NODE_SPEC
 from repro.runtime import MultiGpuApi, RuntimeConfig
+from repro.sim.trace import Category
 from repro.workloads.common import ProblemConfig
 from repro.workloads.hotspot import HotspotWorkload
 
-N = 1024
-ITERS = 12
+N = 512
+ITERS = 8
 NODES, GPUS_PER_NODE = 2, 4
-WINDOWS = (1, 2, 4)
+#: pipeline_window per copy order.
+ORDERS = {"plan order": 1, "halo-first": 2}
+SHOWN_LAUNCH, SHOWN_COPIES = 3, 6
 
 
-def run(window: int, schedule: str = "overlap+p2p"):
-    cfg = ProblemConfig("hotspot", "demo", N, ITERS)
-    workload = HotspotWorkload(cfg)
-    app = compile_app(workload.build_kernels())
-    cluster = ClusterSpec(
-        n_nodes=NODES, node=K80_NODE_SPEC.with_gpus(GPUS_PER_NODE)
-    )
+def run(schedule: str, window: int):
+    workload = HotspotWorkload(ProblemConfig("hotspot", "demo", N, ITERS))
+    cluster = ClusterSpec(n_nodes=NODES, node=K80_NODE_SPEC.with_gpus(GPUS_PER_NODE))
     api = MultiGpuApi(
-        app,
-        RuntimeConfig(
-            n_gpus=cluster.total_gpus,
-            schedule=schedule,
-            pipeline_window=window,
-        ),
+        compile_app(workload.build_kernels()),
+        RuntimeConfig(n_gpus=cluster.total_gpus, schedule=schedule, pipeline_window=window),
         machine=ClusterSimMachine(cluster),
     )
-    result = workload.run(api, workload.make_inputs(seed=11))
-    return result, api
+    return workload.run(api, workload.make_inputs(seed=11)), api
+
+
+def first_copies(api) -> str:
+    """The resources of the first copies one launch issued, in issue order."""
+    copies = [
+        iv.resource
+        for iv in api.machine.trace.intervals
+        if iv.category is Category.TRANSFERS and iv.launch == SHOWN_LAUNCH
+    ]
+    return " ".join(copies[:SHOWN_COPIES])
 
 
 def main():
-    print(
-        f"Hotspot {N}x{N}, {ITERS} iterations, "
-        f"{NODES}x{GPUS_PER_NODE} simulated cluster\n"
-    )
-
-    baseline, seq_api = run(1, schedule="sequential")
-    seq_exposed = seq_api.machine.trace.transfer_exposure()["exposed"]
-    print(
-        f"{'window':<8} {'time [s]':>10} {'exposed [ms]':>13} "
-        f"{'flushes':>8} {'max batch':>10}"
-    )
-    print(
-        f"{'seq':<8} {seq_api.elapsed():>10.4f} {seq_exposed * 1e3:>13.3f} "
-        f"{seq_api.stats.pipeline_flushes:>8} "
-        f"{seq_api.stats.pipeline_max_batch:>10}"
-    )
-
+    print(f"Hotspot {N}x{N}, {ITERS} iterations, {NODES}x{GPUS_PER_NODE} simulated cluster\n")
+    print(f"{'schedule':<12} {'order':<11} {'time [ms]':>10} {'exposed [ms]':>13} {'hidden':>7}")
     results = {}
-    for window in WINDOWS:
-        result, api = run(window)
-        results[window] = result
-        exposed = api.machine.trace.transfer_exposure()["exposed"]
-        print(
-            f"{window:<8} {api.elapsed():>10.4f} {exposed * 1e3:>13.3f} "
-            f"{api.stats.pipeline_flushes:>8} "
-            f"{api.stats.pipeline_max_batch:>10}"
-        )
+    shown = {}
+    for schedule in ("sequential", "overlap+p2p"):
+        for order, window in ORDERS.items():
+            results[schedule, order], api = run(schedule, window)
+            exposure = api.machine.trace.transfer_exposure()
+            total = exposure["hidden"] + exposure["exposed"]
+            print(
+                f"{schedule:<12} {order:<11} {api.elapsed() * 1e3:>10.3f} "
+                f"{exposure['exposed'] * 1e3:>13.3f} {exposure['hidden'] / total:>7.1%}"
+            )
+            if schedule == "overlap+p2p":
+                shown[order] = first_copies(api)
 
-    for window in WINDOWS:
-        for key in baseline:
-            assert np.array_equal(baseline[key], results[window][key]), window
-    print("\nall windows produced bitwise-identical results")
+    print(f"\nfirst {SHOWN_COPIES} copies of launch {SHOWN_LAUNCH} (overlap+p2p):")
+    for order, copies in shown.items():
+        print(f"  {order:<11} {copies}")
 
-    # The flush points are the host-visible operations: a D2H memcpy, a
-    # device synchronize, or a tracker query each drain the window early.
-    cfg = ProblemConfig("hotspot", "demo", N, 2)
-    workload = HotspotWorkload(cfg)
-    app = compile_app(workload.build_kernels())
-    api = MultiGpuApi(
-        app, RuntimeConfig(n_gpus=4, schedule="overlap+p2p", pipeline_window=8)
-    )
-    import repro.cuda.api as cuda_api
-
-    nbytes = N * N * 4
-    a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
-    api.cudaMemcpy(
-        a, np.zeros((N, N), np.float32), nbytes, cuda_api.MemcpyKind.HostToDevice
-    )
-    api.cudaMemset(b, 0, nbytes)
-    grid, block = workload.launch_config()
-    kernel = workload.build_kernels()[0]
-    api.launch(kernel, grid, block, [a, b])
-    api.launch(kernel, grid, block, [b, a])
-    print(f"\nwindow=8 buffers both launches: depth={api.pipeline.depth}")
-    a.coherence_state()  # host-visible -> implicit flush
-    print(f"after a tracker query:          depth={api.pipeline.depth}")
+    baseline = results["sequential", "plan order"]
+    for key, result in results.items():
+        for name in baseline:
+            assert np.array_equal(baseline[name], result[name]), (key, name)
+    print("\nboth orders under both schedules produced bitwise-identical results")
 
 
 if __name__ == "__main__":

@@ -684,7 +684,7 @@ class DataflowPass(AnalysisPass):
                         "RP603",
                         f"partition {q}'s capped read envelope of {array!r} "
                         "overlaps writes its exact ranges never touch; the "
-                        "pipelined scheduler serializes independent "
+                        "scheduler's dataflow log serializes independent "
                         f"launches over {total_bytes(phantom)} phantom bytes",
                         kernel=info.kernel.name,
                         array=array,

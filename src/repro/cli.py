@@ -19,7 +19,7 @@ Commands
 ``run --schedule {sequential,overlap,overlap+p2p,auto}`` picks the
 launch-scheduler policy (docs/scheduler.md); ``--shared-copies``,
 ``--pipeline-window N`` and ``--irredundant-transfers`` turn on shared-copy
-coherence, fused launch windows and exact-read-set copies. ``run --json``
+coherence, halo-first cluster copies (N > 1) and exact-read-set copies. ``run --json``
 writes the run's stats, including the staged-planner counters.
 ``machine``   show the calibrated machine model.
 
@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pipeline-window",
         type=int,
         default=1,
-        help="fuse this many consecutive launches into one scheduling "
-        "window (default 1: per-launch orchestration)",
+        help="values > 1 issue each launch's cluster copies halo-first "
+        "(default 1: plan order)",
     )
     p.add_argument(
         "--irredundant-transfers",

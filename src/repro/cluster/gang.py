@@ -21,17 +21,25 @@ remote node's GPUs is a halo too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.topology import ClusterSpec
 from repro.errors import SimulationError
-from repro.sched.graph import KernelTask, LaunchPlan, TransferTask, merge_event_ranges
+from repro.sched.graph import (
+    KernelTask,
+    LaunchPlan,
+    ReadSync,
+    TransferTask,
+    merge_event_ranges,
+)
 
 __all__ = [
     "NodePlan",
     "GangPlan",
     "HaloTierSummary",
+    "HALO_MAJORITY_RATIO",
     "build_gang_plan",
+    "halo_first_order",
     "halo_tier_summary",
     "transfer_priority_tiers",
 ]
@@ -187,7 +195,7 @@ def halo_tier_summary(plan: LaunchPlan, cluster: ClusterSpec) -> HaloTierSummary
 def transfer_priority_tiers(plan: LaunchPlan, cluster: ClusterSpec) -> Dict[int, int]:
     """Issue priority per transfer node id: lower tiers go to the lanes first.
 
-    The pipelined executor drains a fused window's copies halo-first:
+    The tiers of :func:`halo_first_order`:
 
     * tier 0 — inter-node halo copies (they occupy the scarce NIC/fabric
       tier, and a seam partition of the *next* launch blocks on them);
@@ -198,8 +206,8 @@ def transfer_priority_tiers(plan: LaunchPlan, cluster: ClusterSpec) -> Dict[int,
     * tier 2 — interior copies, which only ever feed their own node's
       partitions and can backfill any remaining lane gaps.
 
-    Within a tier the executor preserves plan order, so a flat machine (or
-    a halo-free launch) degenerates to the legacy issue order exactly.
+    Within a tier :func:`halo_first_order` preserves plan order, so a
+    halo-free launch degenerates to the plan's issue order exactly.
     """
     gang = build_gang_plan(plan, cluster)
     halo_nodes = {t.node for t in gang.halo_transfers}
@@ -216,6 +224,35 @@ def transfer_priority_tiers(plan: LaunchPlan, cluster: ClusterSpec) -> Dict[int,
         else:
             tiers[t.node] = 2
     return tiers
+
+
+#: Halo-first reordering applies only when the node-crossing copies are a
+#: *minority* of the plan's transfer bytes. The priority targets seam
+#: exchanges (a thin halo ahead of a fat interior); when most traffic
+#: crosses nodes anyway — e.g. an all-to-all broadcast — there is no
+#: interior worth backfilling and hoisting the whole network leg only
+#: delays the intra-node copies it was meant to overlap with.
+HALO_MAJORITY_RATIO = 0.5
+
+
+def halo_first_order(
+    plan: LaunchPlan, cluster: ClusterSpec
+) -> Optional[List[Tuple[ReadSync, TransferTask]]]:
+    """The plan's (read sync, copy) pairs in tier order, or None for plan order.
+
+    None when every copy sits in one tier or when the halo tier carries at
+    least :data:`HALO_MAJORITY_RATIO` of the plan's transfer bytes.
+    """
+    tiers = transfer_priority_tiers(plan, cluster)
+    if len(set(tiers.values())) <= 1:
+        return None
+    total = sum(t.nbytes for t in plan.transfers)
+    halo = sum(t.nbytes for t in plan.transfers if tiers[t.node] == 0)
+    if total == 0 or halo >= HALO_MAJORITY_RATIO * total:
+        return None
+    pairs = [(rs, t) for syncs in plan.reads for rs in syncs for t in rs.transfers]
+    # Stable sort: within a tier the plan order is preserved.
+    return sorted(pairs, key=lambda pair: tiers[pair[1].node])
 
 
 def build_gang_plan(plan: LaunchPlan, cluster: ClusterSpec) -> GangPlan:

@@ -571,14 +571,6 @@ class KernelAccessInfo:
     #: order (consumed by the static-analysis passes of :mod:`repro.analysis`).
     raw_accesses: Tuple[RawAccess, ...] = ()
 
-    @property
-    def written_arrays(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.writes))
-
-    @property
-    def read_arrays(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.reads))
-
 
 def _kernel_params(kernel: Kernel) -> Tuple[str, ...]:
     scalars = tuple(p.name for p in kernel.scalar_params if not p.dtype.is_float)

@@ -58,14 +58,6 @@ class RewriteResult:
     api_substitutions: Dict[str, int] = field(default_factory=dict)
     launch_substitutions: List[str] = field(default_factory=list)
 
-    @property
-    def total_substitutions(self) -> int:
-        return (
-            self.header_insertions
-            + sum(self.api_substitutions.values())
-            + len(self.launch_substitutions)
-        )
-
 
 def rewrite_source(
     source: str,

@@ -136,8 +136,6 @@ def run_timed(
             machine = SimMachine(spec.with_gpus(max(n_gpus, 1)))
         api = MultiGpuApi(app, config, machine=machine, functional=False)
         workload.run(api, None)
-        # api.elapsed(), not machine.elapsed(): reading the clock through
-        # the api drains any pipelined launches still buffered.
         return api.elapsed(), api
 
     return _extrapolated(cfg, run_once)
@@ -221,9 +219,14 @@ def measure_breakdown(
     return BreakdownRow(cfg.workload, n_gpus, alpha, beta, gamma)
 
 
+#: The GPU counts of the paper's Figure 7: one GPU has no coherence
+#: transfers to break down.
+FIGURE7_GPU_COUNTS = (2, 4, 6, 8, 10, 12, 14, 16)
+
+
 def figure7(
     workloads: Sequence[str] = ("hotspot", "matmul", "nbody"),
-    gpu_counts: Sequence[int] = (2, 4, 6, 8, 10, 12, 14, 16),
+    gpu_counts: Sequence[int] = FIGURE7_GPU_COUNTS,
     spec: MachineSpec = K80_NODE_SPEC,
     size: str = "medium",
     schedule: Optional[str] = None,
@@ -394,7 +397,7 @@ def cluster_scaling(
 
 
 # ---------------------------------------------------------------------------
-# Cross-launch pipelining: fused launch windows vs per-launch orchestration
+# pipeline_window: halo-first cluster copies vs per-launch plan order
 # ---------------------------------------------------------------------------
 
 
@@ -416,9 +419,6 @@ class PipelinePoint:
     #: path (seconds on the *sampled* — not extrapolated — run).
     hidden_transfer_time: float
     exposed_transfer_time: float
-    #: Pipelined-executor counters from the sampled run.
-    pipeline_flushes: int
-    pipeline_max_batch: int
     estimate_cache_hits: int
     estimate_cache_misses: int
 
@@ -441,7 +441,7 @@ def pipeline_study(
     base: ClusterSpec = K80_CLUSTER_SPEC,
     size: str = "medium",
 ) -> List[PipelinePoint]:
-    """Fused-window pipelining vs per-launch orchestration.
+    """The ``pipeline_window`` study: plan order vs halo-first copies.
 
     For each workload and topology (flat ``n_gpus`` node, and optionally a
     cluster shape) the study runs:
@@ -450,8 +450,8 @@ def pipeline_study(
       ``sequential`` policy — each launch drains its own barrier-structured
       schedule before the next is built;
     * ``overlap+p2p`` at every requested window, including 1, so the
-      incremental benefit of fusing windows is separable from the benefit
-      of DAG scheduling itself.
+      effect of the halo-first copy order (window > 1 on a cluster) is
+      separable from the benefit of DAG scheduling itself.
     """
     topologies = [("flat", 1, n_gpus, None)]
     if cluster_shape is not None:
@@ -471,7 +471,6 @@ def pipeline_study(
                     PipelinePoint(
                         name, size, topology, n_nodes, gpn, sched, window, elapsed, ref,
                         exposure["hidden"], exposure["exposed"],
-                        stats.pipeline_flushes, stats.pipeline_max_batch,
                         stats.estimate_cache_hits, stats.estimate_cache_misses,
                     )
                 )

@@ -54,9 +54,7 @@ class Observation:
 def observe(api, outputs: Mapping[str, np.ndarray]) -> Observation:
     """Record one finished run of ``api`` (a runtime, or tenants of one machine).
 
-    Stats, trace and clock are read before the tracker:
-    ``VirtualBuffer.coherence_state`` is a host-visible query that flushes
-    the launch pipeline, so it must not be able to move what was recorded.
+    Stats, trace and clock are read before the tracker.
     """
     apis = list(api) if isinstance(api, (list, tuple)) else [api]
     machine = apis[0].machine

@@ -1,4 +1,4 @@
-"""Plain-text reporting: tables, ASCII charts, CSV export, self-checks.
+"""Plain-text reporting: tables, CSV export, self-checks.
 
 The benchmark harness prints the same rows/series the paper reports; these
 helpers keep that output readable in a terminal and diffable in CI. The
@@ -14,11 +14,10 @@ import io
 import json
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "format_table",
-    "ascii_series",
     "to_csv",
     "finish_self_checks",
     "write_json_report",
@@ -75,26 +74,6 @@ def format_table(
     out.write("  ".join("-" * w for w in widths) + "\n")
     for row in str_rows:
         out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n")
-    return out.getvalue()
-
-
-def ascii_series(
-    series: Dict[str, Dict[int, float]],
-    *,
-    width: int = 60,
-    title: str = "",
-    y_label: str = "",
-) -> str:
-    """Horizontal-bar rendering of one or more (x -> y) series."""
-    out = io.StringIO()
-    if title:
-        out.write(title + "\n")
-    peak = max((v for ys in series.values() for v in ys.values()), default=1.0)
-    for name, ys in series.items():
-        out.write(f"[{name}]\n")
-        for x in sorted(ys):
-            bar = "#" * max(1, int(round(ys[x] / peak * width)))
-            out.write(f"  {x:>4}  {bar} {ys[x]:.2f}{y_label}\n")
     return out.getvalue()
 
 

@@ -160,9 +160,6 @@ class BasicSet:
     def add_constraints(self, extra: Iterable[Constraint]) -> "BasicSet":
         return BasicSet(self.space, list(self.constraints) + list(extra), exact=self.exact)
 
-    def add_eq(self, aff: Aff) -> "BasicSet":
-        return self.add_constraints([Constraint.eq(aff.rebind(self.space))])
-
     def add_ineq(self, aff: Aff) -> "BasicSet":
         return self.add_constraints([Constraint.ineq(aff.rebind(self.space))])
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Tuple
 
 from repro.poly.affine import Aff
 from repro.poly.linalg import Vec, vec_dot, vec_neg
-from repro.poly.space import Space
 
 __all__ = ["Kind", "Constraint"]
 
@@ -64,14 +62,6 @@ class Constraint:
     def ineq(aff: Aff) -> "Constraint":
         """The constraint ``aff >= 0``."""
         return Constraint(Kind.INEQ, aff.vec)
-
-    @staticmethod
-    def eq_terms(space: Space, terms: Mapping[str, int], const: int = 0) -> "Constraint":
-        return Constraint.eq(Aff.from_terms(space, terms, const))
-
-    @staticmethod
-    def ineq_terms(space: Space, terms: Mapping[str, int], const: int = 0) -> "Constraint":
-        return Constraint.ineq(Aff.from_terms(space, terms, const))
 
     # -- queries -----------------------------------------------------------
 

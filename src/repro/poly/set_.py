@@ -80,9 +80,6 @@ class Set:
         out = [a.intersect(b) for a in self.disjuncts for b in other.disjuncts]
         return Set(self.space, out)
 
-    def intersect_basic(self, bset: BasicSet) -> "Set":
-        return Set(self.space, [d.intersect(bset) for d in self.disjuncts])
-
     def subtract(self, other: "Set") -> "Set":
         """Set difference: subtract every disjunct of ``other`` in turn."""
         self.space.check_compatible(other.space)

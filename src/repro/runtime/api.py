@@ -32,7 +32,7 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.launch import launch_partitioned
 from repro.runtime.memcpy import d2h_gather, h2d_scatter
 from repro.runtime.vbuffer import VirtualBuffer
-from repro.sched.executor import DataflowLog, PipelineExecutor
+from repro.sched.executor import DataflowLog
 from repro.sched.policy import select_policy
 from repro.sim.engine import SimMachine, SimStream
 from repro.sim.topology import MachineSpec
@@ -128,17 +128,12 @@ class RunStats:
     #: scalar scanner (non-affine shapes or the interpreted ablation).
     enumerator_specialized: int = 0
     enumerator_fallback: int = 0
-    #: Pipelined-executor drains: total flushes and the largest number of
-    #: launches fused into one (1 everywhere at ``pipeline_window=1``).
-    pipeline_flushes: int = 0
-    pipeline_max_batch: int = 0
 
     def merge(self, other: "RunStats") -> "RunStats":
         """Combine two stats records into one aggregate.
 
-        Counters sum field by field, per-policy ``auto_choices`` sum key by
-        key, and ``pipeline_max_batch`` — a high-water mark, not a count —
-        takes the maximum. The per-tenant accounting of the serving runtime
+        Counters sum field by field and per-policy ``auto_choices`` sum key
+        by key. The per-tenant accounting of the serving runtime
         (:mod:`repro.serve`) folds tenants' stats with this: merging the
         per-tenant records of a shared run yields exactly the counters one
         whole-run record would have accumulated, because every counted
@@ -154,8 +149,6 @@ class RunStats:
                 for key, count in b.items():
                     combined[key] = combined.get(key, 0) + count
                 merged.auto_choices = combined
-            elif f.name == "pipeline_max_batch":
-                merged.pipeline_max_batch = max(a, b)
             else:
                 setattr(merged, f.name, a + b)
         return merged
@@ -218,8 +211,7 @@ class MultiGpuApi:
         #: cross-launch ordering.
         self.dataflow = DataflowLog()
         self._default_stream: Optional[SimStream] = None
-        #: Monotone launch index: tags every simulated op a launch issues
-        #: (trace attribution survives pipelined interleaving).
+        #: Monotone launch index: tags every simulated op a launch issues.
         self._launch_counter = itertools.count()
         self._launch_index: Optional[int] = None
         #: Dependence wave of the launch being submitted (set by the
@@ -248,9 +240,6 @@ class MultiGpuApi:
         #: LaunchProfiler is attached, the staged launch path records
         #: wall-clock per stage. None (the default) costs nothing.
         self.profiler = None
-        #: Rolling-window launch batcher. At ``pipeline_window=1`` every
-        #: submit flushes immediately — per-launch orchestration exactly.
-        self.pipeline = PipelineExecutor(self, config.pipeline_window)
 
     # -- internals ----------------------------------------------------------------
 
@@ -267,18 +256,12 @@ class MultiGpuApi:
 
     def cudaMalloc(self, nbytes: int) -> VirtualBuffer:
         vb = VirtualBuffer(next(self._vb_ids), nbytes, self.devices)
-        # A user peeking at coherence state is a host-visible observation:
-        # drain any pipelined launches first so the observed timing state
-        # matches per-launch orchestration. (Functional/tracker state is
-        # maintained eagerly and is always current regardless.)
-        vb.on_host_query = self.pipeline.flush
         self._live_buffers[vb.vb_id] = vb
         return vb
 
     def cudaFree(self, vb: VirtualBuffer) -> None:
         if not isinstance(vb, VirtualBuffer):
             raise RuntimeApiError(f"cudaFree expects a VirtualBuffer, got {type(vb)}")
-        self.pipeline.flush()
         vb.free()
         self._live_buffers.pop(vb.vb_id, None)
 
@@ -294,7 +277,6 @@ class MultiGpuApi:
             raise RuntimeApiError(f"cudaMemset expects a VirtualBuffer, got {type(vb)}")
         if nbytes > vb.nbytes:
             raise RuntimeApiError(f"memset of {nbytes} bytes into {vb.nbytes}-byte buffer")
-        self.pipeline.flush()
         from repro.runtime.memcpy import linear_chunks
 
         for dev_idx, lo, hi in linear_chunks(nbytes, self.config.n_gpus):
@@ -330,7 +312,6 @@ class MultiGpuApi:
         point of all ``cudaMemcpyAsync`` calls issued without an explicit
         stream.
         """
-        self.pipeline.flush()
         if self.machine is None:
             return
         target = stream if stream is not None else self.default_stream
@@ -361,10 +342,6 @@ class MultiGpuApi:
                 target.record(end)
 
     def _memcpy(self, dst, src, nbytes, kind, *, synchronous) -> List[float]:
-        # Memcopies are host-visible (D2H makes results observable; H2D
-        # orders against in-flight reads of the overwritten buffer): drain
-        # any pipelined launches before issuing the copies.
-        self.pipeline.flush()
         if kind is MemcpyKind.HostToDevice:
             return h2d_scatter(self, dst, src, nbytes, synchronous=synchronous)
         elif kind is MemcpyKind.DeviceToHost:
@@ -396,14 +373,9 @@ class MultiGpuApi:
 
     def cudaDeviceSynchronize(self) -> None:
         """Synchronizes *all* available devices (§8.4)."""
-        self.pipeline.flush()
         if self.machine:
             self.machine.synchronize()
 
     def elapsed(self) -> float:
-        """Simulated wall-clock. Drains the pipeline: reading the clock is
-        a host-side observation, so any buffered launches must be issued
-        first (otherwise an iteration loop timed with ``elapsed()`` would
-        not include its own final window)."""
-        self.pipeline.flush()
+        """Simulated wall-clock."""
         return self.machine.elapsed() if self.machine else 0.0

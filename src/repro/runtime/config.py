@@ -49,15 +49,11 @@ class RuntimeConfig:
     #: policies are bitwise-equivalent functionally; they only reschedule
     #: device work.
     schedule: str = "sequential"
-    #: Cross-launch pipelining: fuse up to this many consecutive kernel
-    #: launches into one rolling task DAG. Each launch's functional work
-    #: (buffer copies, kernel interpretation, tracker updates) still happens
-    #: eagerly at submit time, but the *simulated* device issue is deferred
-    #: until the window closes or a host-visible operation (D2H memcpy,
-    #: ``cudaDeviceSynchronize``, user tracker queries) flushes it. On a
-    #: cluster the fused window issues inter-node halo copies before
-    #: intra-node and interior transfers. The default 1 reproduces the
-    #: per-launch orchestration exactly, event for event.
+    #: Halo-first copy order: values > 1 issue each launch's copies on a
+    #: cluster inter-node halo first, then node-seam feeders, then interior
+    #: copies (``repro.cluster.gang.halo_first_order``). Every launch is
+    #: issued at submit either way; 1 (the default) and any flat machine
+    #: issue copies in plan order.
     pipeline_window: int = 1
     #: Irredundant transfer sets (MAIRS): trim every synchronization copy
     #: to the byte ranges the dataflow analyzer proves the partition

@@ -42,9 +42,10 @@ __all__ = [
 #: RuntimeConfig fields that influence plan construction (partitioning,
 #: which scans run, how copies are trimmed). Toggling any of these between
 #: otherwise-identical launches changes the fingerprint, so a cached plan
-#: can never leak across a knob flip. ``debug_audit`` (which only
-#: re-checks what the memos serve) stays out: it does not change what a
-#: plan contains.
+#: can never leak across a knob flip. ``pipeline_window`` is in because
+#: values > 1 issue cluster copies halo-first and a plan memoizes its
+#: lowered issue order. ``debug_audit`` (which only re-checks what the
+#: memos serve) stays out: it does not change what a plan contains.
 PLANNING_CONFIG_FIELDS = (
     "n_gpus",
     "transfers_enabled",

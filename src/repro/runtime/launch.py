@@ -16,8 +16,8 @@ per-launch task DAG (one node per segment transfer / kernel partition /
 tracker update, edges from the enumerated read/write sets; built by
 ``repro.sched.graph`` from a cached skeleton plus a live or replayed
 residual) and submits it to the one executor
-(``repro.sched.executor.PipelineExecutor``), which issues it under the
-configured policy — ``sequential`` reproduces the paper's
+(``repro.sched.executor.submit_plan``), which applies it and issues it
+under the configured policy — ``sequential`` reproduces the paper's
 barrier-structured loops exactly, ``overlap``/``overlap+p2p`` pipeline
 transfers against compute.
 
@@ -65,11 +65,10 @@ def launch_partitioned(
        query, and any tracker change —
        including direct mutations via memcpy/memset/free — changes the
        digest and misses;
-    4. *submit* — hand the concrete plan to the pipelined executor: the
-       functional half applies immediately, the simulated issue drains when
-       the window closes (immediately at ``pipeline_window=1``). Under
-       ``schedule="auto"`` the concrete policy is chosen at flush time over
-       the fused window's transfer/compute split.
+    4. *submit* — hand the concrete plan to the executor: the functional
+       half applies, then the simulated half issues. Under
+       ``schedule="auto"`` the concrete policy is chosen per launch from
+       the plan's transfer/compute split.
 
     Cold, warm and replay paths are bitwise-identical in outputs, traces
     and tracker state; only host wall-clock differs, which ``api.profiler``
@@ -78,6 +77,7 @@ def launch_partitioned(
     must reproduce the cached skeleton, residual and plan (repro.memo).
     """
     from repro.runtime.fingerprint import launch_fingerprint, residual_key
+    from repro.sched import executor
     from repro.sched.graph import (
         build_plan_skeleton,
         instantiate_plan,
@@ -161,7 +161,7 @@ def launch_partitioned(
     if prof:
         times["residual"] = perf_counter() - t
         t = perf_counter()
-    api.pipeline.submit(plan, None if api.auto_schedule else api.policy)
+    executor.submit_plan(api, plan)
     if prof:
         times["submit"] = perf_counter() - t
         temp = "replay" if replay else ("warm" if warm else "cold")

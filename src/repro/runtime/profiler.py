@@ -4,7 +4,7 @@ Attach a :class:`LaunchProfiler` to ``api.profiler`` and the staged launch
 path (:mod:`repro.runtime.launch`) records real wall-clock per stage —
 ``fingerprint`` (key construction), ``skeleton`` (partitioning + enumerator
 scans, cold only), ``residual`` (tracker queries + stale-copy planning, or
-digest + replay on a residual-cache hit) and ``submit`` (pipelined issue) —
+digest + replay on a residual-cache hit) and ``submit`` (functional apply and simulated issue) —
 split into three launch temperatures: *cold* (plan-cache miss), *warm*
 (skeleton hit, residual re-derived) and *replay* (skeleton hit **and**
 residual-cache hit). This measures the Python orchestration itself, not the

@@ -10,7 +10,7 @@ byte to the device holding its most recently written copy.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class VirtualBuffer:
         }
         self.tracker = SegmentTracker(nbytes, initial_owner=devices[0].device_id)
         self.freed = False
-        #: Invoked when the host observes this buffer's coherence state —
-        #: the runtime wires the pipelined executor's flush here so a user
-        #: tracker query is a pipeline drain point.
-        self.on_host_query: Optional[Callable[[], None]] = None
 
     def instance(self, device_id: int) -> DevPtr:
         self._check()
@@ -65,8 +61,6 @@ class VirtualBuffer:
         coherence-state equality regardless of schedule policy. Reading the
         snapshot does not count as tracker operations.
         """
-        if self.on_host_query is not None:
-            self.on_host_query()
         return [
             (s.start, s.end, s.owner, tuple(sorted(s.sharers)))
             for s in self.tracker.segments()

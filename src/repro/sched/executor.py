@@ -10,9 +10,9 @@ touches the machine:
   kernel runs, tracker updates) — identical byte-for-byte in every policy,
   in the same host order, which is what makes the three policies
   bitwise-equivalent;
-* :func:`issue_plan_sim`, when the :class:`PipelineExecutor` window
-  flushes, does the **simulated** work (host pattern charges, transfer
-  issues, the barrier, kernel launches) — where the policies differ:
+* :func:`issue_plan_sim`, right after it, does the **simulated** work
+  (host pattern charges, transfer issues, the barrier, kernel launches) —
+  where the policies differ:
 
   - ``sequential`` replays Figure 4 exactly: barrier-coupled transfers
     (:meth:`SimMachine.transfer`), a global device barrier, then the
@@ -30,6 +30,9 @@ touches the machine:
   plan — every replayed launch of a steady loop — only runs that tuple
   against the machine and the dataflow log.
 
+:func:`submit_plan` runs the two halves back to back for every launch, as
+the paper's host code drains every launch (Figure 4).
+
 Cross-launch dependencies are carried by :class:`DataflowLog`: per
 (virtual buffer, device instance) it remembers the last completion events
 that wrote or read each *byte interval* of that instance. A transfer out
@@ -44,20 +47,19 @@ neighbour's buffer proceed concurrently.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cuda.exec.interpreter import AccessTrace, run_kernel
 from repro.cuda.ir.kernel import ArrayParam, ScalarParam, partition_field_name
 from repro.errors import MemoAuditError, PartitioningError, RuntimeApiError
 from repro.runtime.vbuffer import VirtualBuffer
-from repro.sched.graph import (
-    KernelTask,
-    LaunchPlan,
-    PipelinedPlan,
-    ReadSync,
-    TransferTask,
+from repro.sched.graph import KernelTask, LaunchPlan, ReadSync, TransferTask
+from repro.sched.policy import (
+    SchedulePolicy,
+    auto_schedule_name,
+    estimate_plan_times,
+    select_policy,
 )
-from repro.sched.policy import SchedulePolicy
 from repro.sim.trace import Category
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +70,7 @@ __all__ = [
     "apply_plan_functional",
     "lower_issue_program",
     "issue_plan_sim",
-    "PipelineExecutor",
+    "submit_plan",
 ]
 
 #: Interval lists longer than this collapse to their envelope — sound
@@ -229,12 +231,7 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
     (lines 10-19); mark each partition's write set in the trackers (lines
     21-26, in partition order, so the final tracker state never depends on
     the schedule). *No* simulated-machine interaction — no host charges, no
-    device ops; :func:`issue_plan_sim` issues those when the window flushes.
-
-    This half must stay eager: launch k+1's plan is *built* (tracker
-    queries!) at submit time, so launch k's tracker updates and sharer
-    registrations must already be applied — only the simulated clock lags
-    behind.
+    device ops; :func:`issue_plan_sim` issues those.
     """
     cluster = api.cluster
     share = api.config.shared_copies and api.config.transfers_enabled
@@ -343,10 +340,10 @@ def lower_issue_program(
     pattern charges (lines 21-26), which run on the host concurrently with
     the asynchronous kernels.
 
-    ``transfer_order`` overrides the copy *issue* order (the pipelined
-    executor passes the halo-first tiers on clusters): the per-read-sync
-    pattern charges are then batched ahead of the reordered copies, since
-    every one of them precedes every copy in the fused view.
+    ``transfer_order`` overrides the copy *issue* order (the halo-first
+    order of :func:`repro.cluster.gang.halo_first_order`): the
+    per-read-sync pattern charges are then batched ahead of the reordered
+    copies.
 
     Everything the issue depends on but the machine's state is decided
     here — charges, routes, labels, which copies each kernel waits for —
@@ -556,22 +553,29 @@ def issue_plan_sim(
     *,
     launch: Optional[int] = None,
     wave: Optional[int] = None,
-    transfer_order: Optional[Callable[[LaunchPlan], Optional[TransferOrder]]] = None,
 ) -> None:
-    """The flush-time half of one launch: simulated host charges + device ops.
+    """The simulated half of one launch: host charges + device ops.
 
     Issues the plan's program (:func:`lower_issue_program`) for ``policy``,
     lowering it on the plan's first issue under that policy: a replayed
     plan is the same object every iteration, so a steady loop lowers once
     and only runs afterwards. ``launch`` tags every device op for
     per-launch trace attribution; ``wave`` is the launch's dependence wave
-    captured at submit time (see :class:`DataflowLog`).
-    ``transfer_order(plan)`` gives the halo-first copy order or None. It is
-    called only when lowering: plans live in their api's residual memo, so
+    (see :class:`DataflowLog`).
+
+    On a cluster with ``pipeline_window > 1`` the copies are lowered in
+    the order :func:`~repro.cluster.gang.halo_first_order` gives. That
+    order is computed only when lowering: plans live in their api's
+    residual memo, and the cluster and window belong to the api, so
     whether an order exists is fixed per plan object.
     """
     def lower() -> IssueProgram:
-        order = transfer_order(plan) if transfer_order is not None else None
+        cluster = api.cluster
+        order = None
+        if cluster is not None and api.config.pipeline_window > 1:
+            from repro.cluster.gang import halo_first_order
+
+            order = halo_first_order(plan, cluster)
         return lower_issue_program(api, plan, policy, order)
 
     program = plan.issue_programs.get(policy)
@@ -588,113 +592,19 @@ def issue_plan_sim(
         _run_issue_program(api, plan, program, launch, wave, [])
 
 
-class PipelineExecutor:
-    """Rolling-window batcher fusing consecutive launches into one DAG drain.
+def submit_plan(api: "MultiGpuApi", plan: LaunchPlan) -> None:
+    """Run one launch: its functional half, then its simulated issue.
 
-    ``submit`` applies a launch's functional half eagerly and buffers its
-    plan in a :class:`~repro.sched.graph.PipelinedPlan`; once ``window``
-    launches accumulate — or any host-visible operation (D2H memcpy,
-    device/stream synchronize, memset, free, a user tracker query) calls
-    :meth:`flush` — the buffered launches' simulated issue drains in
-    program order. Cross-launch dependencies need no special casing: the
-    :class:`DataflowLog` events recorded while draining launch k are
-    exactly what launch k+1's transfer deps query.
-
-    On clusters each flushed launch's transfers are issued halo-first (see
-    :func:`repro.cluster.gang.transfer_priority_tiers`) when the window is
-    fused (> 1). Under ``schedule="auto"`` the policy decision is deferred
-    to the flush and made once over the *fused* window's transfer/compute
-    estimate, so a transfer-light iteration inside a transfer-heavy window
-    no longer flips the policy back and forth.
+    Under ``schedule="auto"`` the policy is chosen per launch from the
+    plan's transfer/compute estimate (:func:`estimate_plan_times`) and
+    counted in ``RunStats.auto_choices``.
     """
-
-    def __init__(self, api: "MultiGpuApi", window: int) -> None:
-        self.api = api
-        self.window = max(1, int(window))
-        self.pending = PipelinedPlan()
-        self._policies: List[Optional[SchedulePolicy]] = []
-
-    @property
-    def depth(self) -> int:
-        """Number of launches currently buffered."""
-        return len(self.pending)
-
-    def submit(self, plan: LaunchPlan, policy: Optional[SchedulePolicy]) -> None:
-        """Apply one launch's functional half and buffer its simulated issue.
-
-        ``policy=None`` marks an adaptive (``auto``) launch whose concrete
-        policy is chosen at flush time over the fused window.
-        """
-        apply_plan_functional(self.api, plan)
-        self.pending.append(
-            plan, self.api._launch_index, wave=self.api._dataflow_wave
-        )
-        self._policies.append(policy)
-        if self.depth >= self.window:
-            self.flush()
-
-    #: Halo-first reordering applies only when the node-crossing copies are
-    #: a *minority* of the plan's transfer bytes. The priority targets seam
-    #: exchanges (a thin halo ahead of a fat interior); when most traffic
-    #: crosses nodes anyway — e.g. an all-to-all broadcast — there is no
-    #: interior worth backfilling and hoisting the whole network leg only
-    #: delays the intra-node copies it was meant to overlap with.
-    HALO_MAJORITY_RATIO = 0.5
-
-    def _transfer_order(self, plan: LaunchPlan):
-        """Halo-first issue order for one plan, or None to keep plan order."""
-        cluster = self.api.cluster
-        if cluster is None or self.window <= 1:
-            return None
-        from repro.cluster.gang import transfer_priority_tiers
-
-        tiers = transfer_priority_tiers(plan, cluster)
-        if len(set(tiers.values())) <= 1:
-            return None
-        total = sum(t.nbytes for t in plan.transfers)
-        halo = sum(t.nbytes for t in plan.transfers if tiers[t.node] == 0)
-        if total == 0 or halo >= self.HALO_MAJORITY_RATIO * total:
-            return None
-        pairs = [
-            (rs, t) for syncs in plan.reads for rs in syncs for t in rs.transfers
-        ]
-        # Stable sort: within a tier the legacy plan order is preserved.
-        return sorted(pairs, key=lambda pair: tiers[pair[1].node])
-
-    def flush(self) -> None:
-        """Drain every buffered launch onto the simulated machine, in order."""
-        if not self.pending.plans:
-            return
-        api = self.api
-        plans = self.pending.plans
-        indices = self.pending.launch_indices
-        policies = list(self._policies)
-        if any(p is None for p in policies):
-            from repro.sched.policy import auto_select_policy_window
-
-            fused = auto_select_policy_window(api, plans)
-            for i, p in enumerate(policies):
-                if p is None:
-                    policies[i] = fused
-                    api.stats.auto_choices[fused.name] = (
-                        api.stats.auto_choices.get(fused.name, 0) + 1
-                    )
-        batch = len(plans)
-        for plan, launch_index, wave, policy in zip(
-            plans, indices, self.pending.waves, policies
-        ):
-            issue_plan_sim(
-                api,
-                plan,
-                policy,
-                launch=launch_index,
-                wave=wave,
-                transfer_order=self._transfer_order,
-            )
-        self.pending.clear()
-        self._policies.clear()
-        api.stats.pipeline_flushes += 1
-        api.stats.pipeline_max_batch = max(api.stats.pipeline_max_batch, batch)
+    apply_plan_functional(api, plan)
+    policy = api.policy
+    if api.auto_schedule:
+        policy = select_policy(auto_schedule_name(*estimate_plan_times(api, plan)))
+        api.stats.auto_choices[policy.name] = api.stats.auto_choices.get(policy.name, 0) + 1
+    issue_plan_sim(api, plan, policy, launch=api._launch_index, wave=api._dataflow_wave)
 
 
 def _audit_write_scan(api: "MultiGpuApi", plan: LaunchPlan, part, trace) -> None:

@@ -45,7 +45,6 @@ from repro.compiler.strategy import Partition
 from repro.cuda.api import resolve_array_shapes, split_launch_args
 from repro.cuda.dim3 import Dim3
 from repro.memo import Memo
-from repro.poly.intervals import subtract_intervals
 from repro.runtime.fingerprint import launch_fingerprint
 from repro.runtime.sync import byte_ranges, plan_stale_copies_tiered, trim_copies
 from repro.runtime.vbuffer import VirtualBuffer
@@ -60,8 +59,6 @@ __all__ = [
     "KernelTask",
     "WriteUpdate",
     "LaunchPlan",
-    "CrossLaunchEdge",
-    "PipelinedPlan",
     "ReadScan",
     "WriteScan",
     "SkeletonPartition",
@@ -255,178 +252,6 @@ class LaunchPlan:
                     )
                 if dep >= k.node:
                     raise AssertionError(f"edge {dep} -> {k.node} is not topological")
-
-
-@dataclass(frozen=True)
-class CrossLaunchEdge:
-    """One interval-precise dependency between tasks of different launches.
-
-    ``(src_launch, src_node) -> (dst_launch, dst_node)`` with the byte
-    interval of the conflict on one device instance. ``kind`` is the
-    hazard class: ``raw`` (the destination reads bytes the source wrote),
-    ``war`` (the destination overwrites bytes the source read) or ``waw``
-    (both write). Node ids are per-launch :class:`LaunchPlan` node numbers.
-    """
-
-    src_launch: int
-    src_node: int
-    dst_launch: int
-    dst_node: int
-    vb_id: int
-    dev: int
-    lo: int
-    hi: int
-    kind: str
-
-
-def _subtract(ranges: List[Tuple[int, int]], lo: int, hi: int) -> List[Tuple[int, int]]:
-    """Remove ``[lo, hi)`` from a list of disjoint byte ranges."""
-    return subtract_intervals(ranges, [(lo, hi)])
-
-
-@dataclass
-class PipelinedPlan:
-    """A window of consecutive launch plans fused into one rolling DAG.
-
-    Concatenates per-launch :class:`LaunchPlan`\\ s in program order and
-    derives *interval-precise* cross-launch edges: a task of launch ``k``
-    depends on a task of an earlier launch only where their byte intervals
-    on the same device instance actually conflict — a transfer out of an
-    instance on the bytes a previous kernel wrote there (RAW), a transfer
-    or kernel overwriting bytes a previous task read or wrote (WAR/WAW).
-    On a 1-halo stencil this is what lets interior partitions of launch
-    ``k+1`` start with no cross-launch *remote* dependency at all: only the
-    seam partitions' halo bytes overlap another device's writes.
-
-    The executor realizes exactly these edges dynamically through the
-    :class:`~repro.sched.executor.DataflowLog` at issue time;
-    :meth:`cross_launch_edges` is the static, auditable view the tests and
-    reports check against.
-    """
-
-    plans: List[LaunchPlan] = field(default_factory=list)
-    #: Global launch index (the runtime's launch counter) per plan.
-    launch_indices: List[int] = field(default_factory=list)
-    #: Dependence wave per plan (task-graph launches only; None otherwise).
-    waves: List[Optional[int]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.plans)
-
-    def append(
-        self, plan: LaunchPlan, launch_index: int, wave: Optional[int] = None
-    ) -> None:
-        """Add the next launch of the window, in program order."""
-        if self.launch_indices and launch_index <= self.launch_indices[-1]:
-            raise AssertionError(
-                f"launch {launch_index} submitted after {self.launch_indices[-1]}"
-            )
-        self.plans.append(plan)
-        self.launch_indices.append(launch_index)
-        self.waves.append(wave)
-
-    def clear(self) -> None:
-        """Reset after a flush."""
-        self.plans.clear()
-        self.launch_indices.clear()
-        self.waves.clear()
-
-    @staticmethod
-    def _accesses(plan: LaunchPlan):
-        """(node, vb_id, dev, lo, hi, is_write) for every task of one plan.
-
-        Transfers read their source instance and write their destination
-        instance; kernels read/write their own device's instances per the
-        merged enumerator runs the dataflow events use.
-        """
-        out = []
-        for t in plan.transfers:
-            out.append((t.node, t.vb.vb_id, t.owner, t.start, t.end, False))
-            out.append((t.node, t.vb.vb_id, t.gpu, t.start, t.end, True))
-        for k in plan.kernels:
-            for vb, runs in k.reads:
-                for lo, hi in runs:
-                    out.append((k.node, vb.vb_id, k.gpu, lo, hi, False))
-            for vb, runs in k.writes:
-                for lo, hi in runs:
-                    out.append((k.node, vb.vb_id, k.gpu, lo, hi, True))
-        return out
-
-    def cross_launch_edges(self) -> List[CrossLaunchEdge]:
-        """All interval-precise dependencies between different launches.
-
-        For each access of launch ``k`` the earlier launches are scanned
-        newest-first per byte: a conflicting *write* found in launch ``j``
-        both yields an edge and satisfies those bytes (anything older is
-        reached transitively through that write), while conflicting *reads*
-        yield WAR edges without terminating the scan — every reader since
-        the last write constrains an overwrite.
-        """
-        edges: List[CrossLaunchEdge] = []
-        per_plan = [self._accesses(p) for p in self.plans]
-        for k in range(1, len(self.plans)):
-            for node, vb_id, dev, lo, hi, is_write in per_plan[k]:
-                remaining = [(lo, hi)]
-                for j in range(k - 1, -1, -1):
-                    if not remaining:
-                        break
-                    # Scan launch j atomically: its reads and writes both
-                    # see the bytes still unsatisfied when the scan reaches
-                    # launch j; write coverage is subtracted only afterwards
-                    # so a launch's own readers are never shadowed by its
-                    # writers.
-                    covered: List[Tuple[int, int]] = []
-                    for pnode, pvb, pdev, plo, phi, pwrite in per_plan[j]:
-                        if pvb != vb_id or pdev != dev:
-                            continue
-                        for rlo, rhi in remaining:
-                            olo, ohi = max(rlo, plo), min(rhi, phi)
-                            if olo >= ohi:
-                                continue
-                            if pwrite:
-                                kind = "waw" if is_write else "raw"
-                            elif is_write:
-                                kind = "war"
-                            else:
-                                continue  # read-after-read: no hazard
-                            edges.append(
-                                CrossLaunchEdge(
-                                    self.launch_indices[j],
-                                    pnode,
-                                    self.launch_indices[k],
-                                    node,
-                                    vb_id,
-                                    dev,
-                                    olo,
-                                    ohi,
-                                    kind,
-                                )
-                            )
-                        if pwrite:
-                            covered.append((plo, phi))
-                    for plo, phi in covered:
-                        remaining = _subtract(remaining, plo, phi)
-        return edges
-
-    def validate(self) -> None:
-        """Structural invariants: per-plan DAGs plus backward-only fusion.
-
-        Each member plan re-validates, launch indices strictly increase,
-        and every cross-launch edge points from an earlier launch to a
-        later one over a non-empty byte interval.
-        """
-        for plan in self.plans:
-            plan.validate()
-        for a, b in zip(self.launch_indices, self.launch_indices[1:]):
-            if b <= a:
-                raise AssertionError(f"launch order violated: {a} before {b}")
-        for e in self.cross_launch_edges():
-            if e.src_launch >= e.dst_launch:
-                raise AssertionError(
-                    f"cross-launch edge {e.src_launch} -> {e.dst_launch} not forward"
-                )
-            if e.lo >= e.hi:
-                raise AssertionError(f"empty conflict interval on edge {e}")
 
 
 #: Placeholder for a ReadScan whose exact-read ranges were never needed;

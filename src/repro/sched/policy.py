@@ -19,7 +19,7 @@ buffers and identical final tracker state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.errors import RuntimeApiError
 from repro.memo import MISS
@@ -36,8 +36,6 @@ __all__ = [
     "AUTO_P2P_MIN_RATIO",
     "auto_schedule_name",
     "estimate_plan_times",
-    "estimate_window_times",
-    "auto_select_policy_window",
 ]
 
 
@@ -156,30 +154,3 @@ def _estimate(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, float]:
                 plan.ck.kernel, k.part.n_blocks, plan.block, plan.scalars
             )
     return transfer, compute
-
-
-def estimate_window_times(
-    api: "MultiGpuApi", plans: Sequence["LaunchPlan"]
-) -> Tuple[float, float]:
-    """Summed (transfer, compute) estimate over a fused pipeline window."""
-    transfer = 0.0
-    compute = 0.0
-    for plan in plans:
-        t, c = estimate_plan_times(api, plan)
-        transfer += t
-        compute += c
-    return transfer, compute
-
-
-def auto_select_policy_window(
-    api: "MultiGpuApi", plans: Sequence["LaunchPlan"]
-) -> SchedulePolicy:
-    """One policy for every launch in a fused window (``schedule="auto"``).
-
-    The decision ratio uses the *summed* estimates, so a transfer-light
-    iteration buffered next to transfer-heavy ones no longer flips the
-    policy launch by launch; a single-plan window decides on that plan's
-    own estimate.
-    """
-    transfer, compute = estimate_window_times(api, plans)
-    return _POLICIES[auto_schedule_name(transfer, compute)]

@@ -7,7 +7,7 @@ simulated machine and one tenant-keyed
 control and enqueues a :class:`~repro.serve.scheduler.Job`; ``step``
 services the next WDRR pick under the submitting tenant's runtime, with
 the machine trace stamped by tenant for per-tenant attribution;
-``drain`` services everything queued and flushes every tenant's pipeline.
+``drain`` services everything queued.
 
 Isolation is by construction, not by locking: each tenant's functional
 state (buffers, trackers, coherence) lives in its own namespaced runtime,
@@ -203,19 +203,6 @@ class ServeRuntime:
         return job
 
     def drain(self) -> None:
-        """Service every queued job, then flush every tenant's pipeline.
-
-        Pipelined launches a tenant left buffered are issued under that
-        tenant's trace attribution, in tenant-id order (deterministic).
-        """
+        """Service every queued job."""
         while self.step() is not None:
             pass
-        trace = self._trace()
-        for tenant_id in sorted(self.runtimes):
-            if trace is not None:
-                trace.current_tenant = tenant_id
-            try:
-                self.runtimes[tenant_id].pipeline.flush()
-            finally:
-                if trace is not None:
-                    trace.current_tenant = None

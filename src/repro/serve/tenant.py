@@ -2,7 +2,7 @@
 
 Every tenant gets its own :class:`TenantRuntime` — a full
 :class:`~repro.runtime.api.MultiGpuApi` with its own virtual buffers,
-trackers, stats, pipeline and (optionally overridden) config — all issuing
+trackers, stats and (optionally overridden) config — all issuing
 onto the *same* simulated machine. Isolation across tenants reduces to id
 namespacing: virtual-buffer ids and launch indices are drawn from
 tenant-qualified counters, so the shared
@@ -71,7 +71,7 @@ class TenantRuntime(MultiGpuApi):
     """One tenant's CUDA-replacement API on a shared machine.
 
     Behaves exactly like :class:`~repro.runtime.api.MultiGpuApi` — same
-    orchestration, same stats, same pipeline — except that
+    orchestration, same stats — except that
 
     * virtual-buffer ids come from ``tenant_id * VB_NAMESPACE + 1`` up,
     * launch indices come from ``tenant_id * LAUNCH_NAMESPACE`` up,

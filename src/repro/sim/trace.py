@@ -48,9 +48,8 @@ class Interval:
     label: str = ""
     #: Index of the kernel launch that originated this operation, or None
     #: for work that belongs to no particular launch (memcopies, memsets).
-    #: The pipelined executor interleaves tasks from several launches, so
-    #: attribution must ride on the interval itself rather than be inferred
-    #: from trace order.
+    #: Tasks of several launches overlap on the lanes, so attribution must
+    #: ride on the interval itself rather than be inferred from timing.
     launch: Optional[int] = None
     #: Tenant that originated this operation in a multi-tenant serving run
     #: (:mod:`repro.serve`), or None outside the serve path. The serve
@@ -187,8 +186,8 @@ class Trace:
         """Per-launch hidden/exposed TRANSFERS time, split intra vs inter.
 
         Attribution is by each interval's *originating launch index* — not
-        by trace position — so it stays correct when the pipelined executor
-        interleaves tasks from several launches on the copy engines.
+        by trace position — so it stays correct when tasks from several
+        launches (or serve tenants) overlap on the copy engines.
         Transfers that belong to no launch (none today; coherence traffic is
         always launch-originated) land under the ``None`` key. Summing the
         four buckets over every key reproduces ``busy_time(TRANSFERS)``

@@ -5,7 +5,7 @@ declare byte-interval read/write footprints (lowered through the same
 interval algebra the launch scheduler uses, :mod:`repro.poly.intervals`),
 the graph derives RAW/WAR/WAW edges by intersection, and execution streams
 ready tasks' launches through the ordinary ``api.launch`` path so the
-pipelined executor overlaps independent tasks.  Accesses the affine model
+scheduler overlaps independent tasks.  Accesses the affine model
 cannot analyze degrade to whole-buffer synchronization with ``RP701``/
 ``RP702`` diagnostics.  See docs/taskgraph.md for the full API walkthrough
 and ``repro bench taskgraph`` for the self-checking benchmark.

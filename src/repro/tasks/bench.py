@@ -9,8 +9,8 @@ does not hold:
   adversarially reordered execution agree bitwise, tracker state included.
 * **Overlap study** — on a simulated 16-GPU machine, graph execution must
   beat barrier-serialized execution by ``>= 1.3x`` makespan (the barriers
-  flush the launch pipeline after every task, serializing transfers that
-  dependence-driven execution packs side by side), transfer *busy* time
+  after every task serialize transfers that dependence-driven execution
+  packs side by side), transfer *busy* time
   must be bitwise-conserved across the two modes (same transfers, only
   earlier), and the :meth:`~repro.sim.trace.Trace.transfer_exposure`
   accounting identity ``hidden + exposed == busy(TRANSFERS)`` must hold

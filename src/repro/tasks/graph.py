@@ -18,8 +18,7 @@ Execution turns the graph into a stream of launches against an existing
 runtime API.  ``mode="graph"`` executes the graph as *dependence waves*:
 every currently-ready task (in deterministic creation-index order) runs as
 one wave with *no* inter-task barriers — each body's launches flow through
-the normal ``api.launch`` path into the scheduler's pipelined executor, so
-a dependence-free ready set fuses into one pipeline window.  Because any
+the normal ``api.launch`` path into the scheduler's executor.  Because any
 read/write overlap between two tasks induces an edge, the members of a
 wave are provably pairwise footprint-disjoint; the wave id is stamped onto
 their launches so the scheduler's dataflow log
@@ -32,8 +31,8 @@ barrier — the baseline the ``repro bench taskgraph`` self-checks compare
 against.
 
 Non-affine tasks (opaque footprints, ``RP701``) degrade to whole-buffer
-synchronization: the graph drains the pipeline and synchronizes the device
-before and after the task's body — the task-level counterpart of the
+synchronization: the graph synchronizes the device before and after the
+task's body — the task-level counterpart of the
 runtime's whole-buffer plans for unpartitionable kernels.
 """
 
@@ -320,8 +319,8 @@ class TaskGraph:
         api._placement_offset = t.placement
         try:
             if not t.affine:
-                # Whole-buffer degrade: drain pipelined launches and barrier
-                # the machine around the opaque body.
+                # Whole-buffer degrade: barrier the machine around the
+                # opaque body.
                 api.cudaDeviceSynchronize()
                 t.fn(api)
                 api.cudaDeviceSynchronize()

@@ -1,7 +1,7 @@
-"""Pipelining on a cluster: bitwise invisibility and halo-first issue.
+"""``pipeline_window`` on a cluster: bitwise invisibility and halo-first issue.
 
-On a :class:`~repro.cluster.engine.ClusterSimMachine`, window > 1 may
-legally *reorder* transfer issue (inter-node halo copies first) and so
+On a :class:`~repro.cluster.engine.ClusterSimMachine`, window > 1
+*reorders* transfer issue (inter-node halo copies first) and so may
 produce a different trace from window = 1 — but the functional half is
 untouched: buffers, trackers, and sharer state stay bitwise identical
 across every window x schedule x shared-copies combination, and the
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusterSimMachine
-from repro.cluster.gang import transfer_priority_tiers
+from repro.cluster import gang
+from repro.cluster.gang import halo_first_order, transfer_priority_tiers
 from repro.cluster.topology import ClusterSpec
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
@@ -90,11 +91,10 @@ def test_cluster_pipelining_bitwise_invisible(schedule, shared):
         assert (
             piped_api.stats.tracker_share_ops == base_api.stats.tracker_share_ops
         )
-        assert piped_api.stats.pipeline_max_batch <= window
 
 
 def test_exposed_transfer_time_never_worse_with_wider_windows():
-    """The only trace-level change a wider window may make is halo-first
+    """The only trace-level change a wider window makes is halo-first
     reordering, and that must not increase exposed transfer time.
 
     Strict for ``overlap+p2p`` — the direct-route schedule the halo-first
@@ -119,7 +119,7 @@ def test_exposed_transfer_time_never_worse_with_wider_windows():
         assert loose <= exposure[("overlap", 1)] * 1.001, exposure
 
 
-def _pipelined_api(cluster, window):
+def _seam_api(cluster, window):
     kernel = build_hotspot_kernel(N)
     app = compile_app([kernel])
     api = MultiGpuApi(
@@ -138,7 +138,7 @@ def _pipelined_api(cluster, window):
     api.cudaMemset(b, 0, NBYTES)
     # One launch so the second plan (which has halo read-syncs) exists.
     api.launch(kernel, GRID, BLOCK, [a, b])
-    api.pipeline.flush()
+    api.cudaDeviceSynchronize()
     ck = app.kernel(kernel.name)
     plan = build_launch_plan(api, ck, GRID, BLOCK, [b, a])
     return api, plan
@@ -146,14 +146,14 @@ def _pipelined_api(cluster, window):
 
 def test_transfer_order_is_halo_first_on_seam_stencil():
     cluster = _cluster(2, 2)
-    api, plan = _pipelined_api(cluster, window=4)
+    api, plan = _seam_api(cluster, window=4)
     tiers = transfer_priority_tiers(plan, cluster)
     assert 0 in tiers.values(), "a 2-node seam stencil must cross the fabric"
-    order = api.pipeline._transfer_order(plan)
+    order = halo_first_order(plan, cluster)
     assert order is not None
     ranks = [tiers[t.node] for _, t in order]
     # Non-decreasing tiers: every inter-node halo copy precedes every
-    # interior copy in the fused issue order.
+    # interior copy in the issue order.
     assert ranks == sorted(ranks)
     assert ranks[0] == 0
     # Order is a permutation of the plan's (read-sync, transfer) pairs.
@@ -162,18 +162,36 @@ def test_transfer_order_is_halo_first_on_seam_stencil():
     )
 
 
-def test_transfer_order_gates():
+def _lowered_copies(api, plan):
+    """The (src, dst, lo, hi) of every copy in the plan's lowered program."""
+    from repro.sched import executor
+
+    executor.issue_plan_sim(api, plan, api.policy)
+    (program,) = plan.issue_programs.values()
+    return [op[1:5] for op in program if op[0] in (executor._COPY, executor._STREAM_COPY)]
+
+
+def _copies(transfers):
+    return [(t.owner, t.gpu, t.start, t.end) for t in transfers]
+
+
+def test_transfer_order_gates(monkeypatch):
     cluster = _cluster(2, 2)
+    api, plan = _seam_api(cluster, window=4)
+    halo_first = _copies(t for _, t in halo_first_order(plan, cluster))
+    assert halo_first != _copies(plan.transfers)
+    assert _lowered_copies(api, plan) == halo_first
 
     # window=1 never reorders, even on a cluster.
-    api, plan = _pipelined_api(cluster, window=1)
-    assert api.pipeline._transfer_order(plan) is None
+    api, plan = _seam_api(cluster, window=1)
+    assert halo_first_order(plan, cluster) is not None
+    assert _lowered_copies(api, plan) == _copies(plan.transfers)
 
     # A flat (non-cluster) machine never reorders regardless of window.
-    kernel = build_hotspot_kernel(N)
-    app = compile_app([kernel])
     from repro.sim.engine import SimMachine
 
+    kernel = build_hotspot_kernel(N)
+    app = compile_app([kernel])
     flat = MultiGpuApi(
         app,
         RuntimeConfig(n_gpus=4, schedule="overlap+p2p", pipeline_window=4),
@@ -184,21 +202,19 @@ def test_transfer_order_gates():
     flat.cudaMemset(a, 0, NBYTES)
     flat.cudaMemset(b, 0, NBYTES)
     flat.launch(kernel, GRID, BLOCK, [a, b])
-    flat.pipeline.flush()
     flat_plan = build_launch_plan(flat, app.kernel(kernel.name), GRID, BLOCK, [b, a])
-    assert flat.pipeline._transfer_order(flat_plan) is None
+    assert flat_plan.transfers
+    assert _lowered_copies(flat, flat_plan) == _copies(flat_plan.transfers)
 
     # Halo-majority gate: if node-crossing bytes dominate, keep plan order
     # (hoisting the whole network leg would delay the intra-node copies).
-    api, plan = _pipelined_api(cluster, window=4)
-    assert api.pipeline._transfer_order(plan) is not None
-    api.pipeline.HALO_MAJORITY_RATIO = 0.0  # every halo byte now "dominates"
-    assert api.pipeline._transfer_order(plan) is None
+    monkeypatch.setattr(gang, "HALO_MAJORITY_RATIO", 0.0)  # every halo byte now "dominates"
+    assert halo_first_order(plan, cluster) is None
 
 
 def test_net_transfers_issue_before_intra_within_fused_launch():
-    """In the trace of a fused window, each launch's inter-node copies are
-    queued before its intra-node sync copies (halo-first priority)."""
+    """At window > 1, each launch's inter-node copies are queued before its
+    intra-node sync copies (halo-first priority)."""
     cluster = _cluster(2, 2)
     api = _run(cluster, "overlap+p2p", window=4, iterations=4)[2]
     by_launch = {}
@@ -206,10 +222,10 @@ def test_net_transfers_issue_before_intra_within_fused_launch():
         if iv.category is not Category.TRANSFERS or iv.launch is None:
             continue
         by_launch.setdefault(iv.launch, []).append(iv)
-    fused = {k: ivs for k, ivs in by_launch.items() if len(ivs) > 1}
-    assert fused, "expected launches with both net and intra transfers"
+    mixed = {k: ivs for k, ivs in by_launch.items() if len(ivs) > 1}
+    assert mixed, "expected launches with both net and intra transfers"
     saw_mixed = False
-    for ivs in fused.values():
+    for ivs in mixed.values():
         net = [iv for iv in ivs if iv.resource == "net"]
         intra = [iv for iv in ivs if iv.resource != "net"]
         if not net or not intra:

@@ -103,16 +103,16 @@ def _redundancy(**changes):
 
 
 def _pipeline(**changes):
-    def point(schedule, window, time, flushes, batch):
+    def point(schedule, window, time):
         exposed = 0.1 if schedule == "sequential" else 0.05
         return PipelinePoint("hotspot", "small", "flat", 1, 4, schedule, window, time, 1.0,
-                             0.05, exposed, flushes, batch, 0, 0)
+                             0.05, exposed, 0, 0)
 
     return _changed({
-        "seq": point("sequential", 1, 1.0, 10, 1),
-        "w1": point("overlap+p2p", 1, 0.85, 10, 1),
-        "w2": point("overlap+p2p", 2, 0.85, 5, 2),
-        "w4": point("overlap+p2p", 4, 0.85, 3, 4),
+        "seq": point("sequential", 1, 1.0),
+        "w1": point("overlap+p2p", 1, 0.85),
+        "w2": point("overlap+p2p", 2, 0.85),
+        "w4": point("overlap+p2p", 4, 0.85),
     }, changes)
 
 
@@ -174,9 +174,6 @@ _BROKEN = [
     ("redundancy", _redundancy(broadcast_on={"redundant_bytes_avoided": 0}), "sharers: broadcast"),
     ("redundancy", _redundancy(aligned_off={"steady_bytes": 8}), "steady state: aligned"),
     ("pipeline", _pipeline(w4={"time": 0.9}), "regression: hotspot flat overlap+p2p window=4 takes"),
-    ("pipeline", _pipeline(w4={"pipeline_flushes": 11}), "batching: hotspot flat overlap+p2p window=4"),
-    ("pipeline", _pipeline(w2={"pipeline_max_batch": 3}), "batching: hotspot flat overlap+p2p window=2"),
-    ("pipeline", _pipeline(seq={"pipeline_max_batch": 2}), "batching: hotspot flat sequential"),
     ("pipeline", _pipeline(seq={"hidden_transfer_time": 0.3, "exposed_transfer_time": -0.1}), "accounting: hotspot flat hides"),
 ]
 
@@ -218,3 +215,26 @@ def test_partial_grids_check_only_what_they_hold():
     two = [r for r in _figure7() if r.n_gpus == 2]
     assert _checks("figure7", two) == []
     assert _checks("figure8", _figure8()[1:2]) == []
+
+
+@pytest.mark.parametrize("gpus_per_node, shapes", [
+    (4, ((1, 8), (2, 4), (4, 2))),
+    (3, ((1, 6), (2, 3))),
+])
+def test_cluster_runs_two_multi_node_shapes_when_it_can(monkeypatch, gpus_per_node, shapes):
+    """An even node size also runs twice the nodes at half the GPUs, so the
+    seams check compares two multi-node shapes."""
+    seen = []
+    monkeypatch.setattr(benches.ex, "cluster_scaling", lambda workloads, shapes, **kw: seen.append(shapes))
+    args = argparse.Namespace(nodes=2, gpus_per_node=gpus_per_node, workloads=["hotspot"],
+                              sizes=["small"], schedule=None)
+    benches.BENCHES["cluster"].run(args)
+    assert seen == [shapes]
+
+
+def test_figure7_defaults_to_the_papers_grid():
+    """Fig. 7 starts at 2 GPUs: one GPU has no transfers to break down."""
+    import inspect
+
+    default = inspect.signature(benches.ex.figure7).parameters["gpu_counts"].default
+    assert benches.BENCHES["figure7"].flags["gpu_counts"] == list(default) == [2, 4, 6, 8, 10, 12, 14, 16]

@@ -14,7 +14,7 @@ from repro.harness.experiments import (
     single_gpu_overhead,
     table1_rows,
 )
-from repro.harness.report import ascii_series, format_table, to_csv
+from repro.harness.report import format_table, to_csv
 from repro.workloads.common import TABLE1, ProblemConfig
 
 # Scaled-down configs keep the timing tests fast; shapes still hold.
@@ -108,10 +108,6 @@ class TestReport:
     def test_format_table(self):
         out = format_table(["a", "bb"], [[1, 2.5], ["x", "y"]], title="T")
         assert "T" in out and "bb" in out and "2.5" in out
-
-    def test_ascii_series(self):
-        out = ascii_series({"s": {1: 1.0, 2: 2.0}}, width=10, y_label="x")
-        assert "[s]" in out and "#" in out
 
     def test_to_csv(self):
         out = to_csv(["a", "b"], [[1, 2], [3, 4]])

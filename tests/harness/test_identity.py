@@ -138,7 +138,7 @@ def test_observe_records_a_real_run():
     assert obs.stats[0]["sync_bytes"] == api.stats.sync_bytes
     assert obs.trace == api.machine.trace.intervals and obs.clock == api.machine.elapsed()
     assert [vb for vb, _ in obs.tracker] == sorted(api._live_buffers)
-    # The tracker read flushed an already-empty window: observing again
-    # records the same stats, trace and clock.
+    # Reading the trackers moves nothing: observing again records the
+    # same stats, trace and clock.
     again = observe(api, out)
     assert (again.stats, again.trace, again.clock) == (obs.stats, obs.trace, obs.clock)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.calibration import GPU_COUNTS, K80_NODE_SPEC
-from repro.harness.report import ascii_series, format_table, to_csv
+from repro.harness.report import format_table, to_csv
 
 
 class TestGpuCounts:
@@ -49,21 +49,6 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table(["a"], [])
         assert "a" in text
-
-
-class TestAsciiSeries:
-    def test_bars_scale_to_peak(self):
-        out = ascii_series({"s": {1: 1.0, 2: 4.0}}, width=8)
-        lines = [l for l in out.splitlines() if "#" in l]
-        assert lines[1].count("#") == 8
-        assert lines[0].count("#") == 2
-
-    def test_multiple_series(self):
-        out = ascii_series({"a": {1: 1.0}, "b": {1: 2.0}})
-        assert "[a]" in out and "[b]" in out
-
-    def test_empty_series(self):
-        assert ascii_series({}) == ""
 
 
 class TestCsv:

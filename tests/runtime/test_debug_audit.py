@@ -206,7 +206,7 @@ class TestPlantedFaults:
         grid, block = wl.launch_config()
         for _ in range(2):
             api.launch(wl.kernel, grid, block, [d_src, d_out])
-        api.cudaDeviceSynchronize()  # ``auto`` estimates at flush time
+        api.cudaDeviceSynchronize()
         corrupt(api)
         with pytest.raises(MemoAuditError, match=f"memo '{memo}'"):
             api.launch(wl.kernel, grid, block, [d_src, d_out])

@@ -286,7 +286,7 @@ def test_plan_cache_is_invisible(schedule, shared, window, radius, seed):
 
 
 def test_plan_cache_is_invisible_on_a_cluster():
-    """Cached==audited with cross-node halos (2x2 cluster, overlap+p2p, fused)."""
+    """Cached==audited with cross-node halos (2x2 cluster, overlap+p2p, halo-first)."""
     from repro.cluster.engine import ClusterSimMachine
 
     kernel = _build_stencil()

@@ -32,9 +32,6 @@ def test_merge_covers_every_field():
         got = getattr(merged, f.name)
         if f.name == "auto_choices":
             assert got == {"sequential": 510 + 2 * i, "overlap": 2}
-        elif f.name == "pipeline_max_batch":
-            # A max, not a sum: batches never ran concurrently.
-            assert got == 500 + i
         else:
             assert got == 510 + 2 * i, f.name
 

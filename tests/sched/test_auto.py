@@ -193,25 +193,3 @@ class TestEstimateCache:
         again = estimate_plan_times(api, plan_ab)
         assert api.stats.estimate_cache_hits == 1
         assert again == first  # bit-identical, not approximately equal
-
-    def test_window_estimate_sums_per_plan(self):
-        from repro.sched.graph import build_launch_plan
-        from repro.sched.policy import estimate_plan_times, estimate_window_times
-
-        kernel = _stencil()
-        app = compile_app([kernel])
-        api = MultiGpuApi(
-            app,
-            RuntimeConfig(n_gpus=4, schedule="auto"),
-            machine=SimMachine(K80_NODE_SPEC.with_gpus(4)),
-        )
-        nbytes = N * N * 4
-        a, b = api.cudaMalloc(nbytes), api.cudaMalloc(nbytes)
-        api.cudaMemset(a, 0, nbytes)
-        api.cudaMemset(b, 0, nbytes)
-        ck = app.kernel(kernel.name)
-        plan = build_launch_plan(api, ck, GRID, BLOCK, [a, b])
-        t1, c1 = estimate_plan_times(api, plan)
-        tw, cw = estimate_window_times(api, [plan, plan, plan])
-        assert tw == pytest.approx(3 * t1)
-        assert cw == pytest.approx(3 * c1)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusterSimMachine
+from repro.cluster.gang import halo_first_order
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
@@ -72,15 +73,17 @@ def _observe(api, host):
 
     api.launch = recorded
     host(api)
-    api.pipeline.flush()
+    api.cudaDeviceSynchronize()
     states.append(_state(api))
     trace = api.machine.trace.intervals if api.machine is not None else None
     return states, trace, dataclasses.asdict(api.stats)
 
 
-def _oracle_issue(api, plan, policy, *, transfer_order=None, **kwargs):
+def _oracle_issue(api, plan, policy, **kwargs):
     """The oracle, handed the halo-first order the executor would lower with."""
-    order = transfer_order(plan) if transfer_order is not None else None
+    order = None
+    if api.cluster is not None and api.config.pipeline_window > 1:
+        order = halo_first_order(plan, api.cluster)
     issue_oracle.issue_plan_sim(api, plan, policy, transfer_order=order, **kwargs)
 
 
@@ -234,14 +237,15 @@ def _hotspot_api(machine=None, **config):
         functional=False,
     )
     plans = []
-    submit = api.pipeline.submit
+    submit = executor.submit_plan
 
-    def recorded(plan, policy):
+    def recorded(api, plan):
         plans.append(plan)
-        submit(plan, policy)
+        submit(api, plan)
 
-    api.pipeline.submit = recorded
-    wl.run(api, None)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(executor, "submit_plan", recorded)
+        wl.run(api, None)
     return api, plans
 
 

@@ -130,7 +130,7 @@ def test_any_interleaving_matches_solo_runs(config, shifts_a, shifts_b, interlea
         dx, dy = handles[tenant]
         runtime.submit(tenant, _job(shift, dx, dy))
         # Service eagerly half the time (submission order == service order
-        # either way; this varies the pipeline-flush pattern).
+        # either way; this varies when each tenant's launches issue).
         if (emitted[0] + emitted[1]) % 2 == 0:
             runtime.step()
     runtime.drain()

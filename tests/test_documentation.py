@@ -75,8 +75,9 @@ def test_pipeline_demo_runs():
     """examples/pipeline_demo.py runs clean and shows the key behaviours.
 
     The demo is the documentation's executable companion for the
-    pipelining section of docs/scheduler.md: bitwise-identical results at
-    every window, and host-visible operations draining the buffer.
+    ``pipeline_window`` section of docs/scheduler.md: bitwise-identical
+    results under both copy orders, and halo-first issue starting on the
+    network.
     """
     import os
     import pathlib
@@ -97,7 +98,7 @@ def test_pipeline_demo_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "bitwise-identical results" in proc.stdout
-    assert "depth=0" in proc.stdout
+    assert "halo-first  net" in proc.stdout
 
 
 def test_taskgraph_doc_covers_the_subsystem():
