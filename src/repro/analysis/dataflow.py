@@ -379,7 +379,6 @@ def analyze_transfers(
     scalars: Mapping[str, int],
     irredundant: bool = False,
     cluster=None,
-    use_codegen: bool = True,
     oracle: Optional[ExactReadOracle] = None,
     enums: Optional[EnumeratorTable] = None,
 ) -> DataflowSummary:
@@ -415,7 +414,7 @@ def analyze_transfers(
         parts = hierarchical_partitions(strategy, grid, cluster)
     else:
         parts = strategy.partitions(grid, n_gpus)
-    enums = enums or EnumeratorTable.build(info, use_codegen=use_codegen)
+    enums = enums or EnumeratorTable.build(info)
     arrays = {p.name: p for p in info.kernel.array_params}
     oracle = oracle or ExactReadOracle(info)
 

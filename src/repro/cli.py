@@ -174,9 +174,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{counters['plan_cache_evictions']} evictions; "
         f"{counters['residual_cache_hits']} residual replays, "
         f"{counters['residual_cache_misses']} residual misses, "
-        f"{counters['residual_cache_evictions']} evictions; enumerator scans "
-        f"{counters['enumerator_specialized']} vectorized / "
-        f"{counters['enumerator_fallback']} interpreted"
+        f"{counters['residual_cache_evictions']} evictions; "
+        f"{counters['enumerator_specialized']} enumerator scans"
     )
     if args.shared_copies:
         print(

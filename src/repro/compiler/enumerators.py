@@ -9,15 +9,17 @@ enumerates the accessed array elements as per-row ``[first, last]`` ranges
 Interface (paper §6.2): each enumerator is named
 ``<kernel>__arg<i>__<read|write>``; inputs arrive as flat integer tuples
 (the partition box plus the launch configuration plus scalar arguments) and
-output ranges are delivered through a callback — here additionally wrapped
-into a convenience method producing merged, flat (row-major) element ranges.
+output ranges are delivered through a callback. Here the scan AST of each
+image is built once, when the enumerator is, and compiled into a box
+program (:mod:`repro.poly.vectorize`) that returns the merged, flat
+(row-major) element ranges and the number of per-row ranges the callback
+would have received.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compiler.access_analysis import (
     GRID_PARAMS,
@@ -31,13 +33,8 @@ from repro.errors import AnalysisError
 from repro.memo import MISS, Memo
 from repro.poly.affine import Aff
 from repro.poly.basic_set import BasicSet, _rebind_constraint
-from repro.poly.codegen import (
-    ScanFn,
-    compile_scanner,
-    interpreted_scanner,
-    prepare_scanner,
-)
-from repro.poly.vectorize import VectorizeError, vector_program
+from repro.poly.codegen import prepare_scanner
+from repro.poly.vectorize import VectorProgram, vector_program
 from repro.poly.constraint import Constraint
 from repro.poly.set_ import Set
 from repro.poly.space import Space
@@ -113,29 +110,22 @@ class Enumerator:
     mode: str  # "read" | "write"
     ndim: int
     image: Set
-    scan: ScanFn
+    #: The compiled box program of ``image`` (repro.poly.vectorize), built
+    #: once with the enumerator; shared with every enumerator of the same
+    #: access shape.
+    program: VectorProgram
     param_order: Tuple[str, ...]
     exact: bool
-    #: Memoized scan results ``(ranges, emitted, vectorized)``: iterative
-    #: applications re-enumerate identical partitions every launch; the real
-    #: runtime's generated C code does so cheaply, here we cache the Python
-    #: scan (host *cost* is still charged per call by the runtime, from the
-    #: recorded emit count). The third slot remembers which backend produced
-    #: the entry so repeat requests attribute to the same counter. Not an
-    #: init field: ``dataclasses.replace`` starts a copy with an empty memo.
+    #: Memoized scan results ``(ranges, emitted)``: iterative applications
+    #: re-enumerate identical partitions every launch; the real runtime's
+    #: generated C code does so cheaply, here we cache the Python scan (host
+    #: *cost* is still charged per call by the runtime, from the recorded
+    #: emit count). Not an init field: ``dataclasses.replace`` starts a copy
+    #: with an empty memo.
     _scans: Memo = field(
         default_factory=lambda: Memo("enumerator_scan", SCAN_CAPACITY),
         init=False, repr=False, compare=False,
     )
-    #: Whether cache misses may scan through the compiled box program
-    #: (repro.poly.vectorize). False pins the scalar scanner — the ablation
-    #: path — and is also set when an interpreted table is requested.
-    specialize: bool = True
-    #: Vectorized-backend state: "unbuilt" until the first miss, then
-    #: "ready" or "disabled" (program construction raised VectorizeError;
-    #: scalar fallback from then on).
-    _vec_state: str = field(default="unbuilt", repr=False, compare=False)
-    _vec: Optional[object] = field(default=None, repr=False, compare=False)
 
     def pack_params(
         self,
@@ -199,15 +189,15 @@ class Enumerator:
     ) -> Tuple[List[FlatRange], int]:
         """Merged flat (row-major) element ranges accessed by ``partition``.
 
-        Returns ``(ranges, n_emitted)`` where ``n_emitted`` counts raw
-        callback invocations (the runtime's per-range host cost driver) —
-        the vectorized backend reproduces the same count without invoking a
-        callback. ``stats`` (a ``RunStats``, optional) receives one
-        ``enumerator_specialized``/``enumerator_fallback`` tick per request,
-        attributed to the backend that produced the result — deterministic
-        per call sequence even when another runtime already warmed the scan
-        memo. ``audit`` re-scans on a memo hit and raises
-        :exc:`~repro.errors.MemoAuditError` if the memoized scan differs.
+        Returns ``(ranges, n_emitted)`` where ``n_emitted`` counts the
+        per-row ranges a row-by-row scan emits (the runtime's per-range host
+        cost driver); the program computes it without visiting the rows.
+        ``stats`` (a ``RunStats``, optional) receives one
+        ``enumerator_specialized`` tick per request, memo hit or not, so the
+        count is deterministic per call sequence even when another runtime
+        already warmed the scan memo. ``audit`` re-scans on a memo hit and
+        raises :exc:`~repro.errors.MemoAuditError` if the memoized scan
+        differs.
         """
         if partition.is_empty:
             return [], 0
@@ -219,77 +209,19 @@ class Enumerator:
             self._scans.put(key, cached)
         elif audit:
             self._scans.audit(key, cached, self._scan(params, shape))
-        ranges, count, vectorized = cached
         if stats is not None:
-            if vectorized:
-                stats.enumerator_specialized += 1
-            else:
-                stats.enumerator_fallback += 1
-        return ranges, count
+            stats.enumerator_specialized += 1
+        return cached
 
-    def _scan(
-        self, params: Tuple[int, ...], shape: Sequence[int]
-    ) -> Tuple[List[FlatRange], int, bool]:
-        """One scan, uncached: ``(ranges, emitted, vectorized)``."""
+    def _scan(self, params: Tuple[int, ...], shape: Sequence[int]) -> Tuple[List[FlatRange], int]:
+        """One scan, uncached: ``(ranges, emitted)``."""
         strides = [1] * len(shape)
         for d in range(len(shape) - 2, -1, -1):
             strides[d] = strides[d + 1] * shape[d + 1]
-        result = self._scan_vectorized(params, strides)
-        vectorized = result is not None
-        if result is None:
-            raw: List[FlatRange] = []
-            count = 0
-
-            def emit(row: Tuple[int, ...], lo: int, hi: int) -> None:
-                nonlocal count
-                count += 1
-                base = sum(r * s for r, s in zip(row, strides[:-1]))
-                raw.append((base + lo, base + hi + 1))
-
-            self.scan(params, emit)
-            result = (merge_ranges(raw), count)
-        return result[0], result[1], vectorized
-
-    def _scan_vectorized(
-        self, params: Tuple[int, ...], strides: Sequence[int]
-    ) -> Optional[Tuple[List[FlatRange], int]]:
-        """One scan through the memoized box program; None means fall back."""
-        if not self.specialize or self._vec_state == "disabled":
-            return None
-        if self._vec_state == "unbuilt":
-            try:
-                node, names = prepare_scanner(self.image, self.param_order)
-                self._vec = vector_program(node, names)
-            except VectorizeError:
-                self._vec_state = "disabled"
-                return None
-            self._vec_state = "ready"
-        return self._vec.run(params, strides)
+        return self.program.run(params, strides)
 
 
-def merge_ranges(ranges: List[FlatRange]) -> List[FlatRange]:
-    """Sort and coalesce overlapping/adjacent half-open ranges."""
-    if not ranges:
-        return []
-    ranges = sorted(ranges)
-    out = [ranges[0]]
-    for lo, hi in ranges[1:]:
-        last_lo, last_hi = out[-1]
-        if lo <= last_hi:
-            if hi > last_hi:
-                out[-1] = (last_lo, hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def build_enumerator(
-    info: KernelAccessInfo,
-    array: str,
-    mode: str,
-    *,
-    use_codegen: bool = True,
-) -> Enumerator:
+def build_enumerator(info: KernelAccessInfo, array: str, mode: str) -> Enumerator:
     """Generate the enumerator for one (kernel, array, mode) access map."""
     bucket = info.reads if mode == "read" else info.writes
     if array not in bucket:
@@ -299,8 +231,6 @@ def build_enumerator(
     param_order = PARTITION_PARAMS + tuple(
         p for p in image.space.params if p not in PARTITION_PARAMS
     )
-    factory = compile_scanner if use_codegen else interpreted_scanner
-    scan = factory(image, param_order)
     arg_index = info.kernel.param_index(array)
     return Enumerator(
         name=f"{info.kernel.name}__arg{arg_index}__{mode}",
@@ -310,12 +240,9 @@ def build_enumerator(
         mode=mode,
         ndim=len(image.space.out_dims),
         image=image,
-        scan=scan,
+        program=vector_program(*prepare_scanner(image, param_order)),
         param_order=param_order,
         exact=access.exact and image.exact,
-        # The interpreted ablation quantifies scalar tree-walking; letting
-        # it silently vectorize would measure nothing.
-        specialize=use_codegen,
     )
 
 
@@ -346,10 +273,10 @@ class EnumeratorTable:
         return len(self._table)
 
     @staticmethod
-    def build(info: KernelAccessInfo, *, use_codegen: bool = True) -> "EnumeratorTable":
+    def build(info: KernelAccessInfo) -> "EnumeratorTable":
         table = EnumeratorTable()
         for array in info.reads:
-            table.add(build_enumerator(info, array, "read", use_codegen=use_codegen))
+            table.add(build_enumerator(info, array, "read"))
         for array in info.writes:
-            table.add(build_enumerator(info, array, "write", use_codegen=use_codegen))
+            table.add(build_enumerator(info, array, "write"))
         return table

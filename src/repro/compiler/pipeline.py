@@ -96,7 +96,6 @@ def compile_app(
     *,
     host_source: Optional[str] = None,
     model_path: Optional[Union[str, Path]] = None,
-    use_codegen: bool = True,
     block_dim: Optional[Tuple[int, int, int]] = None,
     write_annotations: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> CompiledApp:
@@ -107,11 +106,6 @@ def compile_app(
         host_source: optional CUDA-like host source to rewrite (§5); Python
             host programs skip this and bind the runtime API directly.
         model_path: where pass 1 saves the application model JSON.
-        use_codegen: compile enumerators to Python and let cache-missing
-            scans run the vectorized numpy backend (True), or interpret
-            the scanner ASTs scalar-only (False; ablation — also disables
-            enumerator specialization so the ablation measures the
-            tree-walking cost it claims to).
         block_dim: concrete block size for the injectivity fallback check.
         write_annotations: programmer-supplied write maps in isl notation,
             ``{kernel_name: {array_name: map_text}}`` (paper §11; see
@@ -181,7 +175,7 @@ def compile_app(
         partitioned: Optional[Kernel] = None
         if km.partitionable:
             partitioned = partition_kernel(k)
-            kernel_table = EnumeratorTable.build(info, use_codegen=use_codegen)
+            kernel_table = EnumeratorTable.build(info)
             for key, enum in kernel_table._table.items():
                 table._table[key] = enum
         compiled[k.name] = CompiledKernel(

@@ -64,15 +64,11 @@ def describe_kernel(app: CompiledApp, ck: CompiledKernel, *, sources: bool = Fal
         lines.append("### generated enumerators (§6)")
         for mode in ("read", "write"):
             for enum in app.enumerators.for_kernel(ck.kernel.name, mode):
-                src = getattr(enum.scan, "__poly_source__", None)
                 lines.append("")
                 lines.append(f"`{enum.name}` (exact={enum.exact}):")
-                if src is not None:
-                    lines.append("```python")
-                    lines.append(src.rstrip())
-                    lines.append("```")
-                else:
-                    lines.append("(interpreted scanner — no generated source)")
+                lines.append("```python")
+                lines.append(enum.program.fn.__poly_source__.rstrip())
+                lines.append("```")
     return "\n".join(lines)
 
 

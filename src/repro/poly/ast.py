@@ -3,17 +3,14 @@
 The paper (Section 6) uses isl's AST generation: control flow is limited to
 ``for`` loops and conditionals, and expressions are closed-form trees whose
 operators map 1:1 onto LLVM IR. Here the same AST maps 1:1 onto Python
-source; :mod:`repro.poly.codegen` renders and compiles it, and
-:func:`eval_expr` / :func:`interpret` provide the interpreted fallback
-(the scalar scanner backend, ``use_codegen=False``).
+source, which :mod:`repro.poly.codegen` renders and compiles; nothing
+walks the tree at scan time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
-
-from repro.poly.linalg import ceildiv, floordiv
+from typing import Tuple
 
 __all__ = [
     "Expr",
@@ -30,8 +27,6 @@ __all__ = [
     "AGuard",
     "AEmitRange",
     "ASeq",
-    "eval_expr",
-    "interpret",
     "expr_to_py",
 ]
 
@@ -136,62 +131,6 @@ class AEmitRange(Node):
 @dataclass(frozen=True)
 class ASeq(Node):
     children: Tuple[Node, ...]
-
-
-# -- interpretation ---------------------------------------------------------
-
-
-def eval_expr(expr: Expr, env: Dict[str, int]) -> int:
-    """Evaluate an expression under a variable environment."""
-    if isinstance(expr, EConst):
-        return expr.value
-    if isinstance(expr, EVar):
-        return env[expr.name]
-    if isinstance(expr, EAdd):
-        return sum(eval_expr(t, env) for t in expr.terms)
-    if isinstance(expr, EMul):
-        return expr.coeff * eval_expr(expr.operand, env)
-    if isinstance(expr, EFDiv):
-        return floordiv(eval_expr(expr.operand, env), expr.divisor)
-    if isinstance(expr, ECDiv):
-        return ceildiv(eval_expr(expr.operand, env), expr.divisor)
-    if isinstance(expr, EMin):
-        return min(eval_expr(o, env) for o in expr.operands)
-    if isinstance(expr, EMax):
-        return max(eval_expr(o, env) for o in expr.operands)
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-EmitFn = Callable[[Tuple[int, ...], int, int], None]
-
-
-def interpret(node: Node, env: Dict[str, int], emit: EmitFn) -> None:
-    """Run the scanner AST directly (the non-codegen fallback)."""
-    if isinstance(node, ASeq):
-        for child in node.children:
-            interpret(child, env, emit)
-        return
-    if isinstance(node, AGuard):
-        if all(eval_expr(e, env) >= 0 for e in node.ineqs) and all(
-            eval_expr(e, env) == 0 for e in node.eqs
-        ):
-            interpret(node.body, env, emit)
-        return
-    if isinstance(node, AFor):
-        lo = eval_expr(node.lower, env)
-        hi = eval_expr(node.upper, env)
-        for v in range(lo, hi + 1):
-            env[node.var] = v
-            interpret(node.body, env, emit)
-        env.pop(node.var, None)
-        return
-    if isinstance(node, AEmitRange):
-        lo = eval_expr(node.lower, env)
-        hi = eval_expr(node.upper, env)
-        if lo <= hi:
-            emit(tuple(eval_expr(r, env) for r in node.row), lo, hi)
-        return
-    raise TypeError(f"unknown AST node {node!r}")
 
 
 # -- python source rendering --------------------------------------------------

@@ -317,7 +317,8 @@ class BasicSet:
     def enumerate_points(self, max_points: int = 1_000_000) -> Iterator[Tuple[int, ...]]:
         """Yield every integer point of a bounded, parameter-free set.
 
-        Used by tests and by the interpreted (non-codegen) scanner fallback.
+        Used by the race and bounds passes to extract witnesses, and by
+        tests as the brute-force oracle of every scanner.
         Raises :class:`PolyhedralError` if the set has parameters or is
         unbounded in some dimension.
         """

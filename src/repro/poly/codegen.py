@@ -2,12 +2,12 @@
 
 The paper translates isl ASTs into LLVM IR functions embedded in the
 application (Section 6.1-6.2); the analogue here renders the AST as Python
-source and compiles it with :func:`compile`, so the hot scanning loops run
-without tree-walking overhead. The interpreted path
-(:func:`repro.poly.ast.interpret`) is kept for the ablation benchmark that
-quantifies exactly this difference. The same renderer also prints the
-box/rows programs of :mod:`repro.poly.vectorize`, which return an image's
-ranges without calling back per row (:func:`render_vector_source`).
+source and compiles it with :func:`compile`. Every enumerator runs the
+box/rows program of :mod:`repro.poly.vectorize`, which returns an image's
+ranges without calling back per row (:func:`render_vector_source`). The
+scalar scanner (:func:`compile_scanner`), which calls back once per row,
+serves where the rows themselves are the answer: the exact-read oracle of
+:mod:`repro.analysis.dataflow` flattens every point of a candidate set.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.poly.ast import (
     Expr,
     Node,
     expr_to_py,
-    interpret,
 )
 from repro.poly.astbuild import build_scan_ast, build_scan_ast_union
 from repro.poly.basic_set import BasicSet
@@ -45,7 +44,6 @@ __all__ = [
     "ScanFn",
     "compile_scanner",
     "compile_vector_scanner",
-    "interpreted_scanner",
     "prepare_scanner",
     "render_scanner_source",
     "render_vector_source",
@@ -211,19 +209,6 @@ def compile_scanner(
     return _load(source, fn_name, "poly-scanner", {})
 
 
-def interpreted_scanner(
-    set_or_bset, param_names: Optional[Sequence[str]] = None
-) -> ScanFn:
-    """Like :func:`compile_scanner` but walking the AST at scan time."""
-    node, names = _prepare(set_or_bset, param_names)
-
-    def scan(params: Sequence[int], emit) -> None:
-        env = {name: params[i] for i, name in enumerate(names)}
-        interpret(node, env, emit)
-
-    return scan
-
-
 def _safe_name(name: str) -> str:
     """Map an arbitrary dimension name to a valid Python identifier."""
     safe = re.sub(r"\W", "_", name)
@@ -284,10 +269,10 @@ def prepare_scanner(
 ) -> Tuple[Node, Tuple[str, ...]]:
     """The scan AST and positional parameter names for a set or union.
 
-    The shared front half of every scanner backend: both rendered backends
-    (the scalar scanner and :mod:`repro.poly.vectorize`'s program) sanitize
-    the names afterwards, while the interpreted one binds them as-is — all
-    three walk the same AST, which is what makes their results identical.
+    The shared front half of both rendered scanners (the scalar scanner
+    and :mod:`repro.poly.vectorize`'s program), which sanitize the names
+    afterwards: both walk the same AST, which is what makes their results
+    identical.
     """
     node, names = _prepare(set_or_bset, param_names)
     return node, tuple(names)

@@ -1,8 +1,9 @@
 """Scanning access images, not rows: compiled box programs over scan ASTs.
 
-The scalar scanners (:func:`repro.poly.codegen.compile_scanner`) call back
-once per row of an image; a 2-D stencil partition has thousands of rows,
-and almost all of them coalesce into a few full-width bands. A
+Every enumerator of :mod:`repro.compiler.enumerators` is one of these
+programs, built once when the enumerator is. A row-by-row scanner calls
+back once per row of an image; a 2-D stencil partition has thousands of
+rows, and almost all of them coalesce into a few full-width bands. A
 :class:`VectorProgram` is generated code whose cost follows the ranges it
 returns instead: :func:`repro.poly.codegen.render_vector_source` renders
 the scan AST's guards and outer loops as straight-line Python and each
@@ -23,16 +24,16 @@ box's columns lie inside ``[0, W)`` (``W`` the row stride), because then no
 row's ranges reach into another row. A call whose values break the
 condition materialises the rows of its boxes instead; rows entries are
 merged into the result with one sorted coalesce. Either way the ranges are
-:func:`repro.compiler.enumerators.merge_ranges` of the scalar scanner's
-emissions and the emission count — which drives simulated host cost — is
-the scalar scanner's: ``row_hi - row_lo + 1`` per box with ``lo <= hi``
-plus the valid rows of each rows entry.
+the sorted, coalesced emissions of the scalar scanner
+(:func:`repro.poly.codegen.compile_scanner`) over the same AST, and the
+emission count — which drives simulated host cost — is the scalar
+scanner's: ``row_hi - row_lo + 1`` per box with ``lo <= hi`` plus the valid
+rows of each rows entry. The tests hold every program to both the scalar
+scanner and an AST interpreter.
 
 Programs are memoized per process (the pycuda ``@memoize`` idiom, on a
 :class:`~repro.memo.Memo`) keyed on the AST node — scan ASTs are frozen
 dataclasses, hence hashable — so each access shape compiles once.
-An AST the renderer cannot handle raises :exc:`VectorizeError` at
-construction and the caller falls back to the scalar scanner.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ from repro.memo import MISS, Memo
 from repro.poly.ast import Node
 from repro.poly.codegen import compile_vector_scanner
 
-__all__ = ["VectorizeError", "vector_program", "VectorProgram"]
+__all__ = ["vector_program", "VectorProgram"]
 
 Run = Tuple[int, int]
 Box = Tuple[int, int, int, int]
-
-
-class VectorizeError(Exception):
-    """The AST cannot be compiled into a vector program."""
 
 
 class VectorProgram:
@@ -61,19 +58,16 @@ class VectorProgram:
     def __init__(self, node: Node, param_names: Tuple[str, ...]) -> None:
         self.node = node
         self.param_names = param_names
-        try:
-            self._fn = compile_vector_scanner(node, param_names)
-        except TypeError as exc:
-            raise VectorizeError(str(exc)) from exc
+        self.fn = compile_vector_scanner(node, param_names)
 
     def run(self, params: Sequence[int], strides: Sequence[int]) -> Tuple[List[Run], int]:
         """Merged flat element ranges plus the raw emission count.
 
-        The same ranges as merging the scalar scanner's emissions, and the
-        same number of emissions, without visiting a row the result does
-        not need.
+        The same ranges as coalescing the scalar scanner's emissions, and
+        the same number of emissions, without visiting a row the result
+        does not need.
         """
-        boxes, rows = self._fn(params, strides)
+        boxes, rows = self.fn(params, strides)
         boxes = [b for b in boxes if b[0] <= b[1] and b[2] <= b[3]]
         width = int(strides[-2]) if len(strides) > 1 else 0
         if len(strides) > 1 and not all(0 <= lo and hi < width for _, _, lo, hi in boxes):
@@ -112,7 +106,7 @@ def _union_boxes(boxes: List[Box], width: int) -> List[Run]:
 
 
 def _coalesce(runs: List[Run]) -> List[Run]:
-    """Merge sorted half-open runs that overlap or touch (``merge_ranges``).
+    """Merge sorted half-open runs that overlap or touch.
 
     Not :func:`repro.poly.intervals.normalize_intervals`: that one re-sorts
     and re-casts every run, and is timed as its own layer.
@@ -139,9 +133,7 @@ def vector_program(node: Node, param_names: Tuple[str, ...]) -> VectorProgram:
 
     Keyed on the (hashable, frozen) AST and the positional parameter
     names; every enumerator of a compiled app shares one program per
-    distinct access shape. Raises :exc:`VectorizeError` immediately when
-    the AST contains unsupported node kinds, so callers can disable the
-    vectorized path once instead of per call.
+    distinct access shape.
     """
     key = (node, param_names)
     program = _programs.get(key)

@@ -46,7 +46,7 @@ __all__ = ["RunStats", "MultiGpuApi", "HOST_PLANNER_COUNTERS", "host_planner_cou
 SKELETON_CAPACITY = RESIDUAL_CAPACITY = ESTIMATE_CAPACITY = 512
 
 #: The staged-planner observability counters: plan-skeleton cache traffic
-#: plus the per-backend enumerator split. Benchmarks surface exactly this
+#: plus the enumerator scan counts. Benchmarks surface exactly this
 #: slice, and identity checks between runs with different memo capacities
 #: or a shared skeleton memo exclude exactly this slice (a hit skips
 #: enumerator requests, so these counters — and only these — may differ
@@ -123,9 +123,10 @@ class RunStats:
     residual_cache_hits: int = 0
     residual_cache_misses: int = 0
     residual_cache_evictions: int = 0
-    #: Enumerator scans per backend, counted on enumerator-cache *misses*:
-    #: ``specialized`` ran the vectorized numpy program, ``fallback`` the
-    #: scalar scanner (non-affine shapes or the interpreted ablation).
+    #: Enumerator scan requests, memo hits included: each ran (or reused)
+    #: its enumerator's compiled box program. Every enumerator is one, so
+    #: nothing increments ``fallback`` any more; it stays only because the
+    #: benchmark ledger still reads it.
     enumerator_specialized: int = 0
     enumerator_fallback: int = 0
 

@@ -114,7 +114,7 @@ def launch_partitioned(
     else:
         api.stats.plan_cache_hits += 1
         if audit:
-            # Rebuilt without stats: a hit counts no scan backends.
+            # Rebuilt without stats: a hit counts no scans.
             fresh = build_plan_skeleton(
                 api, ck, grid, block, scalars, fingerprint=key, validate=True
             )

@@ -57,8 +57,7 @@ def byte_ranges(
     """Flat element ranges of one enumerator, converted to byte ranges.
 
     ``stats`` and ``audit`` are threaded to the enumerator: each request
-    reports which backend (vectorized/scalar) produced its scan, and an
-    audited request re-scans on a memo hit.
+    counts one scan, and an audited request re-scans on a memo hit.
     """
     ranges, emitted = enum.element_ranges(
         partition, block, grid, scalars, shape, stats=stats, audit=audit

@@ -417,7 +417,7 @@ def build_plan_skeleton(
     cached, and a failed runtime-coverage validation also returns the
     fallback skeleton — both are fingerprint-determined, so caching their
     outcome is sound. ``stats`` (the launch path passes the
-    api's ``RunStats``) attributes each scan to its enumerator backend;
+    api's ``RunStats``) counts each enumerator scan;
     the default None keeps direct plan construction stats-pure.
     """
     from repro.runtime.launch import launch_fallback

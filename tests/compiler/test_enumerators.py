@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.compiler.access_analysis import analyze_kernel
-from repro.compiler.enumerators import EnumeratorTable, build_enumerator, merge_ranges
+from repro.compiler.enumerators import EnumeratorTable, build_enumerator
 from repro.compiler.strategy import Partition, choose_strategy
 from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
+from tests.poly.scan_oracle import merge_ranges
 
 
 def brute_access_set(n, part, block, accesses):
@@ -32,6 +33,8 @@ def cover(ranges):
 
 
 class TestMergeRanges:
+    """The merge the row-by-row oracles coalesce their emissions with."""
+
     def test_empty(self):
         assert merge_ranges([]) == []
 

@@ -19,12 +19,7 @@ class TestDescribe:
         app = compile_app([stencil_kernel])
         text = describe_app(app, sources=True)
         assert "generated enumerators" in text
-        assert "def _scan" in text  # the compiled Python scanner source
-
-    def test_interpreted_scanners_noted(self, stencil_kernel):
-        app = compile_app([stencil_kernel], use_codegen=False)
-        text = describe_app(app, sources=True)
-        assert "interpreted scanner" in text
+        assert "def _vec" in text  # the compiled box program's source
 
     def test_rejected_kernel_report(self):
         from repro.cuda.dtypes import f32
@@ -47,4 +42,4 @@ class TestDescribe:
         assert main(["analyze", "matmul", "--verbose"]) == 0
         out = capsys.readouterr().out
         assert "# compile report" in out
-        assert "def _scan" in out
+        assert "def _vec" in out

@@ -1,18 +1,21 @@
-"""Vectorized enumerators are a pure speedup, never a semantic change.
+"""Every enumerator is its compiled box program, built once, and exact.
 
-Each enumerator can satisfy a scan request two ways: the vectorized numpy
-program (``specialize=True``, the default) or the scalar tree-walking
-scanner (``use_codegen=False``, the ablation path). These tests compile
-every workload twice — once per backend — run identical functional inputs
-through both, and require
+An enumerator answers each scan request with one program
+(:mod:`repro.poly.vectorize`), built from one scan AST when the enumerator
+is. These tests hold every program of every workload to two row-by-row
+oracles over the same image — the compiled scalar scanner
+(:func:`repro.poly.codegen.compile_scanner`) and the tree-walking
+interpreter of :mod:`tests.poly.scan_oracle` — and require
 
-* bitwise-identical workload outputs,
-* identical per-enumerator scan results — same cache keys, same merged
-  ranges, same emitted-range counts — element for element, and
-* that the backends really were what they claim: the vectorized app's
-  scans resolve through the numpy program, the interpreted app's never do.
+* bitwise-identical workload outputs when the interpreter serves every
+  scan instead of the program,
+* identical per-request scan results — same cache keys, same merged
+  ranges, same emitted-range counts — element for element, also at random
+  partitions and on reshaped arrays, and
+* exactly one scan AST per enumerator across compile and a functional run.
 """
 
+import contextlib
 import dataclasses
 import functools
 from unittest import mock
@@ -24,30 +27,46 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.compiler.enumerators import Enumerator
 from repro.compiler.pipeline import compile_app
 from repro.compiler.strategy import Partition
+from repro.poly import codegen
+from repro.poly.codegen import compile_scanner
 from repro.runtime.api import MultiGpuApi, RunStats
 from repro.runtime.config import RuntimeConfig
 from repro.workloads import ALL_WORKLOADS, EXTRA_WORKLOADS, functional_config
+from tests.poly.scan_oracle import interpreted_scanner, row_scan, strides_of
 
 REGISTRY = {**ALL_WORKLOADS, **EXTRA_WORKLOADS}
 
 
 def _run_both(name, n_gpus=3, seed=11):
-    """One functional run per backend; returns (outputs, app) for each."""
+    """One functional run as shipped and one with every enumerator scan
+    interpreted; ``{interpreted: (outputs, app, stats)}``."""
     results = {}
-    for use_codegen in (True, False):
+    for interpreted in (False, True):
         wl = REGISTRY[name](functional_config(name))
-        app = compile_app(wl.build_kernels(), use_codegen=use_codegen)
-        api = MultiGpuApi(app, RuntimeConfig(n_gpus=n_gpus))
-        outputs = wl.run(api, wl.make_inputs(seed=seed))
-        results[use_codegen] = (outputs, app, api.stats)
+        app = compile_app(wl.build_kernels())
+        scanners = {}
+
+        def interpreted_scan(self, params, shape):
+            if self.name not in scanners:
+                scanners[self.name] = interpreted_scanner(self.image, self.param_order)
+            return row_scan(scanners[self.name], params, strides_of(shape))
+
+        with (
+            mock.patch.object(Enumerator, "_scan", interpreted_scan)
+            if interpreted
+            else contextlib.nullcontext()
+        ):
+            api = MultiGpuApi(app, RuntimeConfig(n_gpus=n_gpus))
+            outputs = wl.run(api, wl.make_inputs(seed=seed))
+        results[interpreted] = (outputs, app, api.stats)
     return results
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_backends_bitwise_equal_and_scan_identical(name):
     results = _run_both(name)
-    (vec_out, vec_app, vec_stats) = results[True]
-    (int_out, int_app, int_stats) = results[False]
+    (vec_out, vec_app, vec_stats) = results[False]
+    (int_out, int_app, _) = results[True]
 
     # Workload outputs are bitwise identical across backends.
     assert set(vec_out) == set(int_out)
@@ -65,28 +84,13 @@ def test_backends_bitwise_equal_and_scan_identical(name):
         vec_cache = vec_table[key]._scans._entries
         int_cache = int_table[key]._scans._entries
         assert set(vec_cache) == set(int_cache), (name, key)
-        for req, (v_ranges, v_count, v_vectorized) in vec_cache.items():
-            i_ranges, i_count, i_vectorized = int_cache[req]
-            assert v_ranges == i_ranges, (name, key)
-            assert v_count == i_count, (name, key)
-            assert not i_vectorized, (name, key)
+        for req, (v_ranges, v_count) in vec_cache.items():
+            assert (v_ranges, v_count) == int_cache[req], (name, key)
 
-    # The interpreted table pins the scalar scanner outright.
-    assert all(not e.specialize for e in int_table.values()), name
-    assert int_stats.enumerator_specialized == 0
-    if int_table:
-        assert int_stats.enumerator_fallback > 0
-
-    # The vectorized app's partitionable kernels actually engaged the
-    # numpy backend (no silent fallback on the benchmark kernels).
+    # The partitionable kernels really scanned.
     if vec_table:
         assert vec_stats.enumerator_specialized > 0, name
-        assert vec_stats.enumerator_fallback == 0, name
-        assert any(
-            vectorized
-            for e in vec_table.values()
-            for (_, _, vectorized) in e._scans._entries.values()
-        ), name
+        assert any(e._scans._entries for e in vec_table.values()), name
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,6 +112,16 @@ def _requests(name):
     return [seen[k] for k in sorted(seen, key=repr)]
 
 
+@functools.lru_cache(maxsize=None)
+def _oracles(name, enum_name):
+    """The compiled scalar scanner and the interpreter of one enumerator's image."""
+    enum = next(e for e, *_ in _requests(name) if e.name == enum_name)
+    return (
+        compile_scanner(enum.image, enum.param_order),
+        interpreted_scanner(enum.image, enum.param_order),
+    )
+
+
 @st.composite
 def _box(draw, grid):
     """A random non-empty block box inside ``grid``."""
@@ -124,7 +138,8 @@ def _box(draw, grid):
 def test_random_partitions_scan_identically(name, data):
     """Random partitions of every app's launches, some on a reshaped array
     (whose rows may then be narrower than the image's columns): the compiled
-    program and the scalar scanner return the same ranges and counts."""
+    program, the scalar scanner and the interpreter return the same ranges
+    and counts."""
     requests = _requests(name)
     if not requests:
         return
@@ -132,19 +147,51 @@ def test_random_partitions_scan_identically(name, data):
     partition = data.draw(_box(grid))
     if len(shape) > 1 and data.draw(st.booleans()):
         shape = shape[:-1] + (max(1, shape[-1] + data.draw(st.integers(-3, 3))),)
-    # A fresh scan memo each, so both backends really scan.
-    vec = dataclasses.replace(enum, specialize=True)
-    scalar = dataclasses.replace(enum, specialize=False)
+    # A fresh scan memo, so the program really scans.
+    fresh = dataclasses.replace(enum)
     stats = RunStats()
-    got = vec.element_ranges(partition, block, grid, scalars, shape, stats)
-    assert got == scalar.element_ranges(partition, block, grid, scalars, shape)
-    assert (stats.enumerator_specialized, stats.enumerator_fallback) == (1, 0)
+    got = fresh.element_ranges(partition, block, grid, scalars, shape, stats)
+    params = enum.pack_params(partition, block, grid, scalars)
+    for scanner in _oracles(name, enum.name):
+        assert got == row_scan(scanner, params, strides_of(shape))
+    assert stats.enumerator_specialized == 1
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_each_enumerator_builds_one_scan_ast(name):
+    """Compile plus one functional run build exactly one scan AST per
+    enumerator: the program is built with the enumerator and every scan
+    reuses it."""
+    built = []
+
+    def counting(build):
+        def wrapper(s):
+            built.append(s)
+            return build(s)
+
+        return wrapper
+
+    wl = REGISTRY[name](functional_config(name))
+    with mock.patch.object(
+        codegen, "build_scan_ast", counting(codegen.build_scan_ast)
+    ), mock.patch.object(
+        codegen, "build_scan_ast_union", counting(codegen.build_scan_ast_union)
+    ):
+        app = compile_app(wl.build_kernels())
+        api = MultiGpuApi(app, RuntimeConfig(n_gpus=2))
+        wl.run(api, wl.make_inputs(seed=3))
+    enums = app.enumerators.all()
+    assert len(built) == len(enums), name
+    for enum in enums:
+        assert sum(s is enum.image for s in built) == 1, (name, enum.name)
+    if enums:
+        assert api.stats.enumerator_specialized > 0, name
 
 
 def test_imgpipe_nonaffine_kernel_has_no_enumerators():
     """imgpipe's histogram-style kernel is rejected by the partitioner, so
-    it contributes no enumerators — the fallback path, not the scalar
-    scanner, handles it."""
+    it contributes no enumerators — the whole-buffer fallback launch
+    handles it."""
     wl = REGISTRY["imgpipe"](functional_config("imgpipe"))
     app = compile_app(wl.build_kernels())
     rejected = [name for name, ck in app.kernels.items() if ck.partitioned is None]

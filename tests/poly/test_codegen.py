@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import PolyhedralError
 from repro.poly import parse_basic_set, parse_set
-from repro.poly.ast import AFor, AGuard, ASeq, EVar, eval_expr, EConst, EMax, EMin, ECDiv, EFDiv, EMul, EAdd
+from repro.poly.ast import AFor, AGuard, ASeq, EVar, EConst, EMax, EMin, ECDiv, EFDiv, EMul, EAdd
 from repro.poly.astbuild import build_scan_ast, build_scan_ast_union
-from repro.poly.codegen import compile_scanner, interpreted_scanner, render_scanner_source
+from repro.poly.codegen import compile_scanner, render_scanner_source
+from tests.poly.scan_oracle import eval_expr, interpreted_scanner
 
 
 def scan_all(scanner, params):

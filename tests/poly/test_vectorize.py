@@ -1,10 +1,11 @@
-"""The compiled box/rows program against the compiled scalar scanner.
+"""The compiled box/rows program against two row-by-row scanners.
 
 :class:`repro.poly.vectorize.VectorProgram` unions boxes in closed form and
 only materialises rows where it must; the scalar scanner
-(:func:`repro.poly.codegen.compile_scanner`) emits every row and
-:func:`repro.compiler.enumerators.merge_ranges` coalesces them. The two
-must agree on the merged ranges *and* on the emission count, which drives
+(:func:`repro.poly.codegen.compile_scanner`) and the AST interpreter of
+:mod:`tests.poly.scan_oracle` emit every row, and
+:func:`tests.poly.scan_oracle.merge_ranges` coalesces them. All three must
+agree on the merged ranges *and* on the emission count, which drives
 simulated host cost. Random unions of parametric boxes cover full- and
 partial-width bands, single-column edge pieces, runs that touch across rows,
 1-D arrays, triangular disjuncts, a 3-D nest and columns outside the row.
@@ -12,44 +13,31 @@ partial-width bands, single-column edge pieces, runs that touch across rows,
 
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler.enumerators import Enumerator, merge_ranges
+from repro.compiler.enumerators import Enumerator
 from repro.compiler.strategy import Partition
 from repro.cuda.dim3 import Dim3
 from repro.poly import parse_set
 from repro.poly.codegen import compile_scanner, prepare_scanner
 from repro.poly.vectorize import vector_program
 from repro.runtime.api import RunStats
+from tests.poly.scan_oracle import interpreted_scanner, merge_ranges, row_scan, strides_of
 
 PARAMS = ("p", "q", "r")
 W_MAX = 7
 
 
-def _strides(shape):
-    strides = [1] * len(shape)
-    for d in range(len(shape) - 2, -1, -1):
-        strides[d] = strides[d + 1] * shape[d + 1]
-    return strides
-
-
-def _scalar(s, params, strides):
-    """The oracle: every emission of the compiled scalar scanner, merged."""
-    raw = []
-
-    def emit(row, lo, hi):
-        base = sum(r * st for r, st in zip(row, strides[:-1]))
-        raw.append((base + lo, base + hi + 1))
-
-    compile_scanner(s, PARAMS)(params, emit)
-    return merge_ranges(raw), len(raw)
-
-
 def _check(text, bindings, shape):
+    """The program against every emission of the compiled scalar scanner
+    and of the interpreter, merged."""
     s = parse_set(text)
     program = vector_program(*prepare_scanner(s, PARAMS))
-    strides = _strides(shape)
+    oracles = (compile_scanner(s, PARAMS), interpreted_scanner(s, PARAMS))
+    strides = strides_of(shape)
     for params in bindings:
-        assert program.run(params, strides) == _scalar(s, params, strides), (text, params)
-    return program._fn.__poly_source__
+        got = program.run(params, strides)
+        for scanner in oracles:
+            assert got == row_scan(scanner, params, strides), (text, params)
+    return program.fn.__poly_source__
 
 
 def _plus(name, k):
@@ -159,7 +147,8 @@ def test_full_width_band_is_one_run_without_visiting_rows():
 
 
 def test_values_leaving_the_row_keep_the_program():
-    """A value-dependent fallback is per call: the enumerator stays specialized."""
+    """Columns leaving the row materialise rows per call: the same program
+    serves every value."""
     s = parse_set("[n] -> { [y, x] : 0 <= y <= 3 and n <= x <= n + 2 }")
     enum = Enumerator(
         name="k__arg0__read",
@@ -169,7 +158,7 @@ def test_values_leaving_the_row_keep_the_program():
         mode="read",
         ndim=2,
         image=s,
-        scan=compile_scanner(s, ["n"]),
+        program=vector_program(*prepare_scanner(s, ("n",))),
         param_order=("n",),
         exact=True,
     )
@@ -180,5 +169,4 @@ def test_values_leaving_the_row_keep_the_program():
         ranges, count = enum.element_ranges(whole, block, grid, {"n": n}, (4, width), stats)
         want = merge_ranges([(y * width + n, y * width + n + 3) for y in range(4)])
         assert (ranges, count) == (want, 4)
-    assert enum._vec_state == "ready"
-    assert stats.enumerator_specialized == 4 and stats.enumerator_fallback == 0
+    assert stats.enumerator_specialized == 4

@@ -161,8 +161,8 @@ def _corrupt_estimate(api):
 def _corrupt_enumerator_scan(api):
     for enum in api.app.enumerators.all():
         entries = _entries(enum._scans)
-        for key, (ranges, emitted, vectorized) in entries.items():
-            entries[key] = (ranges, emitted + 1, vectorized)
+        for key, (ranges, emitted) in entries.items():
+            entries[key] = (ranges, emitted + 1)
 
 
 def _corrupt_exact_read(api):

@@ -48,6 +48,40 @@ def test_top_level_docs_exist():
         assert len(path.read_text()) > 1000, f"{doc} is suspiciously short"
 
 
+def test_design_inventory_matches_the_tree():
+    """DESIGN.md §3 names every module of the package, and only modules.
+
+    Each table row's Package cell holds one backticked package; every
+    backticked name in its Contents cell is a module of that package.
+    """
+    import pathlib
+    import re
+
+    root = pathlib.Path(repro.__file__).resolve().parents[2]
+    text = (root / "DESIGN.md").read_text()
+    section = text[text.index("## 3. ") : text.index("## 4. ")]
+    named = set()
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[1].startswith("`repro"):
+            continue
+        packages = re.findall(r"`([^`]+)`", cells[1])
+        assert len(packages) == 1, f"DESIGN.md §3 row {cells[0]!r}: one package per row"
+        package = packages[0]
+        for module in re.findall(r"`([^`]+)`", cells[2]):
+            parts = f"{package}.{module}".split(".")
+            # A dotted entry names its subpackages too (``ir.exprs``).
+            named.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    unimportable = []
+    for name in sorted(named):
+        try:
+            importlib.import_module(name)
+        except ImportError:
+            unimportable.append(name)
+    assert not unimportable, f"DESIGN.md §3 names missing modules {unimportable}"
+    assert set(MODULES) <= named, f"DESIGN.md §3 omits {sorted(set(MODULES) - named)}"
+
+
 def test_serving_doc_covers_the_subsystem():
     """docs/serving.md exists and documents what the code actually ships."""
     import pathlib
