@@ -1,9 +1,9 @@
-"""Dynamic confirmation of static findings on the IR interpreter.
+"""Dynamic confirmation of static findings by running the kernel.
 
 The race detector's witnesses are *static* claims ("these two threads write
-the same cell"). This module replays the kernel on the vectorized numpy
-interpreter with per-lane access tracing and checks that the claimed lanes
-really touch the claimed cell — and, when the witness spans two different
+the same cell"). This module replays the kernel's rendered numpy program
+(its traced variant) with per-lane access tracing and checks that the
+claimed lanes really touch the claimed cell — and, when the witness spans two different
 thread blocks, replays the kernel a second time split into two partitions
 (via the §7 partitioning transform) and checks that the cell is written by
 both partition launches. Static finding, dynamic confirmation.
@@ -42,10 +42,11 @@ __all__ = [
 
 
 def lane_id(block_zyx, thread_zyx, grid: Dim3, block: Dim3) -> int:
-    """The interpreter's flat lane index of one thread.
+    """The flat lane index of one thread in a kernel run.
 
-    Lane order matches :class:`repro.cuda.exec.interpreter._Lanes`: blocks in
-    z,y,x-major order, then threads within the block in z,y,x-major order.
+    Lane order matches :func:`repro.cuda.exec.interpreter.lane_coordinate`:
+    blocks in z,y,x-major order, then threads within the block in z,y,x-major
+    order.
     """
     gz, gy, gx = grid.zyx()
     bz, by, bx = block.zyx()

@@ -6,9 +6,10 @@ the equivalent surface for the reproduction:
 * :mod:`~repro.cuda.ir` — a typed kernel IR with CUDA's grid intrinsics
   (``threadIdx``/``blockIdx``/``blockDim``/``gridDim``), a builder DSL, a
   validator and a CUDA-C-like printer;
-* :mod:`~repro.cuda.exec` — a vectorized numpy interpreter that executes a
-  kernel over (a partition of) its launch grid with CUDA semantics:
-  independent thread blocks, row-major arrays, last-write-wins stores;
+* :mod:`~repro.cuda.exec` — rendered kernel programs: each kernel compiled
+  once into a lane-vectorized numpy function that executes it over (a
+  partition of) its launch grid with CUDA semantics: independent thread
+  blocks, row-major arrays, last-write-wins stores;
 * :mod:`~repro.cuda.device` / :mod:`~repro.cuda.api` — simulated devices and
   a single-device CUDA Runtime style API (the baseline an "nvcc binary"
   would target).

@@ -1,4 +1,4 @@
-"""Vectorized execution of mini-CUDA kernels."""
+"""Execution of mini-CUDA kernels as rendered, lane-vectorized numpy programs."""
 
 from repro.cuda.exec.interpreter import AccessTrace, eval_scalar_expr, run_kernel
 

@@ -10,7 +10,7 @@ multi-dimensional element coordinates into row-major byte ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.cuda.dtypes import DType, i64
 from repro.cuda.ir.exprs import Expr
@@ -101,6 +101,13 @@ class Kernel:
     name: str
     params: Tuple[KernelParam, ...]
     body: Body
+    #: Rendered numpy programs by variant (traced or not), filled on the
+    #: kernel's first run (:func:`repro.cuda.exec.interpreter.run_kernel`).
+    #: Derived from the fields above, so it takes no part in kernel
+    #: equality, and a ``dataclasses.replace`` copy starts empty.
+    programs: Dict[bool, Callable] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.params]

@@ -52,6 +52,9 @@ __all__ = ["TaskEdge", "TaskGraph", "TaskGraphStats"]
 
 _PASS_NAME = "taskgraph"
 
+#: A footprint set by buffer key: ``[(intervals, affine), ...]`` in order.
+_Index = Dict[Any, List[Tuple[List[Interval], bool]]]
+
 
 @dataclass(frozen=True)
 class TaskEdge:
@@ -198,22 +201,37 @@ class TaskGraph:
         )
 
     @staticmethod
-    def _overlap(a: Sequence[Footprint], b: Sequence[Footprint]) -> Tuple[int, bool]:
-        """(overlapping bytes, any side non-affine) between two footprint sets.
+    def _by_key(footprints: Sequence[Footprint]) -> _Index:
+        """A footprint set indexed by buffer key, in declaration order.
+        Empty footprints overlap nothing and are left out."""
+        by_key: _Index = {}
+        for fp in footprints:
+            if fp.intervals:
+                by_key.setdefault(fp.key, []).append((fp.intervals, fp.affine))
+        return by_key
+
+    @staticmethod
+    def _overlap(by_key: _Index, b: Sequence[Footprint]) -> Tuple[int, bool]:
+        """(overlapping bytes, any side non-affine) between two footprint
+        sets, the first indexed by :meth:`_by_key`.
 
         Footprint intervals are normalized when lowered, so they intersect
         as they are.
         """
         nbytes = 0
         opaque = False
-        by_key: Dict[Any, List[Tuple[List[Interval], bool]]] = {}
-        for fp in a:
-            by_key.setdefault(fp.key, []).append((fp.intervals, fp.affine))
         for fp in b:
-            for intervals, affine in by_key.get(fp.key, ()):
+            entries = by_key.get(fp.key)
+            if not entries or not fp.intervals:
+                continue
+            lo, hi = fp.intervals[0][0], fp.intervals[-1][1]
+            for intervals, affine in entries:
+                # Normalized lists: disjoint spans share no byte.
+                if intervals[-1][1] <= lo or hi <= intervals[0][0]:
+                    continue
                 common = intersect_normalized(intervals, fp.intervals)
                 if common:
-                    nbytes += sum(hi - lo for lo, hi in common)
+                    nbytes += sum(c_hi - c_lo for c_lo, c_hi in common)
                     opaque = opaque or not affine or not fp.affine
         return nbytes, opaque
 
@@ -240,6 +258,8 @@ class TaskGraph:
             rec["bytes"] += nbytes
             rec["opaque"] = rec["opaque"] or opaque
 
+        # Indexed once per task; every task pair below reuses them.
+        indexed = [(self._by_key(t.reads), self._by_key(t.writes)) for t in self.tasks]
         for t in self.tasks:
             for dep in t.deps:
                 src = self._resolve_dep(t, dep)
@@ -247,9 +267,10 @@ class TaskGraph:
                     raise TaskGraphError(f"task {t.name!r} depends on itself")
                 note(src, t, "control", 0, False)
             for s in self.tasks[: t.index]:
-                raw, raw_op = self._overlap(s.writes, t.reads)
-                war, war_op = self._overlap(s.reads, t.writes)
-                waw, waw_op = self._overlap(s.writes, t.writes)
+                s_reads, s_writes = indexed[s.index]
+                raw, raw_op = self._overlap(s_writes, t.reads)
+                war, war_op = self._overlap(s_reads, t.writes)
+                waw, waw_op = self._overlap(s_writes, t.writes)
                 if raw:
                     note(s, t, "RAW", raw, raw_op)
                 if war:

@@ -174,7 +174,7 @@ class TestScalarShapes:
     @staticmethod
     def _fresh(expr, scalars):
         """The evaluation as it was: a new one-lane grid per expression."""
-        from repro.cuda.exec.interpreter import _eval, _Frame, _Lanes
+        from tests.cuda.interp_oracle import _eval, _Frame, _Lanes
 
         frame = _Frame({k: np.asarray(v)[()] for k, v in scalars.items()})
         return np.asarray(_eval(expr, _Lanes(Dim3(1), Dim3(1)), frame, None))[()]

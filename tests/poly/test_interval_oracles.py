@@ -158,4 +158,4 @@ class TestOverlap:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(footprints(), max_size=4), st.lists(footprints(), max_size=4))
     def test_matches_predecessor(self, a, b):
-        assert TaskGraph._overlap(a, b) == oracle_overlap(a, b)
+        assert TaskGraph._overlap(TaskGraph._by_key(a), b) == oracle_overlap(a, b)

@@ -247,3 +247,40 @@ class TestSummary:
         assert s["tasks"] == 2 and s["edges"] == 1
         assert s["edge_kinds"] == {"RAW": 1}
         assert s["diagnostic_codes"] == []
+
+
+@pytest.mark.parametrize("name", ["cholesky", "imgpipe"])
+def test_indexed_finalize_matches_pairwise_overlaps(name):
+    """``finalize`` indexes each task's footprints once and skips footprints
+    whose spans do not meet; its edges — kinds, bytes, opaque flags — and
+    RP702 diagnostics equal a derivation that intersects every footprint
+    pair of every task pair through the interval oracle (normalize both
+    sides, then intersect; no index, no span test)."""
+    from tests.poly.test_interval_oracles import oracle_overlap
+    from repro.compiler.pipeline import compile_app
+    from repro.runtime.api import MultiGpuApi
+    from repro.runtime.config import RuntimeConfig
+    from repro.workloads import EXTRA_WORKLOADS, functional_config
+
+    wl = EXTRA_WORKLOADS[name](functional_config(name))
+    wl.run(MultiGpuApi(compile_app(wl.build_kernels()), RuntimeConfig(n_gpus=2)),
+           wl.make_inputs(seed=1))
+    g = wl.last_graph
+    want = {}
+    for t in g.tasks:
+        for s in g.tasks[: t.index]:
+            for kind, (a, b) in {"RAW": (s.writes, t.reads), "WAR": (s.reads, t.writes),
+                                 "WAW": (s.writes, t.writes)}.items():
+                nbytes, opaque_ = oracle_overlap(a, b)
+                if nbytes:
+                    rec = want.setdefault((s.index, t.index), [set(), 0, False])
+                    rec[0].add(kind)
+                    rec[1] += nbytes
+                    rec[2] = rec[2] or opaque_
+    data_edges = {
+        (e.src, e.dst): [set(e.kinds) - {"control"}, e.overlap_bytes, e.opaque] for e in g.edges
+    }
+    assert {k: v for k, v in data_edges.items() if v[0]} == want
+    rp702 = [d for d in g.report.diagnostics if d.code == "RP702"]
+    assert len(rp702) == sum(1 for e in g.edges if e.opaque)
+    assert len(g.edges) > 100
