@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.cluster.topology import ClusterSpec
 from repro.constants import HOST
-from repro.sim.engine import SimMachine, _Lane
+from repro.sim.engine import RouteLanes, SimMachine, _Lane
 from repro.sim.trace import Trace
 
 __all__ = ["ClusterSimMachine"]
@@ -41,22 +41,20 @@ class ClusterSimMachine(SimMachine):
     def __init__(self, cluster: ClusterSpec, *, trace: Optional[Trace] = None) -> None:
         super().__init__(cluster.node.with_gpus(cluster.total_gpus), trace=trace)
         self.cluster = cluster
-        #: Per-node host staging buses; node 0 aliases the inherited bus so
-        #: the 1-node cluster runs byte-identically to the base machine.
-        self._node_buses: List[_Lane] = [self._bus] + [
-            _Lane() for _ in range(cluster.n_nodes - 1)
-        ]
-        self._nics: List[List[_Lane]] = [
-            [_Lane() for _ in range(cluster.nic_lanes)] for _ in range(cluster.n_nodes)
-        ]
-        self._fabric = _Lane()
 
-    def _shared_lanes(self) -> List[_Lane]:
-        lanes: List[_Lane] = list(self._node_buses)
-        for node_nics in self._nics:
-            lanes.extend(node_nics)
-        lanes.append(self._fabric)
-        return lanes
+        def lane() -> int:
+            self._lanes.append(_Lane())
+            return len(self._lanes) - 1
+
+        #: Lane indices of the per-node host staging buses; node 0's is the
+        #: inherited bus so the 1-node cluster runs byte-identically to the
+        #: base machine.
+        self._node_buses = [cluster.total_gpus] + [lane() for _ in range(cluster.n_nodes - 1)]
+        #: Per node, the lane indices of its NIC lanes.
+        self._nics: List[Tuple[int, ...]] = [
+            tuple(lane() for _ in range(cluster.nic_lanes)) for _ in range(cluster.n_nodes)
+        ]
+        self._fabric = lane()
 
     def node_resource_avail(self, node: int) -> float:
         """Drain time of one node's own resources (a gang barrier's floor).
@@ -69,21 +67,18 @@ class ClusterSimMachine(SimMachine):
         their completion events by the caller.
         """
         c = self.cluster
+        lanes = self._lanes
         t = self.host_time
         for dev in c.devices_of(node):
-            t = max(t, self._dev_avail[dev], self._lanes[dev].avail)
-        t = max(t, self._node_buses[node].avail)
-        for lane in self._nics[node]:
-            t = max(t, lane.avail)
+            t = max(t, self._dev_avail[dev], lanes[dev].avail)
+        t = max(t, lanes[self._node_buses[node]].avail)
+        for i in self._nics[node]:
+            t = max(t, lanes[i].avail)
         return t
-
-    def _pick_nic(self, node: int) -> _Lane:
-        """The least-loaded NIC lane of one node (deterministic tie-break)."""
-        return min(self._nics[node], key=lambda lane: lane.avail)
 
     def _copy_resources(
         self, src: int, dst: int, nbytes: int, p2p: Optional[bool]
-    ) -> Tuple[float, List[Tuple[_Lane, float]], str]:
+    ) -> Tuple[float, RouteLanes, str]:
         c = self.cluster
         src_node = c.endpoint_node(src)
         dst_node = c.endpoint_node(dst)
@@ -96,19 +91,20 @@ class ClusterSimMachine(SimMachine):
         route = c.route(src, dst)
         spec = self.spec
         duration = c.network_transfer_time(nbytes)
-        lanes: List[Tuple[_Lane, float]] = []
+        lanes: List[Tuple[object, float]] = []
         lane_time = spec.pcie_latency + nbytes * route.lane_factor / spec.pcie_bw
         if src != HOST:
-            lanes.append((self._lanes[src], lane_time))
+            lanes.append((src, lane_time))
         if dst != HOST:
-            lanes.append((self._lanes[dst], lane_time))
+            lanes.append((dst, lane_time))
         # Staging through host memory on both sides (DMA in + NIC drain).
         bus_time = nbytes * route.bus_factor / spec.host_bus_bw
         lanes.append((self._node_buses[src_node], bus_time))
         lanes.append((self._node_buses[dst_node], bus_time))
-        # The network tier: one NIC lane per side plus the shared fabric.
+        # The network tier: one NIC lane per side (the route names the
+        # node's group: the choice is made on lane state), plus the fabric.
         nic_time = nbytes * route.net_factor / c.nic_bw
-        lanes.append((self._pick_nic(src_node), nic_time))
-        lanes.append((self._pick_nic(dst_node), nic_time))
+        lanes.append((self._nics[src_node], nic_time))
+        lanes.append((self._nics[dst_node], nic_time))
         lanes.append((self._fabric, nbytes * route.net_factor / c.fabric_bw))
-        return duration, lanes, "net"
+        return duration, tuple(lanes), "net"

@@ -515,7 +515,7 @@ class _Renderer:
             name = _py_name(s.name)
             if s.name not in env:
                 out(f"{pad}_t = {new}")
-                out(f"{pad}raise KeyError({s.name!r})")
+                out(f"{pad}_unbound({s.name!r})")
             elif m == "None":
                 out(f"{pad}{name} = {new}")
             else:

@@ -26,9 +26,12 @@ touches the machine:
 
   The simulated half is decided by the plan and the policy alone, so it is
   lowered once (:func:`lower_issue_program`) into a flat tuple of
-  plain-data ops memoized on the plan, and every later issue of the same
-  plan — every replayed launch of a steady loop — only runs that tuple
-  against the machine and the dataflow log.
+  plain-data ops memoized on the plan — copy routes, dataflow keys and
+  trace columns resolved — and every later issue of the same plan, every
+  replayed launch of a steady loop, runs that tuple in one pass: the host
+  clock in a local, the copies placed on the machine's lanes, the
+  dataflow records scanned in place and the intervals appended to the
+  trace in bulk.
 
 :func:`submit_plan` runs the two halves back to back for every launch, as
 the paper's host code drains every launch (Figure 4).
@@ -49,9 +52,10 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.constants import HOST
 from repro.cuda.exec.interpreter import AccessTrace, run_kernel
 from repro.cuda.ir.kernel import ArrayParam, ScalarParam, partition_field_name
-from repro.errors import MemoAuditError, PartitioningError, RuntimeApiError
+from repro.errors import MemoAuditError, PartitioningError, RuntimeApiError, SimulationError
 from repro.runtime.vbuffer import VirtualBuffer
 from repro.sched.graph import KernelTask, LaunchPlan, ReadSync, TransferTask
 from repro.sched.policy import (
@@ -60,6 +64,7 @@ from repro.sched.policy import (
     estimate_plan_times,
     select_policy,
 )
+from repro.sim.engine import _place
 from repro.sim.trace import Category
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,6 +84,8 @@ _MAX_EVENT_INTERVALS = 64
 
 _Key = Tuple[int, int]
 _Event = Tuple[int, int, float, Optional[int]]
+#: Indices of the write and read tables in :attr:`DataflowLog._tables`.
+_W, _R = 0, 1
 
 
 class DataflowLog:
@@ -110,6 +117,7 @@ class DataflowLog:
     def __init__(self) -> None:
         self._write: Dict[_Key, List[_Event]] = {}
         self._read: Dict[_Key, List[_Event]] = {}
+        self._tables = (self._write, self._read)  # by _W, _R
         self._waves = itertools.count(1)
 
     def new_wave(self) -> int:
@@ -169,15 +177,17 @@ class DataflowLog:
                 ]
             table[key] = kept
 
-    @staticmethod
-    def _query(
-        table: Dict[_Key, List[_Event]], key: _Key, lo: int, hi: int, wave: Optional[int]
+    def _latest(
+        self, t: float, queries: Sequence[Tuple[int, _Key, int, int]], wave: Optional[int]
     ) -> float:
-        latest = 0.0  # events are simulated times, never negative
-        for l, h, e, w in table.get(key, ()):
-            if e > latest and l < hi and h > lo and (w is None or w != wave):
-                latest = e
-        return latest
+        """The latest of ``t`` and the events the ``(table, key, lo, hi)``
+        queries see: overlapping records under ``key``, not of ``wave``."""
+        tables = self._tables
+        for table, key, lo, hi in queries:
+            for l, h, e, w in tables[table].get(key, ()):
+                if e > t and l < hi and h > lo and (w is None or w != wave):
+                    t = e
+        return t
 
     def note_write(
         self, vb_id: int, dev: int, lo: int, hi: int, event: float,
@@ -195,15 +205,15 @@ class DataflowLog:
         self, vb_id: int, dev: int, lo: int, hi: int, wave: Optional[int] = None
     ) -> float:
         """Event after which the newest data in ``[lo, hi)`` is ready (RAW)."""
-        return self._query(self._write, (vb_id, dev), lo, hi, wave)
+        return self._latest(0.0, ((_W, (vb_id, dev), lo, hi),), wave)  # events are >= 0
 
     def instance_free(
         self, vb_id: int, dev: int, lo: int, hi: int, wave: Optional[int] = None
     ) -> List[float]:
         """Events after which ``[lo, hi)`` may be overwritten (WAR + WAW)."""
         return [
-            self._query(self._read, (vb_id, dev), lo, hi, wave),
-            self._query(self._write, (vb_id, dev), lo, hi, wave),
+            self._latest(0.0, ((_R, (vb_id, dev), lo, hi),), wave),
+            self._latest(0.0, ((_W, (vb_id, dev), lo, hi),), wave),
         ]
 
     def copy_deps(
@@ -214,11 +224,10 @@ class DataflowLog:
         :meth:`write_event` on the source plus :meth:`instance_free` on the
         destination, queried directly.
         """
-        query = self._query
         return [
-            query(self._write, (vb_id, src), lo, hi, wave),
-            query(self._read, (vb_id, dst), lo, hi, wave),
-            query(self._write, (vb_id, dst), lo, hi, wave),
+            self._latest(0.0, ((_W, (vb_id, src), lo, hi),), wave),
+            self._latest(0.0, ((_R, (vb_id, dst), lo, hi),), wave),
+            self._latest(0.0, ((_W, (vb_id, dst), lo, hi),), wave),
         ]
 
 
@@ -301,27 +310,65 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
 
 #: Op tags of an issue program: the first field of every op.
 #:
-#: * ``(_CHARGE, seconds)`` — one host pattern charge;
-#: * ``(_COPY, src, dst, lo, hi, vb_id, label)`` — a barrier-era copy
-#:   (:meth:`SimMachine.transfer`);
-#: * ``(_STREAM_COPY, src, dst, lo, hi, vb_id, label, p2p)`` — a copy on the
-#:   copy engines gated by its dataflow events;
+#: * ``(_CHARGE, seconds)`` — host work: a pattern charge, or a call's
+#:   issue or barrier overhead;
+#: * ``(_STREAM_COPY, src, dst, lo, hi, route, queries, notes)`` — a copy on
+#:   the copy engines gated by its dataflow ``queries``
+#:   (:meth:`SimMachine.stream_transfer`), and ``_COPY`` alike, a
+#:   barrier-era copy that waits for its devices instead
+#:   (:meth:`SimMachine.transfer`). ``route`` is
+#:   :meth:`SimMachine._copy_route`'s, None for an empty copy; ``queries``
+#:   and ``notes`` are ``(table, key, lo, hi)`` dataflow queries and records;
 #: * ``(_SYNC,)`` — the global device barrier;
-#: * ``(_GANG_SYNC, n_nodes, copy_nodes, groups)`` — per-node barriers on a
-#:   multi-node cluster: ``copy_nodes`` holds the endpoint nodes of each
-#:   copy in issue order, ``groups`` one ``(node, ops)`` sub-program per
-#:   node, issued in barrier-event order;
-#: * ``(_KERNEL, gpu, n_blocks, label, dep_slots, reads, writes)`` and
-#:   ``_DAG_KERNEL`` alike — a partition launch, without and with dataflow
-#:   gating; ``dep_slots`` index the copies it waits for, ``reads`` and
-#:   ``writes`` are its ``(vb_id, lo, hi)`` event runs on its own device.
+#: * ``(_KERNEL, gpu, n_blocks, dep_slots, queries, notes)`` — a partition
+#:   launch; ``dep_slots`` index the copies it waits for and ``queries``
+#:   its dataflow gating (both empty without ``overlap``);
+#: * ``(_GANG_SYNC, n_nodes, copy_nodes, groups, tail)`` — per-node barriers
+#:   on a multi-node cluster, always the last op before ``_TRACE``:
+#:   ``copy_nodes`` holds the endpoint nodes of each copy in issue order,
+#:   ``groups`` one ``(node, program)`` per node, issued in barrier-event
+#:   order, and ``tail`` the program issued after them;
+#: * ``(_TRACE, resources, categories, labels, tagged)`` — always last: the
+#:   constant trace columns of the intervals the program records, in record
+#:   order; ``tagged`` is 1 where an interval carries the launch index.
 #:
 #: Copy completion events are numbered in issue order: copy ``i`` of a
 #: program is event slot ``i``.
-_CHARGE, _COPY, _STREAM_COPY, _SYNC, _GANG_SYNC, _KERNEL, _DAG_KERNEL = range(7)
+_CHARGE, _COPY, _STREAM_COPY, _SYNC, _KERNEL, _GANG_SYNC, _TRACE = range(7)
 
 IssueProgram = Tuple[tuple, ...]
 TransferOrder = Sequence[Tuple[ReadSync, TransferTask]]
+
+
+class _Emitter:
+    """An issue program under construction: its ops, and the trace row
+    ``(resource, category, label, tagged)`` of each interval they record."""
+
+    def __init__(self) -> None:
+        self.ops: List[tuple] = []
+        self.rows: List[tuple] = []
+
+    def host(self, seconds: float, label="patterns", category=Category.PATTERNS) -> None:
+        """Host work: an interval only when it takes time."""
+        if seconds > 0:
+            self.ops.append((_CHARGE, seconds))
+            self.rows.append(("host", category, label, 0))
+
+    def overhead(self, seconds: float, label: str) -> None:
+        """A call's host overhead; negative fails, as the call itself would."""
+        if seconds < 0:
+            raise SimulationError("negative host_compute duration")
+        self.host(seconds, label, Category.HOST)
+
+    def device(self, op: tuple, resource: Optional[str], category: Category, label: str) -> None:
+        """A device op, and its interval on ``resource`` unless that is None."""
+        self.ops.append(op)
+        if resource is not None:
+            self.rows.append((resource, category, label, 1))
+
+    def program(self) -> IssueProgram:
+        columns = tuple(map(tuple, zip(*self.rows))) or ((),) * 4
+        return tuple(self.ops) + ((_TRACE,) + columns,)
 
 
 def lower_issue_program(
@@ -346,28 +393,26 @@ def lower_issue_program(
     copies.
 
     Everything the issue depends on but the machine's state is decided
-    here — charges, routes, labels, which copies each kernel waits for —
-    so the program holds plain data only; a machine-less runtime issues
+    here — charges, copy routes, dataflow keys, which copies each kernel
+    waits for, the trace columns — and every check on them runs here, so
+    the program holds plain data only; a machine-less runtime issues
     nothing and lowers to ``()``.
     """
-    spec = api.spec
-    if spec is None:
+    machine = api.machine
+    if machine is None:
         return ()
+    spec = machine.spec
     config = api.config
-    ops: List[tuple] = []
+    emit = _Emitter()
     # Transfer node -> event slot, for the copies actually issued.
     slots: Dict[int, int] = {}
     share_cost = spec.tracker_op_cost if config.shared_copies and config.tracking_enabled else 0.0
-    p2p = True if policy.p2p else None
-
-    def charge(seconds: float) -> None:
-        if seconds > 0:
-            ops.append((_CHARGE, seconds))
+    p2p = True if policy.p2p and policy.overlap else None
 
     def read_sync(rs: ReadSync) -> None:
         # One aggregated host interval covering: the enumerator call, the
         # per-emitted-range callback work, and one tracker query per range.
-        charge(
+        emit.host(
             spec.enumerator_call_cost
             + spec.per_range_cost * rs.emitted
             + spec.tracker_op_cost * max(len(rs.ranges), rs.n_segments)
@@ -378,18 +423,29 @@ def lower_issue_program(
             return
         slots[t.node] = len(slots)
         label = f"sync:{rs.array}"
-        if policy.overlap:
-            ops.append((_STREAM_COPY, t.owner, t.gpu, t.start, t.end, t.vb.vb_id, label, p2p))
-        else:
-            ops.append((_COPY, t.owner, t.gpu, t.start, t.end, t.vb.vb_id, label))
+        lo, hi = t.start, t.end
+        src, dst = (t.vb.vb_id, t.owner), (t.vb.vb_id, t.gpu)
+        route = machine._copy_route(t.owner, t.gpu, hi - lo, p2p, label)
+        if hi == lo:
+            route = None  # an empty copy records no interval
+        emit.overhead(spec.issue_overhead, f"issue:{label}")
+        # Dataflow events are noted under every policy, so that an overlap
+        # launch of an adaptive (auto) run sees the copies its sequential
+        # predecessor issued; only an overlap copy waits for them: RAW on
+        # the source, WAR and WAW on the destination.
+        queries = ((_W, src, lo, hi), (_R, dst, lo, hi), (_W, dst, lo, hi))
+        notes = ((_R, src, lo, hi), (_W, dst, lo, hi))
+        kind = _STREAM_COPY if policy.overlap else _COPY
+        op = (kind, t.owner, t.gpu, lo, hi, route, queries, notes)
+        emit.device(op, route[2] if route else None, Category.TRANSFERS, label)
         # The sharer registration itself happened at submit; its tracker-op
         # host charge belongs here, right after the copy's issue.
-        charge(share_cost)
+        emit.host(share_cost)
 
     gang = None
     if config.tracking_enabled:
         for syncs in plan.reads:
-            charge(spec.partition_setup_cost)
+            emit.host(spec.partition_setup_cost)
             for rs in syncs:
                 read_sync(rs)
                 if transfer_order is None:
@@ -400,24 +456,35 @@ def lower_issue_program(
         if policy.barrier:
             cluster = api.cluster
             if cluster is None or cluster.n_nodes <= 1:
-                ops.append((_SYNC,))  # all_devs_synchronize()
+                emit.overhead(spec.sync_overhead, "sync")  # all_devs_synchronize()
+                emit.ops.append((_SYNC,))
             else:
                 gang = cluster
 
     ck = plan.ck
     label = ck.kernel.name if plan.fallback else ck.partitioned.name
-    tag = _DAG_KERNEL if policy.overlap else _KERNEL
 
-    def kernel(ktask: KernelTask) -> List[tuple]:
-        deps = tuple(slots[n] for n in ktask.transfer_deps if n in slots) if policy.overlap else ()
-        reads = tuple((vb.vb_id, lo, hi) for vb, runs in ktask.reads for lo, hi in runs)
-        writes = tuple((vb.vb_id, lo, hi) for vb, runs in ktask.writes for lo, hi in runs)
-        setup = [(_CHARGE, spec.partition_setup_cost)] if spec.partition_setup_cost > 0 else []
-        return setup + [(tag, ktask.gpu, ktask.part.n_blocks, label, deps, reads, writes)]
+    def kernel(ktask: KernelTask, emit: _Emitter) -> None:
+        gpu = ktask.gpu
+        machine._check_dev(gpu)
+        reads = [((vb.vb_id, gpu), lo, hi) for vb, runs in ktask.reads for lo, hi in runs]
+        writes = [((vb.vb_id, gpu), lo, hi) for vb, runs in ktask.writes for lo, hi in runs]
+        notes = tuple((_R, *r) for r in reads) + tuple((_W, *w) for w in writes)
+        deps = queries = ()
+        if policy.overlap:
+            deps = tuple(slots[n] for n in ktask.transfer_deps if n in slots)
+            # RAW on what it reads, WAR and WAW on what it writes.
+            queries = tuple((_W, *r) for r in reads)
+            queries += tuple((t, *w) for w in writes for t in (_R, _W))
+        emit.host(spec.partition_setup_cost)
+        emit.overhead(spec.issue_overhead, f"issue:{label}")
+        op = (_KERNEL, gpu, ktask.part.n_blocks, deps, queries, notes)
+        emit.device(op, f"gpu{gpu}", Category.APPLICATION, label)
 
+    tail = emit
     if gang is None:
         for ktask in plan.kernels:
-            ops.extend(kernel(ktask))
+            kernel(ktask, emit)
     else:
         # On a multi-node cluster the barrier is per node: each node's gang
         # waits for its own resources to drain plus this plan's copies that
@@ -426,33 +493,31 @@ def lower_issue_program(
         # when the program runs. Partitions write disjoint ranges (and CUDA
         # gives no cross-block write order anyway), so reordering across
         # nodes cannot change functional results.
-        groups: Dict[int, List[tuple]] = {}
+        groups: Dict[int, _Emitter] = {}
         for ktask in plan.kernels:
-            groups.setdefault(gang.node_of(ktask.gpu), []).extend(kernel(ktask))
+            kernel(ktask, groups.setdefault(gang.node_of(ktask.gpu), _Emitter()))
         by_node = {t.node: t for t in plan.transfers}
         copy_nodes = tuple(
             tuple({gang.endpoint_node(by_node[n].owner), gang.endpoint_node(by_node[n].gpu)})
             for n in slots
         )
-        ops.append(
-            (
-                _GANG_SYNC,
-                gang.n_nodes,
-                copy_nodes,
-                tuple((node, tuple(group)) for node, group in groups.items()),
-            )
-        )
+        # One host-side barrier charge, exactly as the global path pays.
+        emit.overhead(spec.sync_overhead, "gang-sync")
+        tail = _Emitter()
 
     if config.tracking_enabled:
         for ups in plan.updates:
-            charge(spec.partition_setup_cost)
+            tail.host(spec.partition_setup_cost)
             for up in ups:
-                charge(
+                tail.host(
                     spec.enumerator_call_cost
                     + spec.per_range_cost * up.emitted
                     + spec.tracker_op_cost * len(up.ranges)
                 )
-    return tuple(ops)
+    if gang is not None:
+        programs = tuple((node, group.program()) for node, group in groups.items())
+        emit.ops.append((_GANG_SYNC, gang.n_nodes, copy_nodes, programs, tail.program()))
+    return emit.program()
 
 
 def _run_issue_program(
@@ -463,87 +528,96 @@ def _run_issue_program(
     wave: Optional[int],
     events: List[float],
 ) -> None:
-    """Issue one lowered program onto the machine, op by op.
+    """Issue one lowered program onto the machine in one pass.
 
-    Every op goes through the engine's public calls and the
-    :class:`DataflowLog`'s, exactly as an interpretation of the plan
-    would; ``events`` collects the copies' completion events by slot.
+    The host clock and the intervals' starts and ends are locals; copies
+    are placed on the machine's lanes (:func:`~repro.sim.engine._place`),
+    dataflow records scanned and noted in place, and the intervals
+    appended to the trace in one step. Every float is the one the
+    machine's per-op calls would compute, in the same order. ``events``
+    collects the copies' completion events by slot.
     """
     machine = api.machine
-    dataflow = api.dataflow
-    host_compute = machine.host_compute
-    note_read, note_write = dataflow.note_read, dataflow.note_write
+    host, dev_avail, lanes = machine.host_time, machine._dev_avail, machine._lanes
+    log = api.dataflow
+    tables, latest, note = log._tables, log._latest, log._note
     kernel_cost = api.kernel_cost
-    patterns, transfers = Category.PATTERNS, Category.TRANSFERS
+    kernel, block, scalars = plan.ck.kernel, plan.block, plan.scalars
+    starts, ends = [], []
+    begin, finish = starts.append, ends.append
+    gang = None
     for op in program:
         kind = op[0]
         if kind == _CHARGE:
-            host_compute(op[1], patterns, "patterns")
-        elif kind == _STREAM_COPY:
-            _, src, dst, lo, hi, vb_id, label, p2p = op
-            end = machine.stream_transfer(
-                src,
-                dst,
-                hi - lo,
-                deps=dataflow.copy_deps(vb_id, src, dst, lo, hi, wave),
-                category=transfers,
-                label=label,
-                p2p=p2p,
-                launch=launch,
-            )
-            # Dataflow events are recorded under every policy so that
-            # adjacent launches of an adaptive (auto) run may mix policies
-            # soundly: an overlap launch must see the copies its sequential
-            # predecessor issued.
-            note_read(vb_id, src, lo, hi, end)
-            note_write(vb_id, dst, lo, hi, end)
+            begin(host)
+            host += op[1]
+            finish(host)
+        elif kind == _STREAM_COPY or kind == _COPY:
+            _, src, dst, _, _, route, queries, notes = op
+            t = host
+            if kind == _STREAM_COPY:
+                t = latest(t, queries, wave)
+            else:  # barrier-era: the endpoints' compute queues must drain
+                for dev in (src, dst):
+                    if dev != HOST and dev_avail[dev] > t:
+                        t = dev_avail[dev]
+            if route is None:  # an empty copy completes at its issue
+                end = host
+            else:
+                duration, route_lanes, _, what = route
+                start, end = _place(lanes, route_lanes, t, duration, what)
+                begin(start)
+                finish(end)
+            # Copy events are recorded wave-less (see DataflowLog).
+            for table, key, lo, hi in notes:
+                note(tables[table], key, lo, hi, end, None)
             events.append(end)
-        elif kind == _COPY:
-            _, src, dst, lo, hi, vb_id, label = op
-            end = machine.transfer(
-                src, dst, hi - lo, category=transfers, label=label, launch=launch
-            )
-            note_read(vb_id, src, lo, hi, end)
-            note_write(vb_id, dst, lo, hi, end)
-            events.append(end)
-        elif kind == _DAG_KERNEL or kind == _KERNEL:
-            _, gpu, n_blocks, label, dep_slots, reads, writes = op
+        elif kind == _KERNEL:
+            _, gpu, n_blocks, dep_slots, queries, notes = op
             duration = 0.0
             if kernel_cost is not None:
                 # Cost the *original* kernel: the partition clone only adds
                 # loop-invariant offset arithmetic that any real backend
                 # hoists (the paper measures a median 2.1 % single-GPU
                 # slowdown, i.e. the clone itself is not slower).
-                duration = kernel_cost(plan.ck.kernel, n_blocks, plan.block, plan.scalars)
-            deps: List[float] = []
-            if kind == _DAG_KERNEL:
-                deps = [events[slot] for slot in dep_slots]
-                for vb_id, lo, hi in reads:
-                    deps.append(dataflow.write_event(vb_id, gpu, lo, hi, wave))
-                for vb_id, lo, hi in writes:
-                    deps.extend(dataflow.instance_free(vb_id, gpu, lo, hi, wave))
-            end = machine.launch_kernel(gpu, duration, label=label, deps=deps, launch=launch)
-            for vb_id, lo, hi in reads:
-                note_read(vb_id, gpu, lo, hi, end, wave)
-            for vb_id, lo, hi in writes:
-                note_write(vb_id, gpu, lo, hi, end, wave)
+                duration = kernel_cost(kernel, n_blocks, block, scalars)
+                if duration < 0:
+                    raise SimulationError("negative kernel duration")
+            t = max(host, dev_avail[gpu])
+            for slot in dep_slots:
+                if events[slot] > t:
+                    t = events[slot]
+            if queries:
+                t = latest(t, queries, wave)
+            end = t + duration
+            dev_avail[gpu] = end
+            begin(t)
+            finish(end)
+            for table, key, lo, hi in notes:
+                note(tables[table], key, lo, hi, end, wave)
         elif kind == _SYNC:
-            machine.synchronize()
-        else:
-            _, n_nodes, copy_nodes, groups = op
-            # One host-side barrier charge, exactly as the global path pays.
-            host_compute(machine.spec.sync_overhead, Category.HOST, "gang-sync")
-            barriers = [machine.node_resource_avail(n) for n in range(n_nodes)]
-            # Completion events, not lane occupancies: a cross-node copy's
-            # per-resource busy windows (NIC, bus) can end before the copy's
-            # full duration does.
-            for end, nodes in zip(events, copy_nodes):
-                for n in nodes:
-                    if end > barriers[n]:
-                        barriers[n] = end
-            for node, group in sorted(groups, key=lambda g: (barriers[g[0]], g[0])):
-                machine.wait_until(barriers[node], label="node-barrier", charge=False)
-                _run_issue_program(api, plan, group, launch, wave, events)
+            host = max(host, *dev_avail, *[lane.avail for lane in lanes])
+        elif kind == _GANG_SYNC:
+            gang = op
+    _, resources, categories, labels, tagged = program[-1]
+    # ``tagged`` holds 0 (host work: no launch) or 1 (a device op) per interval.
+    launches = list(map((None, launch).__getitem__, tagged))
+    machine.trace.extend(resources, starts, ends, categories, labels, launches)
+    machine.host_time = host
+    if gang is not None:
+        _, n_nodes, copy_nodes, groups, tail = gang
+        barriers = [machine.node_resource_avail(n) for n in range(n_nodes)]
+        # Completion events, not lane occupancies: a cross-node copy's
+        # per-resource busy windows (NIC, bus) can end before the copy's
+        # full duration does.
+        for end, nodes in zip(events, copy_nodes):
+            for n in nodes:
+                if end > barriers[n]:
+                    barriers[n] = end
+        for node, group in sorted(groups, key=lambda g: (barriers[g[0]], g[0])):
+            machine.host_time = max(machine.host_time, barriers[node])
+            _run_issue_program(api, plan, group, launch, wave, events)
+        _run_issue_program(api, plan, tail, launch, wave, events)
 
 
 def issue_plan_sim(

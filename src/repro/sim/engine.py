@@ -33,7 +33,7 @@ CUDA stream on top of these events for the runtime's async memcpy path.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.constants import HOST
 from repro.errors import SimulationError
@@ -85,11 +85,14 @@ class _Lane:
 
     def next_fit(self, earliest: float, duration: float) -> float:
         """Earliest start >= ``earliest`` with a free gap of ``duration``."""
+        ends = self._ends
+        if not ends or ends[-1] <= earliest:
+            return earliest  # the lane is free from ``earliest`` on
         t = earliest
         busy = self.busy
         # An interval ending at or before ``earliest`` can neither offer a
         # gap nor push ``t``: start at the first one ending after it.
-        for i in range(bisect_right(self._ends, earliest), len(busy)):
+        for i in range(bisect_right(ends, earliest), len(busy)):
             start, end = busy[i]
             if t + duration <= start:
                 return t
@@ -98,10 +101,15 @@ class _Lane:
         return t
 
     def reserve(self, start: float, end: float) -> None:
-        i = bisect_right(self.busy, (start, end))
-        self.busy.insert(i, (start, end))
-        self._ends.insert(i, end)
-        if len(self.busy) > 512:
+        busy, interval = self.busy, (start, end)
+        if busy and interval < busy[-1]:
+            i = bisect_right(busy, interval)
+            busy.insert(i, interval)
+            self._ends.insert(i, end)
+        else:  # the lane's new last interval, as most are
+            busy.append(interval)
+            self._ends.append(end)
+        if len(busy) > 512:
             # Compact: merge fully past intervals to bound the list.
             horizon = self.busy[len(self.busy) // 2][0]
             merged = [iv for iv in self.busy if iv[1] > horizon]
@@ -114,6 +122,50 @@ class _Lane:
         return self.busy[-1][1] if self.busy else 0.0
 
 
+#: A copy's resources as plain data: ``(lane, occupancy)`` pairs, a lane being
+#: an index into :attr:`SimMachine._lanes`, or a tuple of them for a NIC group.
+RouteLanes = Tuple[Tuple[Union[int, Tuple[int, ...]], float], ...]
+
+
+def _place(
+    table: List[_Lane], route: RouteLanes, earliest: float, duration: float, what: str
+) -> Tuple[float, float]:
+    """Reserve a copy at the first common fit of its lanes: ``(start, end)``.
+
+    A NIC group's least-loaded lane (the first on ties) carries the copy.
+    Occupancies longer than ``duration`` extend the completion time.
+    """
+    lanes = [
+        (table[i], d)
+        if i.__class__ is int
+        else (min([table[j] for j in i], key=lambda lane: lane.avail), d)
+        for i, d in route
+    ]
+    # Iterate to a common start where each resource has a large-enough gap.
+    start = earliest
+    for _ in range(1000):
+        proposal = start
+        for lane, dur in lanes:
+            proposal = lane.next_fit(proposal, dur)
+        if proposal == start:
+            break
+        start = proposal
+    else:
+        # Reserving anyway would overlap an existing interval, and the
+        # lanes' bisection relies on them staying disjoint.
+        raise SimulationError(
+            f"copy {what}: no common gap on its {len(lanes)} resources "
+            "after 1000 first-fit rounds"
+        )
+    end = start + duration
+    for lane, dur in lanes:
+        stop = start + dur
+        lane.reserve(start, stop)
+        if stop > end:
+            end = stop
+    return start, end
+
+
 class SimMachine:
     """Simulated clock and resources for one application run."""
 
@@ -122,8 +174,10 @@ class SimMachine:
         self.trace = trace if trace is not None else Trace()
         self.host_time = 0.0
         self._dev_avail: List[float] = [0.0] * spec.n_gpus
-        self._lanes: List[_Lane] = [_Lane() for _ in range(spec.n_gpus)]
-        self._bus = _Lane()
+        #: Every transfer resource: device ``i``'s PCIe lane at index ``i``,
+        #: then the machine-wide ones, starting with the host staging bus.
+        self._lanes: List[_Lane] = [_Lane() for _ in range(spec.n_gpus + 1)]
+        self._bus = self._lanes[spec.n_gpus]
 
     # -- helpers -------------------------------------------------------------
 
@@ -234,21 +288,34 @@ class SimMachine:
             launch=launch,
         )
 
+    def _copy_route(
+        self, src: int, dst: int, nbytes: int, p2p: Optional[bool], label: str
+    ) -> Tuple[float, RouteLanes, str, str]:
+        """Check one copy and route it, as plain data of the spec:
+        :meth:`_copy_resources` plus ``what``, naming the copy in errors."""
+        if nbytes < 0:
+            raise SimulationError("negative transfer size")
+        for dev in (src, dst):
+            if dev != HOST:
+                self._check_dev(dev)
+        what = f"{label!r} {src}->{dst} ({nbytes} B)"
+        return (*self._copy_resources(src, dst, nbytes, p2p), what)
+
     def _copy_resources(
         self, src: int, dst: int, nbytes: int, p2p: Optional[bool]
-    ) -> Tuple[float, List[Tuple[_Lane, float]], str]:
-        """Route one copy onto concrete resources.
+    ) -> Tuple[float, RouteLanes, str]:
+        """Route one copy onto resource indices.
 
-        Returns ``(duration, [(lane, occupancy), ...], trace_resource)``.
-        Subclasses (the cluster machine) override this to add network hops;
-        occupancies longer than ``duration`` extend the completion time.
+        Returns ``(duration, lanes, trace_resource)``. Subclasses (the
+        cluster machine) override this to add network hops; occupancies
+        longer than ``duration`` extend the completion time.
         """
-        return self._local_copy_resources(src, dst, nbytes, p2p, self._bus)
+        return self._local_copy_resources(src, dst, nbytes, p2p, self.spec.n_gpus)
 
     def _local_copy_resources(
-        self, src: int, dst: int, nbytes: int, p2p: Optional[bool], bus: _Lane
-    ) -> Tuple[float, List[Tuple[_Lane, float]], str]:
-        """Intra-node routing against one host staging bus."""
+        self, src: int, dst: int, nbytes: int, p2p: Optional[bool], bus: int
+    ) -> Tuple[float, RouteLanes, str]:
+        """Intra-node routing against one host staging bus (a lane index)."""
         spec = self.spec
         route = spec.route(src, dst, p2p=p2p)
         # MachineSpec.transfer_time, inlined so the route is computed once.
@@ -259,21 +326,17 @@ class SimMachine:
         # copies never touch host memory and skip the bus entirely.
         bus_time = nbytes * route.bus_factor / spec.host_bus_bw + route.extra_latency
 
-        lanes: List[Tuple[_Lane, float]] = []
+        lanes: List[Tuple[int, float]] = []
         if src != HOST:
-            lanes.append((self._lanes[src], duration))
+            lanes.append((src, duration))
         if dst != HOST:
-            lanes.append((self._lanes[dst], duration))
+            lanes.append((dst, duration))
         if bus_time > 0:
             lanes.append((bus, bus_time))
         resource = (
             f"lane{src}" if src != HOST else (f"lane{dst}" if dst != HOST else "bus")
         )
-        return duration, lanes, resource
-
-    def _shared_lanes(self) -> List[_Lane]:
-        """Machine-wide transfer resources a full barrier must drain."""
-        return [self._bus]
+        return duration, tuple(lanes), resource
 
     def _schedule_copy(
         self,
@@ -287,39 +350,12 @@ class SimMachine:
         p2p: Optional[bool],
         launch: Optional[int] = None,
     ) -> float:
-        if nbytes < 0:
-            raise SimulationError("negative transfer size")
-        if src != HOST:
-            self._check_dev(src)
-        if dst != HOST:
-            self._check_dev(dst)
+        duration, lanes, resource, what = self._copy_route(src, dst, nbytes, p2p, label)
         self.host_compute(self.spec.issue_overhead, Category.HOST, f"issue:{label}")
         earliest = max(earliest, self.host_time)
         if nbytes == 0:
             return self.host_time
-        duration, lanes, resource = self._copy_resources(src, dst, nbytes, p2p)
-
-        # First-fit over all involved resources (per-resource durations):
-        # iterate to a common start where each has a large-enough gap.
-        start = earliest
-        for _ in range(1000):
-            proposal = start
-            for lane, dur in lanes:
-                proposal = lane.next_fit(proposal, dur)
-            if proposal == start:
-                break
-            start = proposal
-        else:
-            # Reserving anyway would overlap an existing interval, and the
-            # lanes' bisection relies on them staying disjoint.
-            raise SimulationError(
-                f"copy {label!r} {src}->{dst} ({nbytes} B): no common gap on its "
-                f"{len(lanes)} resources after 1000 first-fit rounds"
-            )
-        end = start + duration
-        for lane, dur in lanes:
-            lane.reserve(start, start + dur)
-            end = max(end, start + dur)
+        start, end = _place(self._lanes, lanes, earliest, duration, what)
         self.trace.record(resource, start, end, category, label, launch=launch)
         return end
 
@@ -334,7 +370,7 @@ class SimMachine:
             self._check_dev(d)
             t = max(t, self._dev_avail[d], self._lanes[d].avail)
         if devices is None:
-            for lane in self._shared_lanes():
+            for lane in self._lanes[self.spec.n_gpus :]:
                 t = max(t, lane.avail)
         self.host_time = t
 
@@ -362,8 +398,6 @@ class SimMachine:
     def elapsed(self) -> float:
         """Total makespan so far (host and all resources drained)."""
         t = self.host_time
-        for lane in self._shared_lanes():
-            t = max(t, lane.avail)
         for v in self._dev_avail:
             t = max(t, v)
         for lane in self._lanes:

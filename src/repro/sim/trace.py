@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import lt
 from typing import Dict, List, Optional
 
 __all__ = ["Category", "Interval", "Trace"]
@@ -69,10 +70,11 @@ class Trace:
     :meth:`record` appends one value to each of seven parallel lists —
     ``resources``, ``starts``, ``ends``, ``categories``, ``labels``,
     ``launches``, ``tenants`` — so recording an operation allocates no
-    object of its own. :attr:`intervals` builds the :class:`Interval` view
-    on read; the aggregations walk the columns directly, in record order,
-    so every sum adds the same floats in the same order as a walk over
-    the interval list would.
+    object of its own; :meth:`extend` appends a run of them in one step.
+    :attr:`intervals` builds the :class:`Interval` view on read; the
+    aggregations walk the columns directly, in record order, so every sum
+    adds the same floats in the same order as a walk over the interval
+    list would.
     """
 
     def __init__(self) -> None:
@@ -106,6 +108,19 @@ class Trace:
         self.labels.append(label)
         self.launches.append(launch)
         self.tenants.append(self.current_tenant)
+
+    def extend(self, resources, starts, ends, categories, labels, launches) -> None:
+        """:meth:`record` for many intervals at once: one sequence per column."""
+        if any(map(lt, ends, starts)):
+            start, end = next((s, e) for s, e in zip(starts, ends) if e < s)
+            raise ValueError(f"interval ends before it starts: {start} .. {end}")
+        self.resources.extend(resources)
+        self.starts.extend(starts)
+        self.ends.extend(ends)
+        self.categories.extend(categories)
+        self.labels.extend(labels)
+        self.launches.extend(launches)
+        self.tenants.extend([self.current_tenant] * len(starts))
 
     @property
     def intervals(self) -> List[Interval]:

@@ -259,7 +259,10 @@ def _run_body(body: Body, lanes: _Lanes, frame: _Frame, mask) -> None:
             frame.values[stmt.name] = _eval(stmt.value, lanes, frame, mask)
         elif isinstance(stmt, Assign):
             new = _eval(stmt.value, lanes, frame, mask)
-            old = frame.values[stmt.name]
+            try:
+                old = frame.values[stmt.name]
+            except KeyError:
+                raise ExecutionError(f"unbound name {stmt.name!r} during execution") from None
             if mask is None:
                 frame.values[stmt.name] = new
             else:

@@ -29,8 +29,8 @@ from repro.cuda.dtypes import f32, f64, i64
 from repro.cuda.exec import interpreter
 from repro.cuda.exec.interpreter import AccessTrace, eval_scalar_expr, run_kernel
 from repro.cuda.ir.builder import KernelBuilder, Val
-from repro.cuda.ir.exprs import BinOp, Call, Const, GridIdx, Param
-from repro.cuda.ir.kernel import PartitionParam
+from repro.cuda.ir.exprs import BinOp, Call, Const, GridIdx, LocalRef, Param
+from repro.cuda.ir.kernel import Kernel, PartitionParam
 from repro.errors import ExecutionError
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
@@ -299,6 +299,43 @@ def test_unguarded_store_out_of_bounds_unmasked():
         assert_same_as_oracle(kb.finish(), Dim3(2), Dim3(4), args)
         == "out-of-bounds index 6 in dim 0 (extent 6)"
     )
+
+
+def _assign_to_unbound(guarded, rhs_in_bounds):
+    """``ghost = a[gi (+ 8)]`` with no ``Let ghost`` before it.
+
+    Built by hand: :meth:`KernelBuilder.finish` would reject it, but
+    ``run_kernel`` does not validate.
+    """
+    kb = KernelBuilder("ghost")
+    a = kb.array("a", f64, (8,))
+    out = kb.array("out", f64, (8,))
+    gi = kb.global_id("x")
+    ghost = Val(LocalRef("ghost", f64))
+    value = a[gi,] if rhs_in_bounds else a[gi + 8,]
+    if guarded:
+        with kb.if_(gi < 4):
+            kb.assign(ghost, value)
+    else:
+        kb.assign(ghost, value)
+    out[gi,] = 1.0
+    (body,) = kb._blocks
+    return Kernel("ghost", tuple(kb._params), tuple(body))
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+@pytest.mark.parametrize(
+    "rhs_in_bounds, message",
+    [
+        (True, "unbound name 'ghost' during execution"),
+        # The right-hand side is evaluated first, so its error wins.
+        (False, "out-of-bounds index 8 in dim 0 (extent 8)"),
+    ],
+)
+def test_assign_to_an_unbound_local_raises_the_oracle_message(guarded, rhs_in_bounds, message):
+    args = {"a": np.arange(8.0), "out": np.zeros(8)}
+    kernel = _assign_to_unbound(guarded, rhs_in_bounds)
+    assert assert_same_as_oracle(kernel, Dim3(2), Dim3(4), args) == message
 
 
 def test_scalar_expressions_match_the_oracle():

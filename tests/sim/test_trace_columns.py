@@ -191,3 +191,26 @@ def test_intervals_view_is_the_recorded_rows():
     with pytest.raises(ValueError, match="ends before it starts"):
         trace.record("host", 2.0, 1.0, Category.HOST)
     assert len(trace) == 2 and len(trace.intervals) == 2
+
+
+def test_extend_is_record_in_bulk():
+    rows = [
+        ("gpu0", 0.0, 1.5, Category.APPLICATION, "k", 3),
+        ("host", 1.5, 1.5, Category.HOST, "issue:k", None),
+        ("lane1", 0.25, 2.0, Category.TRANSFERS, "sync:a", 3),
+    ]
+    one, bulk = Trace(), Trace()
+    for trace in (one, bulk):
+        trace.current_tenant = 7
+    for row in rows:
+        one.record(*row)
+    bulk.extend(*map(list, zip(*rows)))
+    assert bulk.intervals == one.intervals
+    # A bad row fails the whole run, with record's message for the first one.
+    bad = rows + [
+        ("host", 2.0, 1.0, Category.HOST, "x", None),
+        ("host", 3.0, 2.5, Category.HOST, "y", None),
+    ]
+    with pytest.raises(ValueError, match=r"^interval ends before it starts: 2\.0 \.\. 1\.0$"):
+        bulk.extend(*map(list, zip(*bad)))
+    assert bulk.intervals == one.intervals
