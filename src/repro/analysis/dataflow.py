@@ -39,7 +39,7 @@ exactly — ``repro bench redundancy`` cross-checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +74,9 @@ from repro.poly.space import Space
 from repro.runtime.memcpy import linear_chunks
 from repro.runtime.sync import plan_stale_copies_tiered, trim_copies
 from repro.runtime.tracker import SegmentTracker
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.topology import ClusterSpec
 
 __all__ = [
     "ExactReadOracle",
@@ -378,7 +381,7 @@ def analyze_transfers(
     block: Dim3,
     scalars: Mapping[str, int],
     irredundant: bool = False,
-    cluster=None,
+    cluster: Optional["ClusterSpec"] = None,
     oracle: Optional[ExactReadOracle] = None,
     enums: Optional[EnumeratorTable] = None,
 ) -> DataflowSummary:
@@ -397,6 +400,8 @@ def analyze_transfers(
     ``redundant`` counts what a *sole-owner* tracker would have
     re-transferred; ``overapprox`` counts bounding-range slack (only
     non-zero with ``irredundant``, which is when it is measured).
+    ``cluster`` is the runtime's topology, by default one node of
+    ``n_gpus`` GPUs.
     """
     summary = DataflowSummary(
         kernel=info.kernel.name,
@@ -404,16 +409,12 @@ def analyze_transfers(
         launches=launches,
         irredundant=irredundant,
     )
-    strategy = choose_strategy(info)
-    if cluster is not None:
-        # The runtime splits a cluster hierarchically (node intervals
-        # first); with fewer blocks than GPUs that places work on other
-        # devices than the flat split would.
-        from repro.cluster.partition import hierarchical_partitions
+    from repro.cluster.partition import hierarchical_partitions
+    from repro.cluster.topology import ClusterSpec
 
-        parts = hierarchical_partitions(strategy, grid, cluster)
-    else:
-        parts = strategy.partitions(grid, n_gpus)
+    # The runtime's split: node intervals first, then per-GPU ranges.
+    cluster = cluster or ClusterSpec.single_node(n_gpus)
+    parts = hierarchical_partitions(choose_strategy(info), grid, cluster)
     enums = enums or EnumeratorTable.build(info)
     arrays = {p.name: p for p in info.kernel.array_params}
     oracle = oracle or ExactReadOracle(info)

@@ -12,13 +12,7 @@ halo transfers).
 """
 
 from repro.cluster.engine import ClusterSimMachine
-from repro.cluster.gang import (
-    GangPlan,
-    HaloTierSummary,
-    NodePlan,
-    build_gang_plan,
-    halo_tier_summary,
-)
+from repro.cluster.gang import GangPlan, NodePlan, build_gang_plan
 from repro.cluster.partition import (
     balanced_intervals,
     hierarchical_partitions,
@@ -30,10 +24,8 @@ __all__ = [
     "ClusterSpec",
     "ClusterSimMachine",
     "GangPlan",
-    "HaloTierSummary",
     "NodePlan",
     "build_gang_plan",
-    "halo_tier_summary",
     "balanced_intervals",
     "hierarchical_partitions",
     "node_intervals",

@@ -36,11 +36,9 @@ from repro.sched.graph import (
 __all__ = [
     "NodePlan",
     "GangPlan",
-    "HaloTierSummary",
     "HALO_MAJORITY_RATIO",
     "build_gang_plan",
     "halo_first_order",
-    "halo_tier_summary",
     "transfer_priority_tiers",
 ]
 
@@ -135,61 +133,6 @@ class GangPlan:
                             f"kernel {k.node} depends on transfer {dep} "
                             f"outside node {np_.node}"
                         )
-
-
-@dataclass(frozen=True)
-class HaloTierSummary:
-    """Per-tier byte accounting of one launch plan's coherence traffic.
-
-    Splits every would-be transfer byte of the plan the way the dataflow
-    analyzer classifies it (see ``docs/static-analysis.md``): bytes the
-    plan actually ships, bytes shared-copy tracking proved already valid
-    on the destination (*avoided*, RP601), and bounding-range slack the
-    irredundant path trimmed (*trimmed*, RP602) — each divided into the
-    intra-node and inter-node (fabric) tier.
-    """
-
-    intra_bytes: int = 0
-    inter_bytes: int = 0
-    avoided_intra: int = 0
-    avoided_inter: int = 0
-    trimmed_intra: int = 0
-    trimmed_inter: int = 0
-
-    @property
-    def transferred(self) -> int:
-        return self.intra_bytes + self.inter_bytes
-
-
-def halo_tier_summary(plan: LaunchPlan, cluster: ClusterSpec) -> HaloTierSummary:
-    """Classify one plan's coherence bytes by transfer tier.
-
-    Transferred bytes come from the plan's materialized transfer tasks
-    (endpoint nodes decide the tier); avoided/trimmed bytes come from the
-    read-sync counters, whose ``*_inter`` halves were tiered at planning
-    time against the would-be source.
-    """
-    intra = inter = 0
-    for t in plan.transfers:
-        if cluster.same_node(t.owner, t.gpu):
-            intra += t.nbytes
-        else:
-            inter += t.nbytes
-    avoided = avoided_inter = trimmed = trimmed_inter = 0
-    for syncs in plan.reads:
-        for rs in syncs:
-            avoided += rs.avoided
-            avoided_inter += rs.avoided_inter
-            trimmed += rs.overapprox
-            trimmed_inter += rs.overapprox_inter
-    return HaloTierSummary(
-        intra_bytes=intra,
-        inter_bytes=inter,
-        avoided_intra=avoided - avoided_inter,
-        avoided_inter=avoided_inter,
-        trimmed_intra=trimmed - trimmed_inter,
-        trimmed_inter=trimmed_inter,
-    )
 
 
 def transfer_priority_tiers(plan: LaunchPlan, cluster: ClusterSpec) -> Dict[int, int]:

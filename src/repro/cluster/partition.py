@@ -1,17 +1,17 @@
-"""Hierarchical two-level grid partitioning for cluster runs.
+"""Hierarchical two-level grid partitioning.
 
-The single-node pipeline splits the thread grid into ``n_gpus`` balanced
-contiguous block ranges along the strategy's axis. On a cluster the same
-axis is split *twice*: first into ``n_nodes`` node intervals, then each
-node interval into ``gpus_per_node`` per-GPU ranges. Both levels use the
-same balanced ``divmod`` rule the flat split uses, so
+The grid is split along the strategy's axis *twice*: first into
+``n_nodes`` node intervals, then each node interval into
+``gpus_per_node`` per-GPU ranges, both with
+:func:`~repro.compiler.strategy.balanced_intervals`. So
 
 * partitions stay contiguous along the axis — neighbouring GPUs of one
   node share intra-node halos, and only the two GPUs at each node-interval
   seam exchange data across the network;
-* a 1-node cluster degenerates to *exactly* the flat split (the node level
-  is the identity interval), which is what makes the cluster path bitwise
-  equivalent to the single-node scheduler.
+* a flat node is the 1-node cluster, whose node level is the identity
+  interval: its split is exactly ``strategy.partitions(grid, G)``. Every
+  runtime splits this way (its topology is always a
+  :class:`~repro.cluster.topology.ClusterSpec`).
 
 The result is ordered by global device id — index ``i`` of the returned
 list is global GPU ``i`` = (node ``i // G``, local ``i % G``) — matching
@@ -23,27 +23,10 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.cluster.topology import ClusterSpec
-from repro.compiler.strategy import Partition, PartitionStrategy
+from repro.compiler.strategy import Partition, PartitionStrategy, balanced_intervals
 from repro.cuda.dim3 import Dim3
 
 __all__ = ["balanced_intervals", "node_intervals", "hierarchical_partitions"]
-
-
-def balanced_intervals(start: int, stop: int, k: int) -> List[Tuple[int, int]]:
-    """Split ``[start, stop)`` into ``k`` balanced contiguous intervals.
-
-    The same ``divmod`` rule as the flat split: the first ``extent % k``
-    intervals get one extra element; trailing intervals may be empty when
-    the range is shorter than ``k``.
-    """
-    base, extra = divmod(stop - start, k)
-    out: List[Tuple[int, int]] = []
-    lo = start
-    for i in range(k):
-        hi = lo + base + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
 
 
 def node_intervals(
@@ -60,16 +43,8 @@ def hierarchical_partitions(
 
     Equals ``strategy.partitions(grid, G)`` exactly when ``n_nodes == 1``.
     """
-    axis = strategy.axis
-    full = Partition.whole(grid)
-    out: List[Partition] = []
-    for node_lo, node_hi in node_intervals(strategy, grid, cluster):
-        for r in balanced_intervals(node_lo, node_hi, cluster.gpus_per_node):
-            out.append(
-                Partition(
-                    z=r if axis == "z" else full.z,
-                    y=r if axis == "y" else full.y,
-                    x=r if axis == "x" else full.x,
-                )
-            )
-    return out
+    return [
+        strategy.along(grid, r)
+        for node_lo, node_hi in node_intervals(strategy, grid, cluster)
+        for r in balanced_intervals(node_lo, node_hi, cluster.gpus_per_node)
+    ]

@@ -73,6 +73,15 @@ class ClusterSpec:
                 f"head_node {self.head_node} out of range (n_nodes={self.n_nodes})"
             )
 
+    @classmethod
+    def single_node(cls, n_gpus: int) -> "ClusterSpec":
+        """One node of ``n_gpus`` GPUs: the topology of a flat machine.
+
+        Built from the GPU count alone — only the shape and the device
+        mapping mean anything on one node, where no copy takes the network.
+        """
+        return cls(n_nodes=1, node=MachineSpec(n_gpus=n_gpus))
+
     # -- shape ----------------------------------------------------------------
 
     @property

@@ -12,14 +12,14 @@ row-major region and the buffer trackers stay at one segment per device
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.access_analysis import KernelAccessInfo
 from repro.cuda.dim3 import Dim3
 from repro.errors import PartitioningError
 
-__all__ = ["Partition", "PartitionStrategy", "choose_strategy"]
+__all__ = ["Partition", "PartitionStrategy", "balanced_intervals", "choose_strategy"]
 
 _AXIS_OF_DIM = {"bo_z": "z", "bi_z": "z", "bo_y": "y", "bi_y": "y", "bo_x": "x", "bi_x": "x"}
 _GID_AXIS = {"g_z": "z", "g_y": "y", "g_x": "x"}
@@ -63,12 +63,34 @@ class Partition:
         return (self.z[0], self.z[1], self.y[0], self.y[1], self.x[0], self.x[1])
 
 
+def balanced_intervals(start: int, stop: int, k: int) -> List[Tuple[int, int]]:
+    """Split ``[start, stop)`` into ``k`` balanced contiguous intervals.
+
+    The first ``(stop - start) % k`` intervals get one extra element;
+    trailing intervals are empty when the range is shorter than ``k``.
+    Every blocked split of the system is this one: grid partitions (per
+    node, then per GPU) and the linear memcpy distribution.
+    """
+    base, extra = divmod(stop - start, k)
+    out: List[Tuple[int, int]] = []
+    lo = start
+    for i in range(k):
+        hi = lo + base + (1 if i < extra else 0)
+        out.append((lo, hi))
+        lo = hi
+    return out
+
+
 @dataclass(frozen=True)
 class PartitionStrategy:
     """Contiguous block split along one grid axis."""
 
     axis: str  # 'z' | 'y' | 'x'
     kind: str = "block_linear"
+
+    def along(self, grid: Dim3, blocks: Tuple[int, int]) -> Partition:
+        """The partition of ``grid`` covering ``blocks`` along the split axis."""
+        return replace(Partition.whole(grid), **{self.axis: blocks})
 
     def partitions(self, grid: Dim3, n_parts: int) -> List[Partition]:
         """Split ``grid`` into ``n_parts`` balanced contiguous partitions.
@@ -78,25 +100,9 @@ class PartitionStrategy:
         """
         if n_parts < 1:
             raise PartitioningError(f"cannot split a grid into {n_parts} partitions")
-        extent = grid.axis(self.axis)
-        base, extra = divmod(extent, n_parts)
-        ranges: List[Tuple[int, int]] = []
-        start = 0
-        for i in range(n_parts):
-            size = base + (1 if i < extra else 0)
-            ranges.append((start, start + size))
-            start += size
-        out = []
-        full = Partition.whole(grid)
-        for r in ranges:
-            out.append(
-                Partition(
-                    z=r if self.axis == "z" else full.z,
-                    y=r if self.axis == "y" else full.y,
-                    x=r if self.axis == "x" else full.x,
-                )
-            )
-        return out
+        return [
+            self.along(grid, r) for r in balanced_intervals(0, grid.axis(self.axis), n_parts)
+        ]
 
 
 def _coupled_axes(info: KernelAccessInfo) -> Dict[str, int]:

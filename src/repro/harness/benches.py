@@ -591,7 +591,7 @@ def _stencil_linter_agreement(by, shapes, schedules) -> List[str]:
     grid = Dim3(x=-(-side // BLOCK.x), y=-(-side // BLOCK.x))
     failures: List[str] = []
     for n_nodes, gpus_per_node in shapes:
-        cluster = K80_CLUSTER_SPEC.with_shape(n_nodes, gpus_per_node) if n_nodes > 1 else None
+        cluster = K80_CLUSTER_SPEC.with_shape(n_nodes, gpus_per_node)
         for irr in (False, True):
             summary = analyze_transfers(
                 info, n_gpus=n_nodes * gpus_per_node, launches=_REDUNDANCY_ITERATIONS,

@@ -118,23 +118,21 @@ def run_timed(
     """Simulated runtime of the partitioned application on ``n_gpus``.
 
     ``schedule`` selects the launch-scheduler policy (overriding whatever
-    ``config`` carries); all other ``config`` fields are preserved. With a
-    ``cluster`` the machine is a :class:`ClusterSimMachine` over it instead
-    of a flat ``spec`` node (hierarchical partitioning, cross-node halos
-    over the NIC/fabric tier); ``n_gpus`` must then be its total.
+    ``config`` carries); all other ``config`` fields are preserved. The
+    machine is a :class:`ClusterSimMachine` over ``cluster`` (hierarchical
+    partitioning, cross-node halos over the NIC/fabric tier), by default
+    the one flat ``spec`` node of ``n_gpus`` GPUs; ``n_gpus`` must be its
+    total.
     """
     config = replace(config or RuntimeConfig(), n_gpus=n_gpus)
     if schedule is not None:
         config = replace(config, schedule=schedule)
+    cluster = cluster or ClusterSpec(n_nodes=1, node=spec.with_gpus(n_gpus))
 
     def run_once(c: ProblemConfig):
         workload = ALL_WORKLOADS[c.workload](c)
         app = _compiled(workload)
-        if cluster is not None:
-            machine = ClusterSimMachine(cluster)
-        else:
-            machine = SimMachine(spec.with_gpus(max(n_gpus, 1)))
-        api = MultiGpuApi(app, config, machine=machine, functional=False)
+        api = MultiGpuApi(app, config, machine=ClusterSimMachine(cluster), functional=False)
         workload.run(api, None)
         return api.elapsed(), api
 
@@ -565,10 +563,9 @@ def redundancy_study(
 ) -> List[RedundancyPoint]:
     """Coherence traffic of broadcast vs aligned reads, shared copies on/off.
 
-    Functional runs (bitwise-checkable) on a simulated machine per cluster
-    shape: a 1-node shape uses the flat :class:`SimMachine`, multi-node
-    shapes a :class:`ClusterSimMachine` so the inter-node byte reduction of
-    nearest-copy routing shows up in the stats.
+    Functional runs (bitwise-checkable) on a :class:`ClusterSimMachine` per
+    cluster shape, so the inter-node byte reduction of nearest-copy routing
+    shows up in the stats of the multi-node shapes.
 
     ``irredundant`` adds the RP602 remedy as a study dimension (each value
     runs the whole sweep with that ``irredundant_transfers`` setting);
@@ -618,11 +615,7 @@ def redundancy_study(
             config = RuntimeConfig(
                 n_gpus=total, schedule=schedule, shared_copies=shared, irredundant_transfers=irr
             )
-            if n_nodes > 1:
-                machine = ClusterSimMachine(base.with_shape(n_nodes, gpn))
-            else:
-                machine = SimMachine(base.node.with_gpus(total))
-            api = MultiGpuApi(app, config, machine=machine)
+            api = MultiGpuApi(app, config, machine=ClusterSimMachine(base.with_shape(n_nodes, gpn)))
             devs = []
             for host in inputs:
                 d = api.cudaMalloc(host.nbytes)

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.dataflow import ExactReadOracle
+from repro.cluster.topology import ClusterSpec
 from repro.compiler.costmodel import KernelCostModel
 from repro.compiler.pipeline import CompiledApp
 from repro.cuda.api import KernelCostFn, MemcpyKind, host_bytes
@@ -91,7 +92,7 @@ class RunStats:
     #: valid shared copy (zero unless ``RuntimeConfig.shared_copies``).
     redundant_bytes_avoided: int = 0
     #: Share of ``redundant_bytes_avoided`` whose sole-owner re-transfer
-    #: would have crossed the node fabric (zero off-cluster).
+    #: would have crossed the node fabric (zero on one node).
     redundant_bytes_avoided_inter: int = 0
     #: Bounding-range slack trimmed from synchronization copies by the
     #: dataflow analyzer (zero unless ``RuntimeConfig.irredundant_transfers``).
@@ -101,7 +102,7 @@ class RunStats:
     partition_launches: int = 0
     fallback_launches: int = 0
     #: Subset of sync transfers whose endpoints live on different cluster
-    #: nodes (always zero on single-node runtimes).
+    #: nodes (always zero on one node), tallied when the residual is planned.
     inter_node_transfers: int = 0
     inter_node_bytes: int = 0
     #: Per-launch decisions of ``schedule="auto"``, keyed by policy name.
@@ -186,10 +187,12 @@ class MultiGpuApi:
             raise RuntimeApiError(
                 f"machine has {machine.spec.n_gpus} GPUs, runtime wants {config.n_gpus}"
             )
-        #: The cluster topology when running on a ClusterSimMachine (duck-
-        #: typed off the machine so the runtime has no cluster dependency).
-        self.cluster = getattr(machine, "cluster", None)
-        if self.cluster is not None and self.cluster.total_gpus != config.n_gpus:
+        #: The topology the launches are split and routed over: the
+        #: ClusterSimMachine's own spec, or else (a flat machine, or none)
+        #: the one-node cluster of ``config.n_gpus`` GPUs.
+        cluster = getattr(machine, "cluster", None)
+        self.cluster: ClusterSpec = cluster or ClusterSpec.single_node(config.n_gpus)
+        if self.cluster.total_gpus != config.n_gpus:
             raise RuntimeApiError(
                 f"cluster has {self.cluster.total_gpus} GPUs "
                 f"({self.cluster.n_nodes}x{self.cluster.gpus_per_node}), "

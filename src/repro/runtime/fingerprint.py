@@ -71,7 +71,6 @@ def launch_fingerprint(
     shapes: Mapping[str, Sequence[int]],
 ) -> tuple:
     """The hashable identity of one launch's tracker-independent plan."""
-    cluster = api.cluster
     return (
         ck.kernel.name,
         (grid.x, grid.y, grid.z),
@@ -80,7 +79,7 @@ def launch_fingerprint(
         tuple(sorted((name, tuple(shape)) for name, shape in shapes.items())),
         config_plan_key(api.config),
         api._placement_offset or 0,
-        None if cluster is None else (cluster.n_nodes, cluster.gpus_per_node),
+        (api.cluster.n_nodes, api.cluster.gpus_per_node),
     )
 
 

@@ -27,13 +27,16 @@ paper's newest-owner rule whenever no sharers exist.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
 
 from repro.compiler.enumerators import Enumerator
 from repro.compiler.strategy import Partition
 from repro.cuda.dim3 import Dim3
 from repro.poly.intervals import normalize_intervals
 from repro.runtime.tracker import Segment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.topology import ClusterSpec
 
 __all__ = [
     "byte_ranges",
@@ -65,16 +68,16 @@ def byte_ranges(
     return [(lo * elem_size, hi * elem_size) for lo, hi in ranges], emitted
 
 
-def pick_source(seg: Segment, gpu: int, cluster=None) -> int:
+def pick_source(seg: Segment, gpu: int, cluster: "ClusterSpec") -> int:
     """The valid copy one stale segment is fetched from.
 
     Nearest-copy routing: prefer a holder on ``gpu``'s own cluster node
     (an intra-node copy never touches the NIC/fabric tier), break ties
-    toward the owner, then toward the lowest device id. Without a cluster
-    every holder is equidistant, so the owner is chosen — exactly the
-    paper's newest-owner rule when the sharer set is empty.
+    toward the owner, then toward the lowest device id. On one node every
+    holder is equidistant, so the owner is chosen — exactly the paper's
+    newest-owner rule when the sharer set is empty.
     """
-    if cluster is None:
+    if not seg.sharers:
         return seg.owner
 
     def rank(dev: int) -> Tuple[int, int, int]:
@@ -88,7 +91,7 @@ def pick_source(seg: Segment, gpu: int, cluster=None) -> int:
 
 
 def plan_stale_copies_tiered(
-    segments: Sequence[Segment], gpu: int, cluster=None
+    segments: Sequence[Segment], gpu: int, cluster: "ClusterSpec"
 ) -> Tuple[List[Segment], int, int]:
     """(copies, redundant_bytes_avoided, avoided_inter) for one read set.
 
@@ -109,7 +112,7 @@ def plan_stale_copies_tiered(
         if gpu in seg.holders:
             if seg.owner != gpu:
                 avoided += seg.nbytes
-                if cluster is not None and not cluster.same_node(seg.owner, gpu):
+                if not cluster.same_node(seg.owner, gpu):
                     avoided_inter += seg.nbytes
             continue
         src = pick_source(seg, gpu, cluster)
@@ -124,7 +127,7 @@ def trim_copies(
     copies: Sequence[Segment],
     keep: Sequence[Tuple[int, int]],
     gpu: int,
-    cluster=None,
+    cluster: "ClusterSpec",
 ) -> Tuple[List[Segment], int, int]:
     """Intersect planned copies with the provably-read byte ranges.
 
@@ -154,7 +157,7 @@ def trim_copies(
         slack = seg.nbytes - sum(hi - lo for lo, hi in pieces)
         if slack:
             overapprox += slack
-            if cluster is not None and not cluster.same_node(seg.owner, gpu):
+            if not cluster.same_node(seg.owner, gpu):
                 overapprox_inter += slack
         trimmed.extend(Segment(lo, hi, seg.owner) for lo, hi in pieces)
     return trimmed, overapprox, overapprox_inter

@@ -242,7 +242,6 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
     the schedule). *No* simulated-machine interaction — no host charges, no
     device ops; :func:`issue_plan_sim` issues those.
     """
-    cluster = api.cluster
     share = api.config.shared_copies and api.config.transfers_enabled
     # Copied ranges per (buffer, destination), registered as sharers in one
     # splice each once every copy is applied: registration is a set union
@@ -259,12 +258,11 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
                 api.stats.redundant_bytes_avoided_inter += rs.avoided_inter
                 api.stats.overapprox_bytes_avoided += rs.overapprox
                 api.stats.overapprox_bytes_avoided_inter += rs.overapprox_inter
+                api.stats.inter_node_transfers += rs.inter_transfers
+                api.stats.inter_node_bytes += rs.inter_bytes
                 for t in rs.transfers:
                     api.stats.sync_transfers += 1
                     api.stats.sync_bytes += t.nbytes
-                    if cluster is not None and not cluster.same_node(t.owner, t.gpu):
-                        api.stats.inter_node_transfers += 1
-                        api.stats.inter_node_bytes += t.nbytes
                     if api.functional and api.config.transfers_enabled:
                         t.vb.bytes_on(t.gpu)[t.start : t.end] = t.vb.bytes_on(t.owner)[
                             t.start : t.end
@@ -454,12 +452,11 @@ def lower_issue_program(
         for rs, t in transfer_order or ():
             copy(rs, t)
         if policy.barrier:
-            cluster = api.cluster
-            if cluster is None or cluster.n_nodes <= 1:
+            if api.cluster.n_nodes == 1:
                 emit.overhead(spec.sync_overhead, "sync")  # all_devs_synchronize()
                 emit.ops.append((_SYNC,))
             else:
-                gang = cluster
+                gang = api.cluster
 
     ck = plan.ck
     label = ck.kernel.name if plan.fallback else ck.partitioned.name
@@ -637,19 +634,19 @@ def issue_plan_sim(
     per-launch trace attribution; ``wave`` is the launch's dependence wave
     (see :class:`DataflowLog`).
 
-    On a cluster with ``pipeline_window > 1`` the copies are lowered in
-    the order :func:`~repro.cluster.gang.halo_first_order` gives. That
-    order is computed only when lowering: plans live in their api's
-    residual memo, and the cluster and window belong to the api, so
-    whether an order exists is fixed per plan object.
+    With ``pipeline_window > 1`` the copies are lowered in the order
+    :func:`~repro.cluster.gang.halo_first_order` gives (plan order on one
+    node, where no copy is a halo). That order is computed only when
+    lowering: plans live in their api's residual memo, and the cluster and
+    window belong to the api, so whether an order exists is fixed per plan
+    object.
     """
     def lower() -> IssueProgram:
-        cluster = api.cluster
         order = None
-        if cluster is not None and api.config.pipeline_window > 1:
+        if api.config.pipeline_window > 1:
             from repro.cluster.gang import halo_first_order
 
-            order = halo_first_order(plan, cluster)
+            order = halo_first_order(plan, api.cluster)
         return lower_issue_program(api, plan, policy, order)
 
     program = plan.issue_programs.get(policy)

@@ -77,18 +77,14 @@ __all__ = [
 def launch_partitions(api: "MultiGpuApi", ck: CompiledKernel, grid: Dim3) -> List[Partition]:
     """The grid partitions one launch uses, in global-device order.
 
-    Cluster-attached runtimes split hierarchically — node intervals first,
-    then per-GPU ranges within each node (``repro.cluster.partition``) — so
-    only partition seams at node boundaries exchange halos across the
-    network. Single-node runtimes use the flat balanced split; a 1-node
-    cluster produces the identical partition list by construction.
+    The split is hierarchical — node intervals first, then per-GPU ranges
+    within each node (``repro.cluster.partition``) — so only partition
+    seams at node boundaries exchange halos across the network. A flat
+    node is the 1-node cluster, whose split is the flat balanced one.
     """
-    if api.cluster is not None:
-        from repro.cluster.partition import hierarchical_partitions
+    from repro.cluster.partition import hierarchical_partitions
 
-        parts = hierarchical_partitions(ck.strategy, grid, api.cluster)
-    else:
-        parts = ck.strategy.partitions(grid, api.config.n_gpus)
+    parts = hierarchical_partitions(ck.strategy, grid, api.cluster)
     # Placement hint (task-graph frontend): rotate the partition->device
     # mapping so partition 0 lands on the hinted device. A tile-sized
     # launch (one partition) then runs *on* its task's device instead of
@@ -167,6 +163,9 @@ class ReadSync:
     #: irredundant-transfer path (provably never read by the partition).
     overapprox: int = 0
     overapprox_inter: int = 0
+    #: The planned copies that cross the node fabric, and their bytes.
+    inter_transfers: int = 0
+    inter_bytes: int = 0
     transfers: List[TransferTask] = field(default_factory=list)
 
 
@@ -375,8 +374,10 @@ class ResidualRecord:
 
     One entry per read scan, in skeleton partition/scan order:
     ``(copies, n_segments, avoided, avoided_inter, overapprox,
-    overapprox_inter)`` where ``copies`` is the final (source-picked,
-    trimmed) stale-copy list as ``(start, end, src)`` byte tuples.
+    overapprox_inter, inter_transfers, inter_bytes)`` where ``copies`` is
+    the final (source-picked, trimmed) stale-copy list as
+    ``(start, end, src)`` byte tuples and the last two count the copies
+    that cross the node fabric.
     Deliberately *buffer-free* — no VirtualBuffer references — so a
     ping-pong loop's alternating buffer bindings replay the same record;
     materialising a plan rebinds live buffers through the launch's
@@ -389,7 +390,9 @@ class ResidualRecord:
     Buffer ids are monotone, so a freed buffer's binding never recurs.
     """
 
-    scans: Tuple[Tuple[Tuple[Tuple[int, int, int], ...], int, int, int, int, int], ...]
+    scans: Tuple[
+        Tuple[Tuple[Tuple[int, int, int], ...], int, int, int, int, int, int, int], ...
+    ]
     plans: Memo = field(
         default_factory=lambda: Memo("replay_binding", REPLAY_PLAN_BINDINGS),
         repr=False, compare=False,
@@ -519,13 +522,8 @@ def _materialise_plan(
         reads_vbs: List[Tuple[VirtualBuffer, List[Tuple[int, int]]]] = []
         for scan in sp.reads:
             vb = by_name[scan.array]
-            copies, n_segments, avoided, avoided_inter, overapprox, overapprox_inter = (
-                next(entries)
-            )
-            rs = ReadSync(
-                sp.gpu, scan.array, vb, scan.enum, scan.ranges, scan.emitted,
-                n_segments, avoided, avoided_inter, overapprox, overapprox_inter,
-            )
+            copies, *counts = next(entries)
+            rs = ReadSync(sp.gpu, scan.array, vb, scan.enum, scan.ranges, scan.emitted, *counts)
             for start, end, src in copies:
                 task = TransferTask(
                     next_node, sp.gpu, src, vb, scan.array, start, end
@@ -601,11 +599,12 @@ def instantiate_plan(
                     copies, overapprox, overapprox_inter = trim_copies(
                         copies, keep, sp.gpu, cluster
                     )
+            inter = [seg.nbytes for seg in copies if not cluster.same_node(seg.owner, sp.gpu)]
             scans.append(
                 (
                     tuple((seg.start, seg.end, seg.owner) for seg in copies),
                     len(segments), avoided, avoided_inter,
-                    overapprox, overapprox_inter,
+                    overapprox, overapprox_inter, len(inter), sum(inter),
                 )
             )
     record = ResidualRecord(tuple(scans))

@@ -109,9 +109,9 @@ def estimate_plan_times(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, 
     """(transfer seconds, compute seconds) one launch plan would take alone.
 
     Uncongested estimates from the machine spec and the kernel cost model;
-    cluster-attached runtimes price cross-node segments at the network
-    rate. Machine-less (functional-only) runs fall back to byte counts —
-    only the zero/non-zero distinction matters then.
+    cross-node segments are priced at the cluster's network rate.
+    Machine-less (functional-only) runs fall back to byte counts — only
+    the zero/non-zero distinction matters then.
 
     Results are memoized per api under the shared launch fingerprint
     (:func:`repro.runtime.fingerprint.plan_estimate_key` — an iteration
@@ -143,7 +143,7 @@ def _estimate(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, float]:
     cluster = api.cluster
     transfer = 0.0
     for t in plan.transfers:
-        if cluster is not None and not cluster.same_node(t.owner, t.gpu):
+        if not cluster.same_node(t.owner, t.gpu):
             transfer += cluster.network_transfer_time(t.nbytes)
         else:
             transfer += spec.transfer_time(t.owner, t.gpu, t.nbytes)

@@ -33,16 +33,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.engine import ClusterSimMachine
 from repro.compiler.pipeline import CompiledApp, compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
 from repro.errors import ServeError
+from repro.harness.calibration import k80_cluster
 from repro.harness.identity import Observation, identity_sweep, observe
 from repro.runtime.api import MultiGpuApi, RunStats, host_planner_counters
 from repro.runtime.config import RuntimeConfig
 from repro.serve.runtime import ServeRuntime
 from repro.serve.tenant import TenantRuntime
-from repro.sim.engine import SimMachine
 
 __all__ = [
     "ServePoint",
@@ -119,14 +120,8 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[idx]
 
 
-def _machine(n_nodes: int, gpus_per_node: int) -> SimMachine:
-    from repro.harness.calibration import K80_NODE_SPEC, k80_cluster
-
-    if n_nodes > 1:
-        from repro.cluster.engine import ClusterSimMachine
-
-        return ClusterSimMachine(k80_cluster(n_nodes, gpus_per_node))
-    return SimMachine(K80_NODE_SPEC.with_gpus(gpus_per_node))
+def _machine(n_nodes: int, gpus_per_node: int) -> ClusterSimMachine:
+    return ClusterSimMachine(k80_cluster(n_nodes, gpus_per_node))
 
 
 def _setup_tenant(api: MultiGpuApi):

@@ -109,6 +109,8 @@ class TaskGraph:
         #: RP701/RP702 findings, rendered with the standard lint renderers.
         self.report = LintReport()
         self.stats = TaskGraphStats()
+        #: Task indices by dependence wave, derived by :meth:`finalize`.
+        self._waves: List[List[int]] = []
         self._finalized = False
 
     # -- construction --------------------------------------------------------
@@ -297,7 +299,7 @@ class TaskGraph:
                     )
                 )
 
-        self._check_acyclic()
+        self._waves = self._dependence_waves()
         self.stats.tasks = len(self.tasks)
         self.stats.edges = len(self.edges)
         kinds: Dict[str, int] = {}
@@ -309,27 +311,36 @@ class TaskGraph:
         self._finalized = True
         return self
 
-    def _check_acyclic(self) -> None:
+    def _dependence_waves(self) -> List[List[int]]:
+        """The tasks by dependence wave (Kahn's algorithm, level by level).
+
+        A wave holds every task whose predecessors all ran in earlier
+        waves, in creation-index order. Raises on a dependency cycle.
+        """
         indegree = [0] * len(self.tasks)
         succs: List[List[int]] = [[] for _ in self.tasks]
         for e in self.edges:
             indegree[e.dst] += 1
             succs[e.src].append(e.dst)
+        waves: List[List[int]] = []
         ready = [i for i, d in enumerate(indegree) if d == 0]
-        seen = 0
         while ready:
-            seen += 1
-            for nxt in succs[ready.pop()]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-        if seen != len(self.tasks):
+            waves.append(ready)
+            unlocked: List[int] = []
+            for i in ready:
+                for nxt in succs[i]:
+                    indegree[nxt] -= 1
+                    if indegree[nxt] == 0:
+                        unlocked.append(nxt)
+            ready = sorted(unlocked)
+        if sum(map(len, waves)) != len(self.tasks):
             stuck = sorted(i for i, d in enumerate(indegree) if d > 0)
             names = ", ".join(self.tasks[i].name for i in stuck[:4])
             raise TaskGraphError(
                 f"dependency cycle through {len(stuck)} task(s): {names}"
                 + ("..." if len(stuck) > 4 else "")
             )
+        return waves
 
     # -- execution -----------------------------------------------------------
 
@@ -379,16 +390,10 @@ class TaskGraph:
                 self._run_task(api, t)
                 api.cudaDeviceSynchronize()
             return self
-        indegree = [0] * len(self.tasks)
-        succs: List[List[int]] = [[] for _ in self.tasks]
-        for e in self.edges:
-            indegree[e.dst] += 1
-            succs[e.src].append(e.dst)
-        ready = sorted(i for i, d in enumerate(indegree) if d == 0)
         # A single-device CudaApi keeps no dataflow log and has no waves.
         log = getattr(api, "dataflow", None)
         try:
-            while ready:
+            for ready in self._waves:
                 self.stats.ready_peak = max(self.stats.ready_peak, len(ready))
                 self.stats.waves += 1
                 # Every member of a wave was ready simultaneously, so any
@@ -396,18 +401,12 @@ class TaskGraph:
                 # no edge between them by construction. The shared wave id
                 # tells the dataflow log their launches may overlap.
                 wave = log.new_wave() if log is not None else None
-                unlocked: List[int] = []
                 for i in ready:
                     t = self.tasks[i]
                     # Opaque tasks barrier anyway; keep them wave-less so
                     # their whole-buffer events are never skipped.
                     api._dataflow_wave = wave if t.affine else None
                     self._run_task(api, t)
-                    for nxt in succs[i]:
-                        indegree[nxt] -= 1
-                        if indegree[nxt] == 0:
-                            unlocked.append(nxt)
-                ready = sorted(unlocked)
         finally:
             api._dataflow_wave = None
         return self

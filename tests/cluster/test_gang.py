@@ -1,5 +1,7 @@
 """Gang projection of launch plans: per-node DAGs + halo exchange."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -137,9 +139,14 @@ class TestValidate:
 
 
 class TestHaloTierSummary:
-    """halo_tier_summary: per-tier classification of one plan's bytes."""
+    """One launch's coherence bytes by tier, as its ``RunStats`` deltas count them.
 
-    def _dstencil_api(self, cluster, irredundant):
+    Shipped bytes split by ``inter_node_bytes``, avoided bytes (shared
+    copies, RP601) by ``redundant_bytes_avoided_inter`` and trimmed slack
+    (irredundant transfers, RP602) by ``overapprox_bytes_avoided_inter``.
+    """
+
+    def _dstencil_launcher(self, cluster, irredundant):
         from repro.workloads.common import functional_config
         from repro.workloads.dstencil import DStencilWorkload, src_shape
 
@@ -162,45 +169,46 @@ class TestHaloTierSummary:
         d_out = api.cudaMalloc(n * n * 4)
         src = np.random.default_rng(0).random((rows, cols)).astype(np.float32)
         api.cudaMemcpy(d_src, src, rows * cols * 4, MemcpyKind.HostToDevice)
-        plan = lambda: build_launch_plan(  # noqa: E731
-            api, app.kernel(wl.kernel.name), grid, block, [d_src, d_out]
-        )
-        launch = lambda: api.launch(wl.kernel, grid, block, [d_src, d_out])  # noqa: E731
-        return plan, launch
+        args = [d_src, d_out]
 
-    def _tie_out(self, summary, plan, cluster):
-        """Every bucket equals its recomputation from the plan's tasks."""
-        intra = sum(
-            t.nbytes for t in plan.transfers if cluster.same_node(t.owner, t.gpu)
-        )
-        inter = sum(
-            t.nbytes for t in plan.transfers if not cluster.same_node(t.owner, t.gpu)
-        )
-        reads = [rs for syncs in plan.reads for rs in syncs]
-        assert summary.intra_bytes == intra
-        assert summary.inter_bytes == inter
-        assert summary.transferred == intra + inter
-        assert summary.avoided_intra + summary.avoided_inter == sum(
-            rs.avoided for rs in reads
-        )
-        assert summary.avoided_inter == sum(rs.avoided_inter for rs in reads)
-        assert summary.trimmed_intra + summary.trimmed_inter == sum(
-            rs.overapprox for rs in reads
-        )
-        assert summary.trimmed_inter == sum(rs.overapprox_inter for rs in reads)
+        def launch():
+            """The next launch's tier bytes, tied out against the plan it runs."""
+            plan = build_launch_plan(api, app.kernel(wl.kernel.name), grid, block, args)
+            before = replace(api.stats)
+            api.launch(wl.kernel, grid, block, args)
+            delta = {
+                f.name: getattr(api.stats, f.name) - getattr(before, f.name)
+                for f in fields(before)
+                if f.name != "auto_choices"
+            }
+            inter = [
+                t.nbytes for t in plan.transfers if not cluster.same_node(t.owner, t.gpu)
+            ]
+            reads = [rs for syncs in plan.reads for rs in syncs]
+            assert delta["inter_node_transfers"] == len(inter)
+            assert delta["inter_node_bytes"] == sum(inter)
+            assert delta["sync_bytes"] == sum(t.nbytes for t in plan.transfers)
+            assert delta["redundant_bytes_avoided"] == sum(rs.avoided for rs in reads)
+            assert delta["overapprox_bytes_avoided"] == sum(rs.overapprox for rs in reads)
+            return {
+                "intra_bytes": delta["sync_bytes"] - delta["inter_node_bytes"],
+                "inter_bytes": delta["inter_node_bytes"],
+                "avoided_intra": delta["redundant_bytes_avoided"]
+                - delta["redundant_bytes_avoided_inter"],
+                "avoided_inter": delta["redundant_bytes_avoided_inter"],
+                "trimmed_intra": delta["overapprox_bytes_avoided"]
+                - delta["overapprox_bytes_avoided_inter"],
+                "trimmed_inter": delta["overapprox_bytes_avoided_inter"],
+            }
+
+        return launch
 
     def test_cold_plan_ships_trimmed_halos_per_tier(self):
-        from repro.cluster.gang import HaloTierSummary, halo_tier_summary
-
-        cluster = _cluster(2, 2)
-        plan_at, _ = self._dstencil_api(cluster, irredundant=True)
-        plan = plan_at()
-        summary = halo_tier_summary(plan, cluster)
-        self._tie_out(summary, plan, cluster)
+        launch = self._dstencil_launcher(_cluster(2, 2), irredundant=True)
         # The first launch ships the (trimmed) linear-distribution mismatch
         # and halo: exactly half the bounding bytes survive per tier (the
         # strided read keeps even columns only), nothing is avoided yet.
-        assert summary == HaloTierSummary(
+        assert launch() == dict(
             intra_bytes=512,
             inter_bytes=256,
             avoided_intra=0,
@@ -210,19 +218,13 @@ class TestHaloTierSummary:
         )
 
     def test_warm_plan_avoids_everything_still_reporting_slack(self):
-        from repro.cluster.gang import HaloTierSummary, halo_tier_summary
-
-        cluster = _cluster(2, 2)
-        plan_at, launch = self._dstencil_api(cluster, irredundant=True)
+        launch = self._dstencil_launcher(_cluster(2, 2), irredundant=True)
         launch()
-        plan = plan_at()
-        summary = halo_tier_summary(plan, cluster)
-        self._tie_out(summary, plan, cluster)
         # Steady state: shared copies hold every previously shipped byte
         # (the cold transfers reappear tier-for-tier as avoided), while the
         # trimmed slack — never shipped, hence never shared — is re-planned
         # and re-trimmed each launch.
-        assert summary == HaloTierSummary(
+        assert launch() == dict(
             intra_bytes=0,
             inter_bytes=0,
             avoided_intra=512,
@@ -232,18 +234,14 @@ class TestHaloTierSummary:
         )
 
     def test_without_irredundant_nothing_is_trimmed(self):
-        from repro.cluster.gang import halo_tier_summary
-
-        cluster = _cluster(2, 2)
-        plan_at, launch = self._dstencil_api(cluster, irredundant=False)
-        cold = halo_tier_summary(plan_at(), cluster)
-        launch()
-        warm = halo_tier_summary(plan_at(), cluster)
-        for summary in (cold, warm):
-            assert summary.trimmed_intra == 0 and summary.trimmed_inter == 0
+        launch = self._dstencil_launcher(_cluster(2, 2), irredundant=False)
+        cold = launch()
+        warm = launch()
+        for tiers in (cold, warm):
+            assert tiers["trimmed_intra"] == 0 and tiers["trimmed_inter"] == 0
         # Untrimmed cold transfers carry the slack: double the irredundant
         # bytes per tier, minus the four seam bytes the linear distribution
         # already places correctly.
-        assert (cold.intra_bytes, cold.inter_bytes) == (1016, 508)
-        assert (warm.avoided_intra, warm.avoided_inter) == (1016, 508)
-        assert warm.transferred == 0
+        assert (cold["intra_bytes"], cold["inter_bytes"]) == (1016, 508)
+        assert (warm["avoided_intra"], warm["avoided_inter"]) == (1016, 508)
+        assert warm["intra_bytes"] + warm["inter_bytes"] == 0

@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster.engine import ClusterSimMachine
 from repro.cluster.gang import build_gang_plan
+from repro.cluster.topology import ClusterSpec
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
 from repro.harness.calibration import k80_cluster
@@ -35,8 +36,9 @@ NBYTES = N * 4
 
 class TestPickSource:
     def test_no_cluster_returns_owner(self):
+        # A flat node is the one-node cluster: every holder is equidistant.
         seg = Segment(0, 100, 1, frozenset({0, 3}))
-        assert pick_source(seg, 2, None) == 1
+        assert pick_source(seg, 2, ClusterSpec.single_node(4)) == 1
 
     def test_prefers_intra_node_sharer_over_remote_owner(self):
         cluster = k80_cluster(2, 2)  # node 0: {0, 1}; node 1: {2, 3}

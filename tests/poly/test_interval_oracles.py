@@ -13,6 +13,7 @@ from typing import List, Sequence, Tuple
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.topology import ClusterSpec
 from repro.poly.intervals import (
     intersect_intervals,
     intersect_normalized,
@@ -141,9 +142,13 @@ class TestTrimCopies:
     @settings(max_examples=400, deadline=None)
     @given(copy_lists(), ranges, st.integers(0, 3), st.booleans())
     def test_matches_predecessor(self, copies, keep, gpu, clustered):
-        cluster = TwoNodes() if clustered else None
+        # The predecessor's unclustered call is the one-node cluster's.
+        if clustered:
+            cluster = predecessor_cluster = TwoNodes()
+        else:
+            cluster, predecessor_cluster = ClusterSpec.single_node(4), None
         assert trim_copies(copies, keep, gpu, cluster) == oracle_trim_copies(
-            copies, keep, gpu, cluster
+            copies, keep, gpu, predecessor_cluster
         )
 
     def test_unsorted_overlapping_and_empty_keep(self):

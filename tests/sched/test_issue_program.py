@@ -82,7 +82,7 @@ def _observe(api, host):
 def _oracle_issue(api, plan, policy, **kwargs):
     """The oracle, handed the halo-first order the executor would lower with."""
     order = None
-    if api.cluster is not None and api.config.pipeline_window > 1:
+    if api.config.pipeline_window > 1:
         order = halo_first_order(plan, api.cluster)
     issue_oracle.issue_plan_sim(api, plan, policy, transfer_order=order, **kwargs)
 

@@ -72,7 +72,9 @@ class TestPackageSurface:
 
         ``bench/test_smoke.py`` is outside ``testpaths``; without this a
         rename under ``src/`` turns a per-layer metric ``null`` with tier-1
-        green. Resolution mirrors ``Recorder.install``.
+        green. Resolution mirrors ``Recorder.install``: a dotted target must
+        sit in its owner's own ``__dict__``, so a method inherited from a
+        base class (which the recorder cannot wrap there) is missing too.
         """
         import importlib
         import importlib.util
@@ -88,8 +90,10 @@ class TestPackageSurface:
         for module_name, attr_path, _span in bench_trace.WRAPS:
             try:
                 owner = importlib.import_module(module_name)
-                for part in attr_path.split("."):
+                *parents, attr = attr_path.split(".")
+                for part in parents:
                     owner = getattr(owner, part)
-            except (ImportError, AttributeError):
+                _ = owner.__dict__[attr] if parents else getattr(owner, attr)
+            except (ImportError, AttributeError, KeyError):
                 missing.append(f"{module_name}.{attr_path}")
         assert not missing, missing
