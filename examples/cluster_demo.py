@@ -15,16 +15,15 @@ Three things to observe in the output:
    accounting splits cleanly: intra + inter buckets always sum to the
    TRANSFERS busy time;
 3. multi-node shapes pay for their halos at the network rate, but the
-   ``overlap`` schedules hide most of that behind compute — the gang
-   structure (per-node DAGs + halo in/out) shows how few transfers
-   actually cross the fabric.
+   ``overlap`` schedules hide most of that behind compute — the copies
+   of one launch show how few of them actually cross the fabric.
 
 Run:  python examples/cluster_demo.py
 """
 
 import numpy as np
 
-from repro.cluster import ClusterSimMachine, build_gang_plan
+from repro.cluster import ClusterSimMachine
 from repro.compiler import compile_app
 from repro.harness.calibration import k80_cluster
 from repro.runtime import MultiGpuApi, RuntimeConfig
@@ -85,8 +84,8 @@ def main():
             assert np.array_equal(ref[key], results[shape][key]), shape
     print("\nall cluster shapes produced bitwise-identical results")
 
-    # Peek at the gang structure of one launch on the 2x4 cluster: the
-    # scheduler's flat task DAG projected into per-node plans + halos.
+    # Peek at the copies of one launch on the 2x4 cluster: the ones whose
+    # endpoints sit on different nodes cross the NIC/fabric tier.
     cluster = k80_cluster(2, 4)
     cfg = ProblemConfig("hotspot", "demo", N, ITERS)
     workload = HotspotWorkload(cfg)
@@ -105,20 +104,17 @@ def main():
     api.cudaMemset(b, 0, nbytes)
     grid, block = workload.launch_config()
     plan = build_launch_plan(api, app.kernel("hotspot"), grid, block, [a, b])
-    gang = build_gang_plan(plan, cluster)
-    gang.validate()
-    print(f"\ngang plan of the first launch on a 2x4 cluster:")
-    for np_ in gang.nodes:
-        print(
-            f"  node {np_.node}: {len(np_.kernels)} kernel partition(s), "
-            f"{len(np_.local_transfers)} local transfer(s), "
-            f"{len(np_.halo_in)} halo in, {len(np_.halo_out)} halo out"
-        )
+    halos = [t for t in plan.transfers if not cluster.same_node(t.owner, t.gpu)]
     print(
-        f"  total: {len(gang.halo_transfers)} cross-node halo transfer(s), "
-        f"{gang.halo_bytes} bytes over the fabric"
+        f"\ncopies of the first launch on a 2x4 cluster: {len(plan.transfers)}, "
+        f"{len(halos)} of them cross-node:"
     )
-
+    for t in halos:
+        print(
+            f"  gpu{t.owner} (node {cluster.endpoint_node(t.owner)}) -> "
+            f"gpu{t.gpu} (node {cluster.node_of(t.gpu)}): bytes [{t.start}, {t.end})"
+        )
+    print(f"  total: {sum(t.nbytes for t in halos)} bytes over the fabric")
 
 if __name__ == "__main__":
     main()

@@ -6,9 +6,10 @@ drains every launch (Figure 4), so the window buffers nothing. Its one
 effect is the order in which a launch's copies go out on a cluster: at
 ``pipeline_window=1`` they issue in plan order, partition by partition;
 at any value > 1 they issue halo-first — inter-node halo copies, then
-intra-node seam feeders, then interior copies
-(``repro.cluster.gang.halo_first_order``), whenever the halo is a
-minority of the launch's copy bytes. See docs/scheduler.md.
+intra-node seam feeders, then interior copies, whenever the halo is a
+minority of the launch's copy bytes. The order is computed once per plan,
+when its copies are lowered (``repro.sched.executor.halo_first_order``).
+See docs/scheduler.md.
 
 Three things to observe in the output:
 

@@ -1,13 +1,13 @@
 """The one memo behind every cache of the package: a named, bounded LRU.
 
 Each memoization site — enumerator scans, vector programs, plan skeletons,
-residual records and their per-binding plans, time estimates, per-thread
-kernel costs, exact read sets — owns one :class:`Memo` whose capacity is a
-named constant next to its use. Sites keyed on launch arguments or live
-state audit their hits under ``RuntimeConfig.debug_audit``: the hit runs
-its miss path too, and :meth:`Memo.audit` raises, naming the memo and the
-key, if the cached value differs. With the audit off a hit is one lookup
-and one flag test.
+residual records and their per-binding plans (the latest misses' too), time
+estimates, per-thread kernel costs, exact read sets — owns one
+:class:`Memo` whose capacity is a named constant next to its use. Sites
+keyed on launch arguments or live state audit their hits under
+``RuntimeConfig.debug_audit``: the hit runs its miss path too, and
+:meth:`Memo.audit` raises, naming the memo and the key, if the cached
+value differs. With the audit off a hit is one lookup and one flag test.
 """
 
 from __future__ import annotations

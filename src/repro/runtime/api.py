@@ -46,6 +46,12 @@ __all__ = ["RunStats", "MultiGpuApi", "HOST_PLANNER_COUNTERS", "host_planner_cou
 #: keys; the bound only matters for streams where every shape is fresh.
 SKELETON_CAPACITY = RESIDUAL_CAPACITY = ESTIMATE_CAPACITY = 512
 
+#: Plans of the most recent residual misses, kept for their record's first
+#: replay under the same buffer binding (a ping-pong loop needs one). A
+#: record keeps the plans it replays; most records of a shape-churning
+#: stream never replay, so a miss's plan is not kept on its record.
+MISS_PLAN_CAPACITY = 8
+
 #: The staged-planner observability counters: plan-skeleton cache traffic
 #: plus the enumerator scan counts. Benchmarks surface exactly this
 #: slice, and identity checks between runs with different memo capacities
@@ -237,6 +243,8 @@ class MultiGpuApi:
         #: Residual replay memo, keyed by (fingerprint, footprint digest).
         #: Always per-api: residuals encode this runtime's coherence state.
         self.residual_cache = Memo("residual", RESIDUAL_CAPACITY)
+        #: The plans those misses built, keyed by (residual key, binding).
+        self.miss_plans = Memo("miss_plan", MISS_PLAN_CAPACITY)
         #: Exact read sets of the ``irredundant_transfers`` trimming, one
         #: oracle per kernel of the app.
         self.exact_reads = {name: ExactReadOracle(ck.info) for name, ck in app.kernels.items()}
@@ -289,7 +297,12 @@ class MultiGpuApi:
                 vb.bytes_on(dev_id)[lo:hi] = value & 0xFF
             if self.machine:
                 duration = (hi - lo) / self.machine.spec.mem_bw_per_gpu
-                end = self.machine.launch_kernel(dev_id, duration, label="memset")
+                deps = ()
+                if self.policy.overlap:
+                    # A copy engine may still read or write the instance
+                    # (WAR/WAW); the compute queue does not order those.
+                    deps = self.dataflow.instance_free(vb.vb_id, dev_id, lo, hi)
+                end = self.machine.launch_kernel(dev_id, duration, label="memset", deps=deps)
                 if self.policy.overlap:
                     self.dataflow.note_write(vb.vb_id, dev_id, lo, hi, end)
             if self.config.tracking_enabled:

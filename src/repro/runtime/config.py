@@ -51,9 +51,10 @@ class RuntimeConfig:
     schedule: str = "sequential"
     #: Halo-first copy order: values > 1 issue each launch's copies on a
     #: cluster inter-node halo first, then node-seam feeders, then interior
-    #: copies (``repro.cluster.gang.halo_first_order``). Every launch is
-    #: issued at submit either way; 1 (the default) and any flat machine
-    #: issue copies in plan order.
+    #: copies, an order decided when a plan's copies are lowered
+    #: (``repro.sched.executor.halo_first_order``). Every launch is issued
+    #: at submit either way; 1 (the default) and any flat machine issue
+    #: copies in plan order.
     pipeline_window: int = 1
     #: Irredundant transfer sets (MAIRS): trim every synchronization copy
     #: to the byte ranges the dataflow analyzer proves the partition

@@ -132,10 +132,15 @@ def launch_partitioned(
     rcache = api.residual_cache
     record = rcache.get(rkey)
     replay = record is not MISS
+    binding = tuple(by_name[p.name].vb_id for p in kernel.array_params)
     if replay:
         api.stats.residual_cache_hits += 1
-        binding = tuple(by_name[p.name].vb_id for p in kernel.array_params)
         plan = record.plans.get(binding)
+        if plan is MISS:
+            # The miss that planned this residual may have built this plan.
+            plan = api.miss_plans.get((rkey, binding))
+            if plan is not MISS:
+                record.plans.put(binding, plan)
         if audit:
             # The live residual is the miss path of both memos; its tracker
             # queries stand in for the replay's mirrored query counts.
@@ -156,6 +161,7 @@ def launch_partitioned(
     else:
         api.stats.residual_cache_misses += 1
         plan, record = instantiate_plan(api, skel, by_name)
+        api.miss_plans.put((rkey, binding), plan)
         if rcache.put(rkey, record):
             api.stats.residual_cache_evictions += 1
     if prof:

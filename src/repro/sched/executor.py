@@ -57,7 +57,13 @@ from repro.cuda.exec.interpreter import AccessTrace, run_kernel
 from repro.cuda.ir.kernel import ArrayParam, ScalarParam, partition_field_name
 from repro.errors import MemoAuditError, PartitioningError, RuntimeApiError, SimulationError
 from repro.runtime.vbuffer import VirtualBuffer
-from repro.sched.graph import KernelTask, LaunchPlan, ReadSync, TransferTask
+from repro.sched.graph import (
+    KernelTask,
+    LaunchPlan,
+    ReadSync,
+    TransferTask,
+    merge_event_ranges,
+)
 from repro.sched.policy import (
     SchedulePolicy,
     auto_schedule_name,
@@ -68,6 +74,7 @@ from repro.sim.engine import _place
 from repro.sim.trace import Category
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.topology import ClusterSpec
     from repro.runtime.api import MultiGpuApi
 
 __all__ = [
@@ -335,7 +342,6 @@ def apply_plan_functional(api: "MultiGpuApi", plan: LaunchPlan) -> None:
 _CHARGE, _COPY, _STREAM_COPY, _SYNC, _KERNEL, _GANG_SYNC, _TRACE = range(7)
 
 IssueProgram = Tuple[tuple, ...]
-TransferOrder = Sequence[Tuple[ReadSync, TransferTask]]
 
 
 class _Emitter:
@@ -369,11 +375,59 @@ class _Emitter:
         return tuple(self.ops) + ((_TRACE,) + columns,)
 
 
+#: Halo-first reordering applies only when the node-crossing copies are a
+#: *minority* of the plan's transfer bytes. The priority targets seam
+#: exchanges (a thin halo ahead of a fat interior); when most traffic
+#: crosses nodes anyway — e.g. an all-to-all broadcast — there is no
+#: interior worth backfilling and hoisting the whole network leg only
+#: delays the intra-node copies it was meant to overlap with.
+HALO_MAJORITY_RATIO = 0.5
+
+
+def halo_first_order(
+    plan: LaunchPlan, cluster: "ClusterSpec"
+) -> Optional[List[Tuple[ReadSync, TransferTask]]]:
+    """The plan's (read sync, copy) pairs halo-first, or None for plan order.
+
+    Three issue tiers, plan order kept within each:
+
+    * tier 0 — inter-node copies (they occupy the scarce NIC/fabric tier,
+      and a seam partition of the *next* launch blocks on them; ``HOST``
+      sits on the head node, so H2D traffic into a remote node is one too);
+    * tier 1 — node-seam feeders: intra-node copies overlapping the merged
+      byte runs of their buffer's tier-0 copies (e.g. the intra-node leg of
+      a seam exchange);
+    * tier 2 — interior copies, which can backfill any remaining lane gaps.
+
+    None when every copy sits in one tier or when tier 0 carries at least
+    :data:`HALO_MAJORITY_RATIO` of the plan's copy bytes.
+    """
+    pairs = [(rs, t) for syncs in plan.reads for rs in syncs for t in rs.transfers]
+    halo = [not cluster.same_node(t.owner, t.gpu) for _, t in pairs]
+    runs: Dict[int, List[Tuple[int, int]]] = {}
+    for (_, t), crosses in zip(pairs, halo):
+        if crosses:
+            runs.setdefault(t.vb.vb_id, []).append((t.start, t.end))
+    runs = {vb_id: merge_event_ranges(sorted(r)) for vb_id, r in runs.items()}
+    tiers = [
+        0 if crosses
+        else 1 if any(lo < t.end and hi > t.start for lo, hi in runs.get(t.vb.vb_id, ()))
+        else 2
+        for (_, t), crosses in zip(pairs, halo)
+    ]
+    if len(set(tiers)) <= 1:
+        return None
+    total = sum(t.nbytes for _, t in pairs)
+    crossing = sum(t.nbytes for (_, t), tier in zip(pairs, tiers) if tier == 0)
+    if total == 0 or crossing >= HALO_MAJORITY_RATIO * total:
+        return None
+    # Stable sort: within a tier the plan order is preserved.
+    order = sorted(range(len(pairs)), key=tiers.__getitem__)
+    return [pairs[i] for i in order]
+
+
 def lower_issue_program(
-    api: "MultiGpuApi",
-    plan: LaunchPlan,
-    policy: SchedulePolicy,
-    transfer_order: Optional[TransferOrder] = None,
+    api: "MultiGpuApi", plan: LaunchPlan, policy: SchedulePolicy
 ) -> IssueProgram:
     """One plan's simulated issue under ``policy`` as a flat op tuple.
 
@@ -385,10 +439,12 @@ def lower_issue_program(
     pattern charges (lines 21-26), which run on the host concurrently with
     the asynchronous kernels.
 
-    ``transfer_order`` overrides the copy *issue* order (the halo-first
-    order of :func:`repro.cluster.gang.halo_first_order`): the
-    per-read-sync pattern charges are then batched ahead of the reordered
-    copies.
+    With ``pipeline_window > 1`` the copies issue in
+    :func:`halo_first_order` when it gives one (on a multi-node cluster
+    whose halo is a minority of the bytes): the per-read-sync pattern
+    charges are then batched ahead of the reordered copies. Plans live in
+    their api's residual memo, and the cluster and window belong to the
+    api, so whether an order exists is fixed per plan object.
 
     Everything the issue depends on but the machine's state is decided
     here — charges, copy routes, dataflow keys, which copies each kernel
@@ -442,14 +498,17 @@ def lower_issue_program(
 
     gang = None
     if config.tracking_enabled:
+        order = None
+        if config.pipeline_window > 1:
+            order = halo_first_order(plan, api.cluster)
         for syncs in plan.reads:
             emit.host(spec.partition_setup_cost)
             for rs in syncs:
                 read_sync(rs)
-                if transfer_order is None:
+                if order is None:
                     for t in rs.transfers:
                         copy(rs, t)
-        for rs, t in transfer_order or ():
+        for rs, t in order or ():
             copy(rs, t)
         if policy.barrier:
             if api.cluster.n_nodes == 1:
@@ -633,27 +692,12 @@ def issue_plan_sim(
     and only runs afterwards. ``launch`` tags every device op for
     per-launch trace attribution; ``wave`` is the launch's dependence wave
     (see :class:`DataflowLog`).
-
-    With ``pipeline_window > 1`` the copies are lowered in the order
-    :func:`~repro.cluster.gang.halo_first_order` gives (plan order on one
-    node, where no copy is a halo). That order is computed only when
-    lowering: plans live in their api's residual memo, and the cluster and
-    window belong to the api, so whether an order exists is fixed per plan
-    object.
     """
-    def lower() -> IssueProgram:
-        order = None
-        if api.config.pipeline_window > 1:
-            from repro.cluster.gang import halo_first_order
-
-            order = halo_first_order(plan, api.cluster)
-        return lower_issue_program(api, plan, policy, order)
-
     program = plan.issue_programs.get(policy)
     if program is None:
-        program = plan.issue_programs[policy] = lower()
+        program = plan.issue_programs[policy] = lower_issue_program(api, plan, policy)
     elif api.config.debug_audit:
-        fresh = lower()
+        fresh = lower_issue_program(api, plan, policy)
         if fresh != program:
             raise MemoAuditError(
                 f"plan of kernel {plan.ck.kernel.name!r} served a stale issue "

@@ -1,18 +1,12 @@
-"""Gang view of a launch plan: one DAG per node plus cross-node halos.
+"""The halo-first tiering as the gang projection computed it (test oracle).
 
-The launch scheduler builds a single :class:`~repro.sched.graph.LaunchPlan`
-over global device ids. On a cluster that plan is *executed* unchanged (the
-executor and the cluster machine handle routing), but scheduling decisions
-and reporting want the gang structure: which tasks are node-local, and
-which transfers cross the network. :func:`build_gang_plan` projects one
-launch plan onto the cluster:
-
-* each node gets a :class:`NodePlan` — its kernel tasks and the transfers
-  that stay inside the node;
-* every cross-node transfer becomes a *halo*: it appears in the source
-  node's ``halo_out`` and the destination node's ``halo_in`` (the same
-  :class:`~repro.sched.graph.TransferTask` object — the gang plan is a
-  view, not a copy).
+:func:`repro.sched.executor.halo_first_order` computes the cluster's
+halo-first copy order in one pass over a plan's copies. Before that it was
+derived from a projection of the plan onto the cluster — one DAG per node
+plus cross-node halos — and the tiers read off that projection. That code
+lives on here verbatim (less the projection's structural ``validate``) as
+the oracle the one-pass helper is compared with in
+``tests/cluster/test_halo_order_oracle.py``.
 
 ``HOST`` endpoints live on the cluster's head node, so H2D traffic into a
 remote node's GPUs is a halo too.
@@ -24,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.topology import ClusterSpec
-from repro.errors import SimulationError
 from repro.sched.graph import (
     KernelTask,
     LaunchPlan,
@@ -90,49 +83,6 @@ class GangPlan:
             vb_id: merge_event_ranges(sorted(ranges))
             for vb_id, ranges in by_vb.items()
         }
-
-    def validate(self) -> None:
-        """Structural invariants (tests): the projection is a partition.
-
-        Every plan transfer lands in exactly one of {one node's locals} or
-        {one halo_out and one halo_in on different nodes}; every kernel
-        dependency resolves inside its own node plan.
-        """
-        c = self.cluster
-        n_local = sum(len(np.local_transfers) for np in self.nodes)
-        n_in = sum(len(np.halo_in) for np in self.nodes)
-        n_out = sum(len(np.halo_out) for np in self.nodes)
-        if n_in != n_out:
-            raise SimulationError(f"halo mismatch: {n_out} out vs {n_in} in")
-        if n_local + n_in != len(self.plan.transfers):
-            raise SimulationError(
-                f"gang projection lost transfers: {n_local}+{n_in} of "
-                f"{len(self.plan.transfers)}"
-            )
-        if sum(len(np.kernels) for np in self.nodes) != len(self.plan.kernels):
-            raise SimulationError("gang projection lost kernel tasks")
-        for np_ in self.nodes:
-            resident = {t.node for t in np_.local_transfers}
-            resident.update(t.node for t in np_.halo_in)
-            for t in np_.local_transfers:
-                if not c.same_node(t.owner, t.gpu):
-                    raise SimulationError(
-                        f"cross-node transfer {t.node} classified as local"
-                    )
-                if c.endpoint_node(t.gpu) != np_.node:
-                    raise SimulationError(f"transfer {t.node} on the wrong node plan")
-            for t in np_.halo_in:
-                if c.same_node(t.owner, t.gpu):
-                    raise SimulationError(f"local transfer {t.node} classified as halo")
-            for k in np_.kernels:
-                if c.node_of(k.gpu) != np_.node:
-                    raise SimulationError(f"kernel {k.node} on the wrong node plan")
-                for dep in k.transfer_deps:
-                    if dep not in resident:
-                        raise SimulationError(
-                            f"kernel {k.node} depends on transfer {dep} "
-                            f"outside node {np_.node}"
-                        )
 
 
 def transfer_priority_tiers(plan: LaunchPlan, cluster: ClusterSpec) -> Dict[int, int]:

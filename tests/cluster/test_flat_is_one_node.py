@@ -89,9 +89,10 @@ def test_issued_replays_never_ask_the_topology(monkeypatch):
     api.launch = observed
     wl.run(api, wl.make_inputs())
     assert len(launches) == 10
-    # Launch 0 plans its residual (a miss); launches 1 and 2 replay each
-    # ping-pong binding's record for the first time and lower its plan.
-    steady = launches[3:]
+    # Launch 0 plans its residual (a miss) and memoizes its plan under its
+    # own binding; launch 1 replays the record for the other ping-pong
+    # binding for the first time and lowers that binding's plan.
+    steady = launches[2:]
     assert all(replay == 1 for _, replay, _ in steady)
     assert all(inter > 0 for _, _, inter in steady)
     assert [n for n, _, _ in steady] == [0] * len(steady)

@@ -1,19 +1,16 @@
-"""Gang projection of launch plans: per-node DAGs + halo exchange."""
+"""Cross-node halos of launch plans on a cluster, and their bytes per tier."""
 
 from dataclasses import fields, replace
 
 import numpy as np
-import pytest
 
 from repro.cluster.engine import ClusterSimMachine
-from repro.cluster.gang import build_gang_plan
 from repro.cluster.topology import ClusterSpec
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
-from repro.errors import SimulationError
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.sched.graph import build_launch_plan
@@ -64,78 +61,27 @@ def _plan_on(cluster):
 
 
 class TestProjection:
-    def test_validates_and_partitions_the_plan(self):
-        cluster = _cluster(2, 4)
-        plan, _ = _plan_on(cluster)
-        gang = build_gang_plan(plan, cluster)
-        gang.validate()
-        n_local = sum(len(np_.local_transfers) for np_ in gang.nodes)
-        assert n_local + len(gang.halo_transfers) == len(plan.transfers)
-        assert sum(len(np_.kernels) for np_ in gang.nodes) == len(plan.kernels)
-
-    def test_classification_matches_topology(self):
-        cluster = _cluster(2, 4)
-        plan, _ = _plan_on(cluster)
-        gang = build_gang_plan(plan, cluster)
-        for np_ in gang.nodes:
-            for t in np_.local_transfers:
-                assert cluster.same_node(t.owner, t.gpu)
-            for t in np_.halo_in:
-                assert not cluster.same_node(t.owner, t.gpu)
-                assert cluster.endpoint_node(t.gpu) == np_.node
-            for t in np_.halo_out:
-                assert cluster.endpoint_node(t.owner) == np_.node
-            for k in np_.kernels:
-                assert cluster.node_of(k.gpu) == np_.node
-
-    def test_halo_objects_are_shared_not_copied(self):
-        cluster = _cluster(2, 4)
-        plan, _ = _plan_on(cluster)
-        gang = build_gang_plan(plan, cluster)
-        outs = {id(t) for np_ in gang.nodes for t in np_.halo_out}
-        ins = {id(t) for np_ in gang.nodes for t in np_.halo_in}
-        assert outs == ins  # the same TransferTask objects, a view not a copy
-        plan_ids = {id(t) for t in plan.transfers}
-        assert ins <= plan_ids
+    """The plan's copies as the cluster sees them: a copy whose endpoints
+    sit on different nodes is a halo over the NIC/fabric tier."""
 
     def test_stencil_on_two_nodes_has_one_halo_each_way(self):
         # A 1-D row split puts exactly one partition seam on the node
         # boundary; the 5-point stencil exchanges one halo per direction.
         cluster = _cluster(2, 4)
         plan, _ = _plan_on(cluster)
-        gang = build_gang_plan(plan, cluster)
-        assert [len(np_.halo_in) for np_ in gang.nodes] == [1, 1]
-        assert [len(np_.halo_out) for np_ in gang.nodes] == [1, 1]
-        assert gang.halo_bytes == sum(t.nbytes for t in gang.halo_transfers)
-        assert gang.halo_bytes > 0
+        halos = [t for t in plan.transfers if not cluster.same_node(t.owner, t.gpu)]
+        directions = sorted(
+            (cluster.endpoint_node(t.owner), cluster.endpoint_node(t.gpu)) for t in halos
+        )
+        assert directions == [(0, 1), (1, 0)]
+        assert sum(t.nbytes for t in halos) > 0
+        assert len(halos) < len(plan.transfers)
 
     def test_one_node_cluster_has_no_halos(self):
         cluster = _cluster(1, 8)
         plan, _ = _plan_on(cluster)
-        gang = build_gang_plan(plan, cluster)
-        assert gang.halo_transfers == []
-        assert gang.halo_bytes == 0
-        assert len(gang.nodes[0].local_transfers) == len(plan.transfers)
-
-
-class TestValidate:
-    def test_rejects_misclassified_halo(self):
-        cluster = _cluster(2, 4)
-        plan, _ = _plan_on(cluster)
-        gang = build_gang_plan(plan, cluster)
-        # Corrupt the projection: pretend a halo is node-local.
-        victim = gang.nodes[0].halo_in.pop()
-        gang.nodes[0].local_transfers.append(victim)
-        with pytest.raises(SimulationError):
-            gang.validate()
-
-    def test_rejects_lost_transfer(self):
-        cluster = _cluster(2, 4)
-        plan, _ = _plan_on(cluster)
-        gang = build_gang_plan(plan, cluster)
-        gang.nodes[0].local_transfers.pop()
-        with pytest.raises(SimulationError):
-            gang.validate()
+        assert plan.transfers
+        assert all(cluster.same_node(t.owner, t.gpu) for t in plan.transfers)
 
 
 class TestHaloTierSummary:

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusterSimMachine
-from repro.cluster import gang
-from repro.cluster.gang import halo_first_order, transfer_priority_tiers
 from repro.cluster.topology import ClusterSpec
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
@@ -23,6 +21,8 @@ from repro.cuda.dim3 import Dim3
 from repro.harness.calibration import K80_NODE_SPEC
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
+from repro.sched import executor
+from repro.sched.executor import halo_first_order
 from repro.sched.graph import build_launch_plan
 from repro.sched.policy import SCHEDULES
 from repro.sim.trace import Category
@@ -147,15 +147,14 @@ def _seam_api(cluster, window):
 def test_transfer_order_is_halo_first_on_seam_stencil():
     cluster = _cluster(2, 2)
     api, plan = _seam_api(cluster, window=4)
-    tiers = transfer_priority_tiers(plan, cluster)
-    assert 0 in tiers.values(), "a 2-node seam stencil must cross the fabric"
+    crosses = [not cluster.same_node(t.owner, t.gpu) for t in plan.transfers]
+    assert any(crosses), "a 2-node seam stencil must cross the fabric"
     order = halo_first_order(plan, cluster)
     assert order is not None
-    ranks = [tiers[t.node] for _, t in order]
-    # Non-decreasing tiers: every inter-node halo copy precedes every
-    # interior copy in the issue order.
-    assert ranks == sorted(ranks)
-    assert ranks[0] == 0
+    halo = [not cluster.same_node(t.owner, t.gpu) for _, t in order]
+    # Every inter-node halo copy precedes every other copy in the issue order.
+    assert halo == sorted(halo, reverse=True)
+    assert halo[0]
     # Order is a permutation of the plan's (read-sync, transfer) pairs.
     assert sorted(t.node for _, t in order) == sorted(
         t.node for t in plan.transfers
@@ -164,8 +163,6 @@ def test_transfer_order_is_halo_first_on_seam_stencil():
 
 def _lowered_copies(api, plan):
     """The (src, dst, lo, hi) of every copy in the plan's lowered program."""
-    from repro.sched import executor
-
     executor.issue_plan_sim(api, plan, api.policy)
     (program,) = plan.issue_programs.values()
     return [op[1:5] for op in program if op[0] in (executor._COPY, executor._STREAM_COPY)]
@@ -208,7 +205,7 @@ def test_transfer_order_gates(monkeypatch):
 
     # Halo-majority gate: if node-crossing bytes dominate, keep plan order
     # (hoisting the whole network leg would delay the intra-node copies).
-    monkeypatch.setattr(gang, "HALO_MAJORITY_RATIO", 0.0)  # every halo byte now "dominates"
+    monkeypatch.setattr(executor, "HALO_MAJORITY_RATIO", 0.0)  # every halo byte now "dominates"
     assert halo_first_order(plan, cluster) is None
 
 

@@ -8,7 +8,7 @@ cross-fabric owner:
 * a broadcast-read workload on a 2x2 cluster moves strictly fewer
   inter-node bytes (and less network-tier transfer time) with shared
   copies on, with bitwise-identical results (integration);
-* the gang plan's interval-keyed halo view shrinks to nothing once every
+* a launch plan's cross-node copies shrink to nothing once every
   node holds a sharer copy (plan-level).
 """
 
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusterSimMachine
-from repro.cluster.gang import build_gang_plan
 from repro.cluster.topology import ClusterSpec
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
@@ -142,22 +141,20 @@ class TestGangHaloView:
         cluster = api.cluster
         ck = api.app.kernel(kernel.name)
         # A fresh plan after warm-up: every node already shares the table,
-        # so the interval-keyed halo view must be empty.
+        # so no copy crosses the fabric.
         plan = build_launch_plan(api, ck, grid, block, [table, out])
-        gang = build_gang_plan(plan, cluster)
-        gang.validate()
-        assert gang.halo_bytes == 0
-        assert gang.halo_intervals() == {}
+        assert all(cluster.same_node(t.owner, t.gpu) for t in plan.transfers)
 
         api_off, kernel_off, (table_off, out_off), grid, block, _ = _run_broadcast(
             shared=False
         )
         ck_off = api_off.app.kernel(kernel_off.name)
         plan_off = build_launch_plan(api_off, ck_off, grid, block, [table_off, out_off])
-        gang_off = build_gang_plan(plan_off, api_off.cluster)
-        gang_off.validate()
-        assert gang_off.halo_bytes > 0
-        intervals = gang_off.halo_intervals()
-        assert table_off.vb_id in intervals
-        for lo, hi in intervals[table_off.vb_id]:
-            assert 0 <= lo < hi <= NBYTES
+        halos = [
+            t for t in plan_off.transfers if not api_off.cluster.same_node(t.owner, t.gpu)
+        ]
+        assert sum(t.nbytes for t in halos) > 0
+        table_halos = [t for t in halos if t.vb.vb_id == table_off.vb_id]
+        assert table_halos
+        for t in table_halos:
+            assert 0 <= t.start < t.end <= NBYTES

@@ -9,8 +9,11 @@ from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
 from repro.errors import RuntimeApiError
+from repro.harness.calibration import K80_NODE_SPEC
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
+from repro.sim.engine import SimMachine
+from repro.sim.trace import Category
 
 
 def test_single_device_memset():
@@ -74,3 +77,33 @@ def test_memset_oversize_rejected():
     vb = api.cudaMalloc(16)
     with pytest.raises(RuntimeApiError):
         api.cudaMemset(vb, 0, 32)
+
+
+def test_overlap_memset_waits_for_copies_of_its_range():
+    """WAR under ``overlap``: device 1's partition reads device 0's linear
+    share through a copy engine, so device 0's memset of that share may
+    not start until the copy has read it, though device 0's own compute
+    queue drains long before."""
+    n = 1 << 14
+    kb = KernelBuilder("upper_from_lower")
+    src = kb.array("src", f32, (n,))
+    dst = kb.array("dst", f32, (n,))
+    gi = kb.global_id("x")
+    with kb.if_((gi >= n // 2) & (gi < n)):
+        dst[gi,] = src[gi - n // 2,]
+    k = kb.finish()
+    api = MultiGpuApi(
+        compile_app([k]),
+        RuntimeConfig(n_gpus=2, schedule="overlap"),
+        machine=SimMachine(K80_NODE_SPEC.with_gpus(2)),
+    )
+    a, b = api.cudaMalloc(n * 4), api.cudaMalloc(n * 4)
+    api.cudaMemcpy(a, np.arange(n, dtype=np.float32), n * 4, MemcpyKind.HostToDevice)
+    api.launch(k, Dim3(n // 128), Dim3(128), [a, b])
+    api.cudaMemset(a, 0, n * 4)
+    intervals = api.machine.trace.intervals
+    (copy,) = [iv for iv in intervals if iv.category is Category.TRANSFERS]
+    (kernel,) = [iv for iv in intervals if iv.resource == "gpu0" and iv.label != "memset"]
+    (memset,) = [iv for iv in intervals if iv.resource == "gpu0" and iv.label == "memset"]
+    assert kernel.end < copy.end, "device 0's queue must drain before the copy ends"
+    assert memset.start >= copy.end

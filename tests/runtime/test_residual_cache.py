@@ -8,7 +8,8 @@ footprint digest vector)``. These tests pin:
   contract — clipped, canonical, sensitive to any ownership or sharer
   change inside the footprint;
 * the replay arithmetic — a converged ping-pong misses once per
-  (fingerprint, coherence state) and replays forever after;
+  (fingerprint, coherence state) and replays forever after, building and
+  lowering one plan per buffer binding;
 * invalidation soundness — direct host-side mutations (memcpy, memset,
   free) change the digest and force a miss, never a stale replay;
 * both planner memos under eviction pressure, their capacities shrunk;
@@ -22,15 +23,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.engine import ClusterSimMachine
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
 from repro.cuda.dtypes import f32
 from repro.cuda.ir.builder import KernelBuilder
 from repro.errors import TrackerError
+from repro.harness.calibration import k80_cluster
 from repro.runtime.api import MultiGpuApi
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.tracker import SegmentTracker
+from repro.sched import executor, graph
+from repro.workloads.common import functional_config
+from repro.workloads.hotspot import HotspotWorkload
 
 N = 32
 BLOCK = Dim3(x=8, y=8)
@@ -186,6 +192,40 @@ class TestReplayArithmetic:
         # Replay is stats-invisible: the mirrored query counts (and every
         # other counter) match the audited run, whose hits re-plan live.
         assert cached.api.stats == oracle.api.stats
+
+
+    def test_each_binding_materialises_and_lowers_once(self, monkeypatch):
+        """A miss memoizes its own plan: the first replay of the miss's
+        binding resubmits it instead of rebuilding and re-lowering it."""
+        def binding(plan):
+            return tuple(plan.by_name[p.name].vb_id for p in plan.ck.kernel.array_params)
+
+        built, lowered = [], []
+        materialise, lower = graph._materialise_plan, executor.lower_issue_program
+
+        def counted_materialise(*args):
+            plan = materialise(*args)
+            built.append(binding(plan))
+            return plan
+
+        def counted_lower(api, plan, *args):
+            lowered.append(binding(plan))
+            return lower(api, plan, *args)
+
+        monkeypatch.setattr(graph, "_materialise_plan", counted_materialise)
+        monkeypatch.setattr(executor, "lower_issue_program", counted_lower)
+        wl = HotspotWorkload(functional_config("hotspot", iterations=10))
+        api = MultiGpuApi(
+            compile_app(wl.build_kernels()),
+            RuntimeConfig(n_gpus=4),
+            machine=ClusterSimMachine(k80_cluster(2, 2)),
+        )
+        wl.run(api, wl.make_inputs())
+        assert api.stats.residual_cache_hits > 0
+        # Two ping-pong bindings, each built and lowered exactly once.
+        assert len(set(built)) == 2
+        assert sorted(built) == sorted(set(built))
+        assert sorted(lowered) == sorted(built)
 
 
 class TestDirectMutationsMiss:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusterSimMachine
-from repro.cluster.gang import halo_first_order
 from repro.compiler.pipeline import compile_app
 from repro.cuda.api import MemcpyKind
 from repro.cuda.dim3 import Dim3
@@ -83,7 +82,7 @@ def _oracle_issue(api, plan, policy, **kwargs):
     """The oracle, handed the halo-first order the executor would lower with."""
     order = None
     if api.config.pipeline_window > 1:
-        order = halo_first_order(plan, api.cluster)
+        order = executor.halo_first_order(plan, api.cluster)
     issue_oracle.issue_plan_sim(api, plan, policy, transfer_order=order, **kwargs)
 
 
@@ -260,15 +259,13 @@ def test_a_replayed_plan_lowers_once():
 
 def test_halo_first_order_is_computed_once_per_plan(monkeypatch):
     """Replayed launches reuse the lowered program, order included."""
-    from repro.cluster import gang
-
-    tiers, calls = gang.transfer_priority_tiers, []
+    order, calls = executor.halo_first_order, []
 
     def counted(plan, cluster):
         calls.append(id(plan))
-        return tiers(plan, cluster)
+        return order(plan, cluster)
 
-    monkeypatch.setattr(gang, "transfer_priority_tiers", counted)
+    monkeypatch.setattr(executor, "halo_first_order", counted)
     api, plans = _hotspot_api(
         ClusterSimMachine(k80_cluster(2, 2)), schedule="overlap+p2p", pipeline_window=4
     )
