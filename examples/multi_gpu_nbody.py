@@ -48,7 +48,7 @@ def main():
     ref = reference_time(timed_cfg)
     print(f"  single-GPU reference: {ref:7.2f} s (simulated)")
     for n_gpus in (2, 4, 8, 16):
-        elapsed, _ = run_timed(timed_cfg, n_gpus)
+        elapsed, _ = run_timed(timed_cfg, RuntimeConfig(n_gpus=n_gpus))
         print(f"  {n_gpus:2d} GPUs: {elapsed:7.2f} s   speedup {ref / elapsed:5.2f}x")
     print("\n(The paper reports up to 12.4x at 16 GPUs for the large problem.)")
 

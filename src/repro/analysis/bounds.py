@@ -19,7 +19,7 @@ correctly reported safe.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.concretize import (
     GID_COORDS,
@@ -132,8 +132,6 @@ class BoundsProver(AnalysisPass):
 
     def _violation_witness(self, access, extents, launch: LaunchContext):
         """First out-of-bounds witness, None if safe, "undecided" if unbounded."""
-        from repro.poly.affine import Aff
-
         dims = access.coords + access.iterators
         space = Space.set_space(dims, ())
         box = thread_box_constraints(

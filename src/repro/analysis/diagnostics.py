@@ -11,7 +11,7 @@ code registry so messages stay consistent across passes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 __all__ = ["Severity", "Diagnostic", "make_diagnostic"]

@@ -9,7 +9,7 @@ CI so the schema cannot drift silently.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.passes import LintReport

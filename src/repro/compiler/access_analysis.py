@@ -25,7 +25,7 @@ Modelling follows the paper exactly:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compiler.blockoff import encapsulate_block_offsets
@@ -41,7 +41,7 @@ from repro.cuda.ir.exprs import (
     Select,
     UnOp,
 )
-from repro.cuda.ir.kernel import ArrayParam, Kernel, ScalarParam
+from repro.cuda.ir.kernel import ArrayParam, Kernel
 from repro.cuda.ir.stmts import Assign, Body, For, If, Let, Store
 from repro.errors import AnalysisError, NonAffineError
 from repro.poly.affine import Aff
@@ -315,10 +315,6 @@ class RawAccess:
     approx_domain: bool  # a guard was dropped because it was non-affine
 
 
-#: Backwards-compatible private alias (the class predates its export).
-_RawAccess = RawAccess
-
-
 #: Cap on the number of (guard, affine) cases a Select-bearing subscript may
 #: expand into before the analysis falls back to "non-affine".
 _MAX_SELECT_CASES = 16
@@ -381,7 +377,7 @@ class _Collector:
         self.kernel = kernel
         int_scalars = [p.name for p in kernel.scalar_params if not p.dtype.is_float]
         self.env = _AffineEnv(int_scalars)
-        self.accesses: List[_RawAccess] = []
+        self.accesses: List[RawAccess] = []
         self._iter_count = itertools.count()
 
     # -- expression side: collect loads ------------------------------------
@@ -398,7 +394,7 @@ class _Collector:
             total_cases *= len(cases) if cases else 1
         if any(c is None for c in per_index) or total_cases > _MAX_SELECT_CASES:
             self.accesses.append(
-                _RawAccess(
+                RawAccess(
                     array=array,
                     mode=mode,
                     indices=None,
@@ -414,7 +410,7 @@ class _Collector:
             for guard, _ in combo:
                 domain = _dnf_and(domain, guard)
             self.accesses.append(
-                _RawAccess(
+                RawAccess(
                     array=array,
                     mode=mode,
                     indices=tuple(aff for _, aff in combo),
@@ -609,7 +605,7 @@ def _ti_box(space: Space) -> List[Constraint]:
 
 
 def _build_maps(
-    raw: _RawAccess,
+    raw: RawAccess,
     ndim: int,
     params: Tuple[str, ...],
     shape: Optional[Tuple[SymAff, ...]],
@@ -684,7 +680,7 @@ def _gid_rename(aff: SymAff) -> SymAff:
 
 
 def _gid_map(
-    raw: _RawAccess,
+    raw: RawAccess,
     ndim: int,
     params: Tuple[str, ...],
     shape: Optional[Tuple[SymAff, ...]],
@@ -734,7 +730,7 @@ def _gid_map(
     return Map(space3, disjuncts)
 
 
-def _coverage_disjuncts(raw: _RawAccess):
+def _coverage_disjuncts(raw: RawAccess):
     """CoverageDisjuncts for one raw write access, or None if unsupported.
 
     Qualification: 1-D affine subscript over grid dimensions only (no loop

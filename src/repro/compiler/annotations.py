@@ -20,7 +20,7 @@ strategy selection and runtime coherence are generated from it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.compiler.access_analysis import GRID_PARAMS, IN_DIMS6, ArrayAccess, KernelAccessInfo
 from repro.errors import AnalysisError

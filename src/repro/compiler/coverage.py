@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.strategy import Partition
 from repro.cuda.dim3 import Dim3

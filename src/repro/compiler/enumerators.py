@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compiler.access_analysis import (
-    GRID_PARAMS,
     IN_DIMS6,
     ArrayAccess,
     KernelAccessInfo,

@@ -17,8 +17,6 @@ behaves exactly as if it executed only the thread blocks inside
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.cuda.dtypes import i64
 from repro.cuda.ir.exprs import BinOp, Expr, GridIdx, Param
 from repro.cuda.ir.kernel import Kernel, PartitionParam, partition_field_name

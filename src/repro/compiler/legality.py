@@ -17,11 +17,10 @@ kernels addressing blocks directly, a concrete-block-size check is provided
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.compiler.access_analysis import (
     GID_DIMS,
-    IN_DIMS6,
     ArrayAccess,
     KernelAccessInfo,
 )

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.compiler.access_analysis import KernelAccessInfo
 from repro.compiler.strategy import PartitionStrategy
-from repro.cuda.ir.kernel import ArrayParam, Kernel, ScalarParam
+from repro.cuda.ir.kernel import ArrayParam, ScalarParam
 from repro.cuda.ir.printer import expr_to_cuda
 from repro.errors import AnalysisError
 from repro.poly.map_ import Map

@@ -13,9 +13,9 @@ that ratio against :func:`baseline_compile`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.compiler.access_analysis import KernelAccessInfo, analyze_kernel
 from repro.compiler.enumerators import EnumeratorTable

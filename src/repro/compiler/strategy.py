@@ -13,7 +13,7 @@ row-major region and the buffer trackers stay at one segment per device
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compiler.access_analysis import KernelAccessInfo
 from repro.cuda.dim3 import Dim3

@@ -25,7 +25,6 @@ from repro.cuda.exec.interpreter import eval_scalar_expr, run_kernel
 from repro.cuda.ir.kernel import ArrayParam, Kernel, PartitionParam, ScalarParam
 from repro.errors import RuntimeApiError, UnsupportedMemcpyError
 from repro.sim.engine import SimMachine
-from repro.sim.trace import Category
 
 __all__ = ["MemcpyKind", "CudaApi", "KernelCostFn", "host_bytes"]
 

@@ -8,10 +8,10 @@ not model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple, Union
 
-from repro.cuda.dtypes import DType, boolean, f32, f64, i64, promote
+from repro.cuda.dtypes import DType, boolean, f64, i64, promote
 from repro.errors import ValidationError
 
 __all__ = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cuda.dtypes import DType, boolean, f32, f64, i32, i64
+from repro.cuda.dtypes import boolean, f32, f64, i32, i64
 from repro.cuda.ir.exprs import (
     BinOp,
     Call,
@@ -24,7 +24,7 @@ from repro.cuda.ir.exprs import (
     UnOp,
 )
 from repro.cuda.ir.kernel import ArrayParam, Kernel, PartitionParam, ScalarParam
-from repro.cuda.ir.stmts import Assign, Body, For, If, Let, Store
+from repro.cuda.ir.stmts import Assign, For, If, Let, Store
 
 __all__ = ["kernel_to_cuda", "expr_to_cuda"]
 

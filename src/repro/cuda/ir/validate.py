@@ -8,22 +8,19 @@ reference scalar parameters.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Set
 
 from repro.cuda.dtypes import boolean
 from repro.cuda.ir.exprs import (
     BinOp,
-    Call,
-    Const,
     Expr,
     GridIdx,
     Load,
     LocalRef,
     Param,
     Select,
-    UnOp,
 )
-from repro.cuda.ir.kernel import ArrayParam, Kernel, PartitionParam, ScalarParam
+from repro.cuda.ir.kernel import Kernel
 from repro.cuda.ir.stmts import Assign, Body, For, If, Let, Store
 from repro.cuda.ir.visitors import walk_expr
 from repro.errors import ValidationError

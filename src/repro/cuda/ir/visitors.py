@@ -8,17 +8,13 @@ applies one to every expression in a kernel body. The blockOff recognizer
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator
 
 from repro.cuda.ir.exprs import (
     BinOp,
     Call,
-    Const,
     Expr,
-    GridIdx,
     Load,
-    LocalRef,
-    Param,
     Select,
     UnOp,
 )

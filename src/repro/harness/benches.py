@@ -36,6 +36,11 @@ Adding a bench is one entry::
         artifact="results/figure7.json",
     )
 
+The timing studies (``figure6``, ``schedules``, ``cluster``,
+``pipeline``) are grids of one :func:`~repro.harness.experiments.
+timed_sweep`, and their tables and checks read its
+:class:`~repro.harness.experiments.TimedPoint` rows.
+
 The bitwise-invisibility checks go through
 :func:`~repro.harness.identity.identity_sweep`.
 """
@@ -44,15 +49,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.cluster.engine import ClusterSimMachine
-from repro.compiler.pipeline import compile_app
 from repro.harness import experiments as ex
-from repro.harness.calibration import GPU_COUNTS, K80_CLUSTER_SPEC, k80_cluster
+from repro.harness.calibration import GPU_COUNTS, k80_cluster
 from repro.harness.identity import identity_sweep, observe
 from repro.harness import overhead, paper
 from repro.harness.report import finish_self_checks, format_table, to_csv, write_json_report
@@ -161,16 +164,17 @@ def run_bench(bench: Bench, args: argparse.Namespace) -> int:
     return finish_self_checks(failures, bench.claims)
 
 
-@functools.lru_cache(maxsize=8)
 def _prepared(name: str):
     """(workload, inputs, compiled app) of a functional-size Table 1 run."""
     wl = ALL_WORKLOADS[name](functional_config(name))
-    return wl, wl.make_inputs(seed=0), compile_app(wl.build_kernels())
+    return wl, wl.make_inputs(seed=0), ex.compiled(wl)
 
 
 # ---------------------------------------------------------------------------
 # figure6 / figure7 / figure8 / table1 / overhead: the paper's claims
 # ---------------------------------------------------------------------------
+
+_FIG6_WORKLOADS = ("hotspot", "nbody", "matmul")
 
 #: Fig. 6 curves with a peak claim: (workload, size, peak by GPUs, falls
 #: after it, peak speedup band).
@@ -233,7 +237,7 @@ def _figure6_checks(points, args) -> List[str]:
             failures.append(f"decline: {w}/{size} peaks at {g} GPUs and does not fall by 16")
         if band and not band[0] <= ys[g] <= band[1]:
             failures.append(f"peak: {w}/{size} peaks at {ys[g]:.2f}x, outside {list(band)}")
-    for w in ("hotspot", "nbody", "matmul"):
+    for w in _FIG6_WORKLOADS:
         at16 = [full[(w, size)][16] for size in _ALL_SIZES if (w, size) in full]
         if at16 != sorted(at16):
             failures.append(f"sizes: {w} at 16 GPUs does not scale better with size: {at16}")
@@ -425,9 +429,8 @@ def _cluster_run(args):
         shapes.append((nodes, gpn))
         if gpn % 2 == 0:
             shapes.append((2 * nodes, gpn // 2))
-    return ex.cluster_scaling(
-        tuple(args.workloads), tuple(shapes), size=args.sizes[0], schedules=_cluster_schedules(args)
-    )
+    runs = [(s, 1) for s in _cluster_schedules(args)]
+    return ex.timed_sweep(args.workloads, args.sizes[:1], shapes, runs)
 
 
 def _cluster_checks(points, args) -> List[str]:
@@ -480,11 +483,14 @@ def _pipeline_shape(args) -> Tuple[int, int, int]:
 
 
 def _pipeline_run(args):
+    """Per workload and topology (the flat node, and the cluster shape when
+    it has nodes to span): the per-launch ``sequential`` window=1 baseline,
+    then ``overlap+p2p`` at every window, 1 included, so the halo-first
+    copy order (window > 1 on a cluster) separates from DAG scheduling."""
     n_gpus, nodes, gpn = _pipeline_shape(args)
-    cluster_shape = (nodes, gpn) if nodes > 1 else None
-    return ex.pipeline_study(
-        tuple(args.workloads), _windows(args), n_gpus, cluster_shape, size=args.sizes[0]
-    )
+    shapes = [(1, n_gpus)] + ([(nodes, gpn)] if nodes > 1 else [])
+    runs = [("sequential", 1)] + [("overlap+p2p", w) for w in _windows(args)]
+    return ex.timed_sweep(args.workloads, args.sizes[:1], shapes, runs)
 
 
 def _window_sweep(workloads, n_gpus, windows) -> List[str]:
@@ -591,7 +597,7 @@ def _stencil_linter_agreement(by, shapes, schedules) -> List[str]:
     grid = Dim3(x=-(-side // BLOCK.x), y=-(-side // BLOCK.x))
     failures: List[str] = []
     for n_nodes, gpus_per_node in shapes:
-        cluster = K80_CLUSTER_SPEC.with_shape(n_nodes, gpus_per_node)
+        cluster = k80_cluster(n_nodes, gpus_per_node)
         for irr in (False, True):
             summary = analyze_transfers(
                 info, n_gpus=n_nodes * gpus_per_node, launches=_REDUNDANCY_ITERATIONS,
@@ -752,8 +758,9 @@ BENCHES: Dict[str, Bench] = {
             help="Figure 6: speedup over the single-GPU reference",
             flags={"gpu_counts": list(GPU_COUNTS), "sizes": _ALL_SIZES, "schedule": None,
                    "csv": None},
-            run=lambda args: ex.figure6(
-                gpu_counts=tuple(args.gpu_counts), sizes=tuple(args.sizes), schedule=args.schedule
+            run=lambda args: ex.timed_sweep(
+                _FIG6_WORKLOADS, args.sizes, [(1, g) for g in args.gpu_counts],
+                [(args.schedule or "sequential", 1)],
             ),
             table=_figure6_table,
             checks=_figure6_checks,
@@ -823,10 +830,9 @@ BENCHES: Dict[str, Bench] = {
             name="schedules",
             help="sequential vs overlap vs overlap+p2p, side by side",
             flags={"workloads": ["hotspot"], "gpu_counts": [1, 4, 16], "sizes": ["small"]},
-            run=lambda args: ex.schedule_comparison(
-                workloads=tuple(args.workloads),
-                gpu_counts=tuple(args.gpu_counts),
-                size=args.sizes[0],
+            run=lambda args: ex.timed_sweep(
+                args.workloads, args.sizes[:1], [(1, g) for g in args.gpu_counts],
+                [(s, 1) for s in SCHEDULES],
             ),
             table=columns(
                 "Schedule comparison",

@@ -4,6 +4,12 @@ All performance runs are *timing-only*: the runtime's orchestration
 (partitioning, enumerators, trackers) executes for real, while device work
 and transfers are costed on the simulated machine. Correctness is covered
 separately by the functional test suite.
+
+The timing studies — Fig. 6's speedups and the schedule, cluster and
+``pipeline_window`` studies built on them — are one :func:`timed_sweep`
+over (workload, size, cluster shape, schedule, pipeline window) returning
+:class:`TimedPoint` rows; the ``repro bench`` registry picks each study's
+grid.
 """
 
 from __future__ import annotations
@@ -19,38 +25,32 @@ from repro.compiler.costmodel import KernelCostModel
 from repro.compiler.pipeline import CompiledApp, compile_app
 from repro.cuda.api import CudaApi
 from repro.cuda.device import Device
-from repro.harness.calibration import GPU_COUNTS, K80_CLUSTER_SPEC, K80_NODE_SPEC
+from repro.harness.calibration import GPU_COUNTS, K80_NODE_SPEC, k80_cluster
 from repro.runtime.api import MultiGpuApi, host_planner_counters
 from repro.runtime.config import RuntimeConfig
 from repro.sim.engine import SimMachine
-from repro.sim.topology import MachineSpec
 from repro.sim.trace import Category
 from repro.workloads.common import ProblemConfig, Workload, table1_configs
 from repro.workloads import ALL_WORKLOADS
 
 __all__ = [
-    "SpeedupPoint",
+    "TimedPoint",
     "BreakdownRow",
-    "SchedulePoint",
-    "ClusterPoint",
     "RedundancyPoint",
-    "PipelinePoint",
+    "compiled",
     "run_timed",
     "reference_time",
-    "figure6",
+    "timed_sweep",
     "figure7",
     "figure8",
-    "schedule_comparison",
-    "cluster_scaling",
     "redundancy_study",
-    "pipeline_study",
     "percentile",
     "single_gpu_overhead",
     "compile_time_ratio",
     "table1_rows",
 ]
 
-_APP_CACHE: Dict[str, CompiledApp] = {}
+_APPS: Dict[Tuple[str, int], CompiledApp] = {}
 
 #: Iteration caps for the steady-state extrapolation (see
 #: :func:`_extrapolated`): simulate M1 and M2 iterations, derive the exact
@@ -61,13 +61,16 @@ _EXTRAPOLATE_M1 = 24
 _EXTRAPOLATE_M2 = 12
 
 
-def _compiled(workload: Workload) -> CompiledApp:
-    # Kernels bake in the problem size (one build per Table 1 size, like the
-    # paper's benchmarks), so the cache key includes it.
-    key = f"{workload.name}/{workload.cfg.size}"
-    if key not in _APP_CACHE:
-        _APP_CACHE[key] = compile_app(workload.build_kernels())
-    return _APP_CACHE[key]
+def compiled(workload: Workload) -> CompiledApp:
+    """The compiled app of ``workload``, built once per process.
+
+    Kernels bake in the problem size (one build per Table 1 size, like the
+    paper's benchmarks), so the key is (workload, size).
+    """
+    key = (workload.name, workload.cfg.size)
+    if key not in _APPS:
+        _APPS[key] = compile_app(workload.build_kernels())
+    return _APPS[key]
 
 
 def _extrapolated(cfg: ProblemConfig, run_once) -> Tuple[float, object]:
@@ -87,16 +90,16 @@ def _extrapolated(cfg: ProblemConfig, run_once) -> Tuple[float, object]:
     return total, payload
 
 
-def reference_time(cfg: ProblemConfig, spec: MachineSpec = K80_NODE_SPEC) -> float:
+def reference_time(cfg: ProblemConfig) -> float:
     """Simulated runtime of the single-GPU reference binary (nvcc baseline)."""
 
     def run_once(c: ProblemConfig):
         workload = ALL_WORKLOADS[c.workload](c)
-        machine = SimMachine(spec.with_gpus(1))
+        machine = SimMachine(K80_NODE_SPEC.with_gpus(1))
         api = CudaApi(
             Device(0, functional=False),
             machine=machine,
-            kernel_cost=KernelCostModel(spec),
+            kernel_cost=KernelCostModel(K80_NODE_SPEC),
             functional=False,
         )
         workload.run(api, None)
@@ -107,32 +110,23 @@ def reference_time(cfg: ProblemConfig, spec: MachineSpec = K80_NODE_SPEC) -> flo
 
 
 def run_timed(
-    cfg: ProblemConfig,
-    n_gpus: int,
-    spec: MachineSpec = K80_NODE_SPEC,
-    *,
-    config: Optional[RuntimeConfig] = None,
-    schedule: Optional[str] = None,
-    cluster: Optional[ClusterSpec] = None,
+    cfg: ProblemConfig, config: RuntimeConfig, cluster: Optional[ClusterSpec] = None
 ) -> Tuple[float, MultiGpuApi]:
-    """Simulated runtime of the partitioned application on ``n_gpus``.
+    """Simulated runtime of the partitioned application under ``config``.
 
-    ``schedule`` selects the launch-scheduler policy (overriding whatever
-    ``config`` carries); all other ``config`` fields are preserved. The
-    machine is a :class:`ClusterSimMachine` over ``cluster`` (hierarchical
-    partitioning, cross-node halos over the NIC/fabric tier), by default
-    the one flat ``spec`` node of ``n_gpus`` GPUs; ``n_gpus`` must be its
-    total.
+    The machine is a :class:`ClusterSimMachine` over ``cluster``
+    (hierarchical partitioning, cross-node halos over the NIC/fabric
+    tier), by default the flat K80 node of ``config.n_gpus`` GPUs; the
+    runtime gets the cluster's GPU count.
     """
-    config = replace(config or RuntimeConfig(), n_gpus=n_gpus)
-    if schedule is not None:
-        config = replace(config, schedule=schedule)
-    cluster = cluster or ClusterSpec(n_nodes=1, node=spec.with_gpus(n_gpus))
+    cluster = cluster or k80_cluster(1, config.n_gpus)
+    config = replace(config, n_gpus=cluster.total_gpus)
 
     def run_once(c: ProblemConfig):
         workload = ALL_WORKLOADS[c.workload](c)
-        app = _compiled(workload)
-        api = MultiGpuApi(app, config, machine=ClusterSimMachine(cluster), functional=False)
+        api = MultiGpuApi(
+            compiled(workload), config, machine=ClusterSimMachine(cluster), functional=False
+        )
         workload.run(api, None)
         return api.elapsed(), api
 
@@ -140,39 +134,111 @@ def run_timed(
 
 
 # ---------------------------------------------------------------------------
-# Figure 6: speedup over the single-GPU reference
+# The timing studies: Figure 6, schedules, cluster shapes, pipeline windows
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SpeedupPoint:
+class TimedPoint:
+    """One (workload, size, cluster shape, schedule, window) timing sample.
+
+    ``time`` is the extrapolated total; the exposure buckets, the transfer
+    busy time and the inter-node counts are of the *sampled* — not
+    extrapolated — run, so use their ratios, not their absolute values.
+    """
+
     workload: str
     size_label: str
-    n_gpus: int
+    n_nodes: int
+    gpus_per_node: int
+    schedule: str
+    pipeline_window: int
     time: float
     reference: float
+    #: Coherence-transfer busy time split by interconnect tier and by
+    #: whether a kernel ran concurrently (hidden) or not (exposed).
+    intra_hidden: float
+    intra_exposed: float
+    inter_hidden: float
+    inter_exposed: float
+    #: Total TRANSFERS busy time — the four buckets must sum to exactly
+    #: this (α/β/γ accounting identity).
+    transfers_busy: float
+    #: Sync transfers whose endpoints live on different nodes.
+    inter_node_transfers: int
+    inter_node_bytes: int
+    #: Staged-planner counters (:data:`~repro.runtime.api.
+    #: HOST_PLANNER_COUNTERS`): plan/residual cache hit rates witness that
+    #: the launch hot path stayed warm across the sweep.
+    host_counters: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def n_gpus(self) -> int:
+        return self.n_nodes * self.gpus_per_node
+
+    @property
+    def topology(self) -> str:
+        """``flat`` on one node, else ``cluster``."""
+        return "flat" if self.n_nodes == 1 else "cluster"
 
     @property
     def speedup(self) -> float:
         return self.reference / self.time
 
+    # Summed in Trace.transfer_exposure's order, so the digits match it.
+    @property
+    def hidden_transfer_time(self) -> float:
+        return self.intra_hidden + self.inter_hidden
 
-def figure6(
-    workloads: Sequence[str] = ("hotspot", "nbody", "matmul"),
-    sizes: Sequence[str] = ("small", "medium", "large"),
-    gpu_counts: Sequence[int] = GPU_COUNTS,
-    spec: MachineSpec = K80_NODE_SPEC,
-    schedule: Optional[str] = None,
-) -> List[SpeedupPoint]:
-    """Speedup of every workload/size over 1..16 GPUs (paper Figure 6)."""
-    points: List[SpeedupPoint] = []
-    for name in workloads:
-        for size in sizes:
-            cfg = next(c for c in table1_configs(name) if c.size_label == size)
-            ref = reference_time(cfg, spec)
-            for g in gpu_counts:
-                elapsed, _ = run_timed(cfg, g, spec, schedule=schedule)
-                points.append(SpeedupPoint(name, size, g, elapsed, ref))
+    @property
+    def exposed_transfer_time(self) -> float:
+        return self.intra_exposed + self.inter_exposed
+
+    @property
+    def hidden_fraction(self) -> float:
+        total = self.hidden_transfer_time + self.exposed_transfer_time
+        return self.hidden_transfer_time / total if total > 0 else 0.0
+
+    @property
+    def exposure_identity_error(self) -> float:
+        """Absolute drift of the tier split from ``busy_time(TRANSFERS)``."""
+        split = self.intra_hidden + self.intra_exposed + self.inter_hidden + self.inter_exposed
+        return abs(split - self.transfers_busy)
+
+
+def timed_sweep(
+    workloads: Sequence[str],
+    sizes: Sequence[str],
+    shapes: Sequence[Tuple[int, int]],
+    runs: Sequence[Tuple[str, int]],
+) -> List[TimedPoint]:
+    """Time every workload x size x ``(n_nodes, gpus_per_node)`` shape x
+    ``(schedule, pipeline_window)`` run, in that nesting order.
+
+    Each shape runs on the calibrated K80 cluster of that shape
+    (:func:`~repro.harness.calibration.k80_cluster`; a ``1xN`` shape is
+    the flat node) and each point carries the single-GPU reference time of
+    its Table 1 configuration.
+    """
+    points: List[TimedPoint] = []
+    for name, size in itertools.product(workloads, sizes):
+        cfg = next(c for c in table1_configs(name) if c.size_label == size)
+        ref = reference_time(cfg)
+        for (n_nodes, gpn), (schedule, window) in itertools.product(shapes, runs):
+            config = RuntimeConfig(schedule=schedule, pipeline_window=window)
+            elapsed, api = run_timed(cfg, config, k80_cluster(n_nodes, gpn))
+            trace, stats = api.machine.trace, api.stats
+            tiers = trace.transfer_exposure_by_tier()
+            intra, inter = tiers["intra"], tiers["inter"]
+            points.append(
+                TimedPoint(
+                    name, size, n_nodes, gpn, schedule, window, elapsed, ref,
+                    intra["hidden"], intra["exposed"], inter["hidden"], inter["exposed"],
+                    trace.busy_time(Category.TRANSFERS),
+                    stats.inter_node_transfers, stats.inter_node_bytes,
+                    host_planner_counters(stats),
+                )
+            )
     return points
 
 
@@ -203,17 +269,12 @@ class BreakdownRow:
 
 
 def measure_breakdown(
-    cfg: ProblemConfig,
-    n_gpus: int,
-    spec: MachineSpec = K80_NODE_SPEC,
-    schedule: Optional[str] = None,
+    cfg: ProblemConfig, n_gpus: int, schedule: Optional[str] = None
 ) -> BreakdownRow:
-    base = RuntimeConfig(n_gpus=n_gpus)
-    if schedule is not None:
-        base = replace(base, schedule=schedule)
-    alpha, _ = run_timed(cfg, n_gpus, spec, config=base.alpha())
-    beta, _ = run_timed(cfg, n_gpus, spec, config=base.beta())
-    gamma, _ = run_timed(cfg, n_gpus, spec, config=base.gamma())
+    base = RuntimeConfig(n_gpus=n_gpus, schedule=schedule or "sequential")
+    alpha, _ = run_timed(cfg, base.alpha())
+    beta, _ = run_timed(cfg, base.beta())
+    gamma, _ = run_timed(cfg, base.gamma())
     return BreakdownRow(cfg.workload, n_gpus, alpha, beta, gamma)
 
 
@@ -225,7 +286,6 @@ FIGURE7_GPU_COUNTS = (2, 4, 6, 8, 10, 12, 14, 16)
 def figure7(
     workloads: Sequence[str] = ("hotspot", "matmul", "nbody"),
     gpu_counts: Sequence[int] = FIGURE7_GPU_COUNTS,
-    spec: MachineSpec = K80_NODE_SPEC,
     size: str = "medium",
     schedule: Optional[str] = None,
 ) -> List[BreakdownRow]:
@@ -234,245 +294,8 @@ def figure7(
     for name in workloads:
         cfg = next(c for c in table1_configs(name) if c.size_label == size)
         for g in gpu_counts:
-            rows.append(measure_breakdown(cfg, g, spec, schedule=schedule))
+            rows.append(measure_breakdown(cfg, g, schedule=schedule))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Schedule comparison: sequential vs overlap vs overlap+p2p (what-if study)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchedulePoint:
-    """One (workload, gpu count, schedule) sample of the what-if study."""
-
-    workload: str
-    size_label: str
-    n_gpus: int
-    schedule: str
-    time: float
-    reference: float
-    #: Coherence-transfer busy time overlapped with kernel execution vs
-    #: left on the critical path (seconds on the *sampled* — not
-    #: extrapolated — run; use the ratio, not the absolute values).
-    hidden_transfer_time: float
-    exposed_transfer_time: float
-
-    @property
-    def speedup(self) -> float:
-        return self.reference / self.time
-
-    @property
-    def hidden_fraction(self) -> float:
-        total = self.hidden_transfer_time + self.exposed_transfer_time
-        return self.hidden_transfer_time / total if total > 0 else 0.0
-
-
-def schedule_comparison(
-    workloads: Sequence[str] = ("hotspot",),
-    gpu_counts: Sequence[int] = (1, 4, 16),
-    spec: MachineSpec = K80_NODE_SPEC,
-    size: str = "medium",
-    schedules: Optional[Sequence[str]] = None,
-) -> List[SchedulePoint]:
-    """Run every workload under each launch-scheduler policy.
-
-    This replaces the old analytical what-if P2P model: the ``overlap`` and
-    ``overlap+p2p`` rows come from actually executing the task-DAG scheduler
-    on the simulated machine, not from subtracting estimated staging costs.
-    """
-    from repro.sched.policy import SCHEDULES
-
-    if schedules is None:
-        schedules = SCHEDULES
-    points: List[SchedulePoint] = []
-    for name in workloads:
-        cfg = next(c for c in table1_configs(name) if c.size_label == size)
-        ref = reference_time(cfg, spec)
-        for g in gpu_counts:
-            for sched in schedules:
-                elapsed, api = run_timed(cfg, g, spec, schedule=sched)
-                exposure = api.machine.trace.transfer_exposure()
-                points.append(
-                    SchedulePoint(
-                        name, size, g, sched, elapsed, ref, exposure["hidden"], exposure["exposed"]
-                    )
-                )
-    return points
-
-
-# ---------------------------------------------------------------------------
-# Cluster scaling: equal total GPUs across node/GPU shapes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClusterPoint:
-    """One (workload, cluster shape, schedule) sample of the scaling study."""
-
-    workload: str
-    size_label: str
-    n_nodes: int
-    gpus_per_node: int
-    schedule: str
-    time: float
-    reference: float
-    #: Coherence-transfer busy time split by interconnect tier (seconds on
-    #: the *sampled* — not extrapolated — run; use ratios, not absolutes).
-    intra_hidden: float
-    intra_exposed: float
-    inter_hidden: float
-    inter_exposed: float
-    #: Sync transfers whose endpoints live on different nodes (sampled run).
-    inter_node_transfers: int
-    inter_node_bytes: int
-    #: Total TRANSFERS busy time of the sampled run — the four exposure
-    #: buckets must sum to exactly this (α/β/γ accounting identity).
-    transfers_busy: float
-    #: Staged-planner counters of the sampled run (:data:`~repro.runtime.
-    #: api.HOST_PLANNER_COUNTERS`): plan/residual cache hit rates witness
-    #: that the launch hot path stayed warm across the scaling sweep.
-    host_counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        return self.reference / self.time
-
-    @property
-    def exposure_identity_error(self) -> float:
-        """Absolute drift of the tier split from ``busy_time(TRANSFERS)``."""
-        split = (
-            self.intra_hidden
-            + self.intra_exposed
-            + self.inter_hidden
-            + self.inter_exposed
-        )
-        return abs(split - self.transfers_busy)
-
-
-def cluster_scaling(
-    workloads: Sequence[str] = ("hotspot", "matmul", "nbody"),
-    shapes: Sequence[Tuple[int, int]] = ((1, 16), (2, 8), (4, 4)),
-    base: ClusterSpec = K80_CLUSTER_SPEC,
-    size: str = "medium",
-    schedules: Optional[Sequence[str]] = None,
-) -> List[ClusterPoint]:
-    """Run every workload over cluster shapes with equal total GPU counts.
-
-    The interesting comparison holds ``n_nodes * gpus_per_node`` constant:
-    a 1xN shape pays zero network traffic (the whole split is intra-node),
-    while NxG shapes push every node-boundary halo over the NIC/fabric tier
-    — the per-shape intra/inter exposure split quantifies exactly what the
-    network costs.
-    """
-    from repro.sched.policy import SCHEDULES
-
-    if schedules is None:
-        schedules = SCHEDULES
-    points: List[ClusterPoint] = []
-    for name in workloads:
-        cfg = next(c for c in table1_configs(name) if c.size_label == size)
-        ref = reference_time(cfg, base.node)
-        for n_nodes, gpus_per_node in shapes:
-            cluster = base.with_shape(n_nodes, gpus_per_node)
-            for sched in schedules:
-                elapsed, api = run_timed(
-                    cfg, cluster.total_gpus, schedule=sched, cluster=cluster
-                )
-                trace, stats = api.machine.trace, api.stats
-                tiers = trace.transfer_exposure_by_tier()
-                intra, inter = tiers["intra"], tiers["inter"]
-                points.append(
-                    ClusterPoint(
-                        name, size, n_nodes, gpus_per_node, sched, elapsed, ref,
-                        intra["hidden"], intra["exposed"], inter["hidden"], inter["exposed"],
-                        stats.inter_node_transfers, stats.inter_node_bytes,
-                        trace.busy_time(Category.TRANSFERS), host_planner_counters(stats),
-                    )
-                )
-    return points
-
-
-# ---------------------------------------------------------------------------
-# pipeline_window: halo-first cluster copies vs per-launch plan order
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PipelinePoint:
-    """One (workload, topology, schedule, window) sample of the study."""
-
-    workload: str
-    size_label: str
-    #: "flat" (single node, ``n_nodes`` is 1) or "cluster".
-    topology: str
-    n_nodes: int
-    gpus_per_node: int
-    schedule: str
-    pipeline_window: int
-    time: float
-    reference: float
-    #: Transfer busy time overlapped with kernels vs left on the critical
-    #: path (seconds on the *sampled* — not extrapolated — run).
-    hidden_transfer_time: float
-    exposed_transfer_time: float
-    estimate_cache_hits: int
-    estimate_cache_misses: int
-
-    @property
-    def speedup(self) -> float:
-        return self.reference / self.time
-
-    @property
-    def hidden_fraction(self) -> float:
-        total = self.hidden_transfer_time + self.exposed_transfer_time
-        return self.hidden_transfer_time / total if total > 0 else 0.0
-
-
-def pipeline_study(
-    workloads: Sequence[str] = ("hotspot", "nbody"),
-    windows: Sequence[int] = (1, 2, 4),
-    n_gpus: int = 16,
-    cluster_shape: Optional[Tuple[int, int]] = (2, 4),
-    spec: MachineSpec = K80_NODE_SPEC,
-    base: ClusterSpec = K80_CLUSTER_SPEC,
-    size: str = "medium",
-) -> List[PipelinePoint]:
-    """The ``pipeline_window`` study: plan order vs halo-first copies.
-
-    For each workload and topology (flat ``n_gpus`` node, and optionally a
-    cluster shape) the study runs:
-
-    * the **baseline**: ``pipeline_window=1`` under the paper-faithful
-      ``sequential`` policy — each launch drains its own barrier-structured
-      schedule before the next is built;
-    * ``overlap+p2p`` at every requested window, including 1, so the
-      effect of the halo-first copy order (window > 1 on a cluster) is
-      separable from the benefit of DAG scheduling itself.
-    """
-    topologies = [("flat", 1, n_gpus, None)]
-    if cluster_shape is not None:
-        n_nodes, gpn = cluster_shape
-        topologies.append(("cluster", n_nodes, gpn, base.with_shape(n_nodes, gpn)))
-    runs = [("sequential", 1)] + [("overlap+p2p", w) for w in windows]
-    points: List[PipelinePoint] = []
-    for name in workloads:
-        cfg = next(c for c in table1_configs(name) if c.size_label == size)
-        ref = reference_time(cfg, spec)
-        for topology, n_nodes, gpn, cluster in topologies:
-            for sched, window in runs:
-                config = RuntimeConfig(schedule=sched, pipeline_window=window)
-                elapsed, api = run_timed(cfg, n_nodes * gpn, spec, config=config, cluster=cluster)
-                exposure, stats = api.machine.trace.transfer_exposure(), api.stats
-                points.append(
-                    PipelinePoint(
-                        name, size, topology, n_nodes, gpn, sched, window, elapsed, ref,
-                        exposure["hidden"], exposure["exposed"],
-                        stats.estimate_cache_hits, stats.estimate_cache_misses,
-                    )
-                )
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +379,6 @@ def redundancy_study(
     iterations: int = 8,
     shapes: Sequence[Tuple[int, int]] = ((1, 4),),
     schedules: Sequence[str] = ("sequential",),
-    base: ClusterSpec = K80_CLUSTER_SPEC,
     irredundant: Sequence[bool] = (False,),
     stencil: bool = False,
     stencil_side: int = 64,
@@ -615,7 +437,7 @@ def redundancy_study(
             config = RuntimeConfig(
                 n_gpus=total, schedule=schedule, shared_copies=shared, irredundant_transfers=irr
             )
-            api = MultiGpuApi(app, config, machine=ClusterSimMachine(base.with_shape(n_nodes, gpn)))
+            api = MultiGpuApi(app, config, machine=ClusterSimMachine(k80_cluster(n_nodes, gpn)))
             devs = []
             for host in inputs:
                 d = api.cudaMalloc(host.nbytes)
@@ -676,7 +498,6 @@ class OverheadStats:
 
 def figure8(
     gpu_counts: Sequence[int] = GPU_COUNTS,
-    spec: MachineSpec = K80_NODE_SPEC,
     sizes: Sequence[str] = ("small", "medium", "large"),
 ) -> List[OverheadStats]:
     """Non-transfer overhead fraction (β−γ)/α per GPU count (Figure 8)."""
@@ -684,7 +505,7 @@ def figure8(
     for g in gpu_counts:
         stats = OverheadStats(g)
         for cfg in (c for c in table1_configs() if c.size_label in sizes):
-            stats.fractions.append(measure_breakdown(cfg, g, spec).t_patterns)
+            stats.fractions.append(measure_breakdown(cfg, g).t_patterns)
         out.append(stats)
     return out
 
@@ -695,7 +516,6 @@ def figure8(
 
 
 def single_gpu_overhead(
-    spec: MachineSpec = K80_NODE_SPEC,
     sizes: Sequence[str] = ("small", "medium", "large"),
 ) -> List[Tuple[ProblemConfig, float]]:
     """Slowdown of the partitioned application on one GPU vs the reference.
@@ -704,8 +524,8 @@ def single_gpu_overhead(
     """
     out = []
     for cfg in (c for c in table1_configs() if c.size_label in sizes):
-        ref = reference_time(cfg, spec)
-        part, _ = run_timed(cfg, 1, spec)
+        ref = reference_time(cfg)
+        part, _ = run_timed(cfg, RuntimeConfig())
         out.append((cfg, part / ref - 1.0))
     return out
 

@@ -10,7 +10,7 @@ access analysis detects non-affine subscripts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Mapping, Union
 
 from repro.errors import NonAffineError, SpaceMismatchError
 from repro.poly.linalg import Vec, vec_add, vec_neg, vec_scale, vec_sub

@@ -13,7 +13,7 @@ consumer (the runtime's buffer synchronizer) merges overlapping ranges.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import PolyhedralError
 from repro.poly.ast import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import PolyhedralError, SpaceMismatchError
+from repro.errors import PolyhedralError
 from repro.poly.affine import Aff
 from repro.poly.constraint import Constraint, Kind
 from repro.poly.fourier_motzkin import eliminate_column, project_columns

@@ -26,7 +26,6 @@ from repro.poly.ast import (
     ASeq,
     EAdd,
     ECDiv,
-    EConst,
     EFDiv,
     EMax,
     EMin,

@@ -9,7 +9,7 @@ array indices, and scalar kernel arguments appear as parameters.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import SpaceMismatchError
 from repro.poly.affine import Aff

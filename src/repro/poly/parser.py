@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import NonAffineError, ParseError
+from repro.errors import ParseError
 from repro.poly.affine import Aff
 from repro.poly.basic_set import BasicSet
 from repro.poly.constraint import Constraint

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.errors import SpaceMismatchError
 from repro.poly.basic_set import BasicSet
 from repro.poly.space import Space
 

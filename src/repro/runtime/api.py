@@ -17,8 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.dataflow import ExactReadOracle
 from repro.cluster.topology import ClusterSpec
 from repro.compiler.costmodel import KernelCostModel
@@ -41,10 +39,10 @@ from repro.sim.trace import Category
 
 __all__ = ["RunStats", "MultiGpuApi", "HOST_PLANNER_COUNTERS", "host_planner_counters"]
 
-#: Entries of one runtime's skeleton, residual and estimate memos (a serve
-#: runtime's shared skeleton memo too). Iteration loops use a handful of
-#: keys; the bound only matters for streams where every shape is fresh.
-SKELETON_CAPACITY = RESIDUAL_CAPACITY = ESTIMATE_CAPACITY = 512
+#: Entries of one runtime's skeleton and residual memos (a serve runtime's
+#: shared skeleton memo too). Iteration loops use a handful of keys; the
+#: bound only matters for streams where every shape is fresh.
+SKELETON_CAPACITY = RESIDUAL_CAPACITY = 512
 
 #: Plans of the most recent residual misses, kept for their record's first
 #: replay under the same buffer binding (a ping-pong loop needs one). A
@@ -113,10 +111,6 @@ class RunStats:
     inter_node_bytes: int = 0
     #: Per-launch decisions of ``schedule="auto"``, keyed by policy name.
     auto_choices: Dict[str, int] = field(default_factory=dict)
-    #: Launch-plan time-estimate memoization (repro.sched.policy): hits
-    #: mean an identical launch shape was re-estimated from the cache.
-    estimate_cache_hits: int = 0
-    estimate_cache_misses: int = 0
     #: Plan-skeleton memo (repro.runtime.launch): a hit means the launch
     #: reused cached partition/scan results and only ran the tracker
     #: residual; an eviction means a skeleton fell out of the LRU.
@@ -232,9 +226,6 @@ class MultiGpuApi:
         #: frontend): rotates the partition->device mapping so partition 0
         #: runs on this device. None keeps the default mapping.
         self._placement_offset: Optional[int] = None
-        #: Launch-plan time-estimate memo, keyed by the shared launch
-        #: fingerprint (repro.runtime.fingerprint).
-        self.estimates = Memo("estimate", ESTIMATE_CAPACITY)
         #: Fingerprint-keyed plan-skeleton memo. Per-api (not per-app) so
         #: two runtimes sharing one compiled app — e.g. the serve path and
         #: its direct-reference twin — count identical hits and misses.

@@ -12,12 +12,11 @@ segments need copying) may differ.
 
 Virtual-buffer identities are deliberately *excluded*: an iterative stencil
 ping-ponging between two buffers converges to one steady-state fingerprint
-per parity, which is exactly what lets the plan cache and the time-estimate
-memo (:func:`repro.sched.policy.estimate_plan_times`) hit every iteration.
+per parity, which is exactly what lets the plan cache hit every iteration.
 
 This module replaces the ad-hoc ``plan_fingerprint`` hashing that used to
-live in ``repro.sched.policy`` so the plan cache, the estimate memo and the
-``auto`` selector can never disagree about what "the same launch" means.
+live in ``repro.sched.policy`` so the plan and residual caches can never
+disagree about what "the same launch" means.
 """
 
 from __future__ import annotations
@@ -29,13 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cuda.dim3 import Dim3
     from repro.runtime.api import MultiGpuApi
     from repro.runtime.config import RuntimeConfig
-    from repro.sched.graph import LaunchPlan
 
 __all__ = [
     "PLANNING_CONFIG_FIELDS",
     "config_plan_key",
     "launch_fingerprint",
-    "plan_estimate_key",
     "residual_key",
 ]
 
@@ -98,18 +95,3 @@ def residual_key(fingerprint: tuple, digests: tuple) -> tuple:
     every launch.
     """
     return (fingerprint, digests)
-
-
-def plan_estimate_key(plan: "LaunchPlan") -> tuple:
-    """Key under which one plan's time estimate may be memoized.
-
-    The launch fingerprint pins the kernel, launch shape and partition
-    list; the transfer signature (source, destination, size per copy) adds
-    the tracker-dependent half the estimate prices. Buffer identities never
-    enter the key, so a ping-pong iteration hits the memo from its second
-    steady-state pass on.
-    """
-    return (
-        plan.fingerprint,
-        tuple((t.owner, t.gpu, t.nbytes) for t in plan.transfers),
-    )

@@ -205,7 +205,7 @@ def launch_fallback(
         ranges = [(0, nbytes)] if nbytes else []
         if p.name in synced or not ck.info.partitionable:
             reads.append(
-                ReadScan(None, p.name, p.dtype.size, ranges, len(ranges), ranges, keep=None)
+                ReadScan(None, p.name, p.dtype.size, ranges, len(ranges), ranges)
             )
         writes.append(WriteScan(None, p.name, ranges, len(ranges), ranges))
     skel.partitions.append(

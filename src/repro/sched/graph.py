@@ -208,7 +208,7 @@ class LaunchPlan:
     shapes: Mapping[str, Sequence[int]]
     parts: List[Partition]
     #: Launch fingerprint (repro.runtime.fingerprint) of the skeleton this
-    #: plan was instantiated from; keys the time-estimate memo.
+    #: plan was instantiated from.
     fingerprint: tuple
     #: True for a single-GPU fallback plan: its one kernel task runs the
     #: unmodified kernel over the whole grid (see PlanSkeleton.fallback).
@@ -224,6 +224,10 @@ class LaunchPlan:
     issue_programs: Dict[object, tuple] = field(
         default_factory=dict, compare=False, repr=False
     )
+    #: ``schedule="auto"``'s (transfer, compute) seconds estimate, filled on
+    #: first use (repro.sched.policy.estimate_plan_times); derived like the
+    #: issue programs, so it takes no part in plan equality either.
+    estimate: Optional[Tuple[float, float]] = field(default=None, compare=False, repr=False)
 
     @property
     def transfers(self) -> List[TransferTask]:
@@ -253,17 +257,12 @@ class LaunchPlan:
                     raise AssertionError(f"edge {dep} -> {k.node} is not topological")
 
 
-#: Placeholder for a ReadScan whose exact-read ranges were never needed;
-#: distinct from None, which is a *computed* "no trimming possible" answer.
-_KEEP_UNKNOWN = object()
-
-
 @dataclass
 class ReadScan:
     """Tracker-independent scan of one read enumerator for one partition.
 
-    A fallback skeleton's whole-buffer scans have ``enum=None`` and
-    ``keep=None``: no enumerator ran and no exact read set trims them.
+    A fallback skeleton's whole-buffer scans have ``enum=None``: no
+    enumerator ran and no exact read set trims them.
     """
 
     enum: Optional[Enumerator]
@@ -275,10 +274,6 @@ class ReadScan:
     emitted: int
     #: ``merge_event_ranges(ranges)`` — the dataflow-event runs.
     event_runs: List[Tuple[int, int]]
-    #: Exact read byte ranges for irredundant-transfer trimming, resolved
-    #: lazily by the first residual pass that plans a copy (the answer
-    #: depends only on fingerprint inputs, so it is cached here).
-    keep: object = field(default=_KEEP_UNKNOWN, compare=False)
 
 
 @dataclass
@@ -573,7 +568,6 @@ def instantiate_plan(
     """
     cluster = api.cluster
     irredundant = api.config.irredundant_transfers
-    audit = api.config.debug_audit
     scans: List[tuple] = []
     for sp in skel.partitions:
         for scan in sp.reads:
@@ -582,19 +576,15 @@ def instantiate_plan(
                 segments, sp.gpu, cluster
             )
             overapprox = overapprox_inter = 0
-            if irredundant and copies:
-                keep = scan.keep
-                # Audited, the exact-read memo is asked (and checked) again;
-                # whole-buffer scans (no enumerator) have nothing to ask.
-                if keep is _KEEP_UNKNOWN or (audit and scan.enum is not None):
-                    from repro.analysis.dataflow import runtime_exact_read_ranges
+            # Whole-buffer scans (no enumerator) have no exact read set.
+            if irredundant and copies and scan.enum is not None:
+                from repro.analysis.dataflow import runtime_exact_read_ranges
 
-                    keep = runtime_exact_read_ranges(
-                        api, skel.ck.info, scan.enum, sp.part, skel.grid,
-                        skel.block, skel.scalars, skel.shapes[scan.array],
-                        scan.elem_size,
-                    )
-                    scan.keep = keep
+                keep = runtime_exact_read_ranges(
+                    api, skel.ck.info, scan.enum, sp.part, skel.grid,
+                    skel.block, skel.scalars, skel.shapes[scan.array],
+                    scan.elem_size,
+                )
                 if keep is not None:
                     copies, overapprox, overapprox_inter = trim_copies(
                         copies, keep, sp.gpu, cluster

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.errors import RuntimeApiError
-from repro.memo import MISS
+from repro.errors import MemoAuditError, RuntimeApiError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.api import MultiGpuApi
@@ -113,25 +112,18 @@ def estimate_plan_times(api: "MultiGpuApi", plan: "LaunchPlan") -> Tuple[float, 
     Machine-less (functional-only) runs fall back to byte counts — only
     the zero/non-zero distinction matters then.
 
-    Results are memoized per api under the shared launch fingerprint
-    (:func:`repro.runtime.fingerprint.plan_estimate_key` — an iteration
-    loop re-estimates an identical launch shape every pass; a stencil
-    ping-ponging between two buffers converges to one steady-state key per
-    parity because buffer identities never enter the fingerprint); hit and
-    miss counts surface in ``RunStats.estimate_cache_hits/misses``.
+    The estimate is a pure function of the plan, memoized on it as its
+    issue programs are, so a replayed launch reuses it. Under
+    ``debug_audit`` a memoized estimate is recomputed and must equal it.
     """
-    from repro.runtime.fingerprint import plan_estimate_key
-
-    key = plan_estimate_key(plan)
-    cached = api.estimates.get(key)
-    if cached is MISS:
-        api.stats.estimate_cache_misses += 1
-        cached = _estimate(api, plan)
-        api.estimates.put(key, cached)
-    else:
-        api.stats.estimate_cache_hits += 1
-        if api.config.debug_audit:
-            api.estimates.audit(key, cached, _estimate(api, plan))
+    cached = plan.estimate
+    if cached is None:
+        cached = plan.estimate = _estimate(api, plan)
+    elif api.config.debug_audit and _estimate(api, plan) != cached:
+        raise MemoAuditError(
+            f"memo 'estimate' served a stale entry for a plan of kernel "
+            f"{plan.ck.kernel.name!r}"
+        )
     return cached
 
 

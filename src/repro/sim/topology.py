@@ -10,8 +10,8 @@ host overheads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.errors import CalibrationError
 

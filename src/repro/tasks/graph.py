@@ -44,16 +44,13 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 from repro.analysis.diagnostics import make_diagnostic
 from repro.analysis.passes import LintReport
 from repro.errors import TaskGraphError
-from repro.poly.intervals import Interval, intersect_normalized, total_bytes
-from repro.tasks.footprints import Footprint, lower_access
+from repro.poly.intervals import total_bytes
+from repro.tasks.footprints import lower_access
 from repro.tasks.spec import _GRAPH_STACK, Task, TaskHandle
 
 __all__ = ["TaskEdge", "TaskGraph", "TaskGraphStats"]
 
 _PASS_NAME = "taskgraph"
-
-#: A footprint set by buffer key: ``[(intervals, affine), ...]`` in order.
-_Index = Dict[Any, List[Tuple[List[Interval], bool]]]
 
 
 @dataclass(frozen=True)
@@ -202,41 +199,6 @@ class TaskGraph:
             f"task {t.name!r}: dependency {dep!r} is not a Task, TaskHandle or name"
         )
 
-    @staticmethod
-    def _by_key(footprints: Sequence[Footprint]) -> _Index:
-        """A footprint set indexed by buffer key, in declaration order.
-        Empty footprints overlap nothing and are left out."""
-        by_key: _Index = {}
-        for fp in footprints:
-            if fp.intervals:
-                by_key.setdefault(fp.key, []).append((fp.intervals, fp.affine))
-        return by_key
-
-    @staticmethod
-    def _overlap(by_key: _Index, b: Sequence[Footprint]) -> Tuple[int, bool]:
-        """(overlapping bytes, any side non-affine) between two footprint
-        sets, the first indexed by :meth:`_by_key`.
-
-        Footprint intervals are normalized when lowered, so they intersect
-        as they are.
-        """
-        nbytes = 0
-        opaque = False
-        for fp in b:
-            entries = by_key.get(fp.key)
-            if not entries or not fp.intervals:
-                continue
-            lo, hi = fp.intervals[0][0], fp.intervals[-1][1]
-            for intervals, affine in entries:
-                # Normalized lists: disjoint spans share no byte.
-                if intervals[-1][1] <= lo or hi <= intervals[0][0]:
-                    continue
-                common = intersect_normalized(intervals, fp.intervals)
-                if common:
-                    nbytes += sum(c_hi - c_lo for c_lo, c_hi in common)
-                    opaque = opaque or not affine or not fp.affine
-        return nbytes, opaque
-
     def finalize(self) -> "TaskGraph":
         """Derive all edges and check the graph is executable (acyclic).
 
@@ -252,33 +214,46 @@ class TaskGraph:
         ]
         pairs: Dict[Tuple[int, int], Dict[str, Any]] = {}
 
-        def note(src: Task, dst: Task, kind: str, nbytes: int, opaque: bool) -> None:
-            rec = pairs.setdefault(
-                (src.index, dst.index), {"kinds": set(), "bytes": 0, "opaque": False}
-            )
+        def note(src: int, dst: int, kind: str, nbytes: int, opaque: bool) -> None:
+            rec = pairs.setdefault((src, dst), {"kinds": set(), "bytes": 0, "opaque": False})
             rec["kinds"].add(kind)
             rec["bytes"] += nbytes
             rec["opaque"] = rec["opaque"] or opaque
 
-        # Indexed once per task; every task pair below reuses them.
-        indexed = [(self._by_key(t.reads), self._by_key(t.writes)) for t in self.tasks]
         for t in self.tasks:
             for dep in t.deps:
                 src = self._resolve_dep(t, dep)
                 if src.index == t.index:
                     raise TaskGraphError(f"task {t.name!r} depends on itself")
-                note(src, t, "control", 0, False)
-            for s in self.tasks[: t.index]:
-                s_reads, s_writes = indexed[s.index]
-                raw, raw_op = self._overlap(s_writes, t.reads)
-                war, war_op = self._overlap(s_reads, t.writes)
-                waw, waw_op = self._overlap(s_writes, t.writes)
-                if raw:
-                    note(s, t, "RAW", raw, raw_op)
-                if war:
-                    note(s, t, "WAR", war, war_op)
-                if waw:
-                    note(s, t, "WAW", waw, waw_op)
+                note(src.index, t.index, "control", 0, False)
+        # Per buffer, one sweep over every footprint interval in start
+        # order. An interval meets exactly the open ones that end after it
+        # starts (footprints are normalized when lowered, so a footprint's
+        # own intervals never meet): a read is checked against the open
+        # writes, a write against every open interval.
+        by_buffer: Dict[Any, List[Tuple[int, int, int, bool, bool]]] = {}
+        for t in self.tasks:
+            for writes, footprints in ((False, t.reads), (True, t.writes)):
+                for fp in footprints:
+                    runs = by_buffer.setdefault(fp.key, [])
+                    runs.extend((lo, hi, t.index, writes, fp.affine) for lo, hi in fp.intervals)
+        for runs in by_buffer.values():
+            runs.sort(key=lambda run: run[0])
+            open_reads: List[Tuple[int, int, int, bool, bool]] = []
+            open_writes: List[Tuple[int, int, int, bool, bool]] = []
+            for run in runs:
+                lo, hi, i, writes, affine = run
+                open_writes = [o for o in open_writes if o[1] > lo]
+                if writes:
+                    open_reads = [o for o in open_reads if o[1] > lo]
+                for _, o_hi, j, o_writes, o_affine in (
+                    open_reads + open_writes if writes else open_writes
+                ):
+                    if i != j:
+                        (s, s_writes), (d, d_writes) = sorted([(i, writes), (j, o_writes)])
+                        kind = "WAW" if s_writes and d_writes else "RAW" if s_writes else "WAR"
+                        note(s, d, kind, min(hi, o_hi) - lo, not (affine and o_affine))
+                (open_writes if writes else open_reads).append(run)
 
         for (src, dst), rec in sorted(pairs.items()):
             edge = TaskEdge(

@@ -25,7 +25,7 @@ def _tiers(api):
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_tiers_partition_transfer_busy_time(schedule):
-    _, api = run_timed(CFG, 8, schedule=schedule, cluster=k80_cluster(2, 4))
+    _, api = run_timed(CFG, RuntimeConfig(schedule=schedule), k80_cluster(2, 4))
     trace = api.machine.trace
     tiers = _tiers(api)
     total = sum(b for tier in tiers.values() for b in tier.values())
@@ -46,8 +46,8 @@ def test_tiers_partition_transfer_busy_time(schedule):
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_multi_node_inter_exposure_dominates_one_node(schedule):
-    _, one = run_timed(CFG, 8, schedule=schedule, cluster=k80_cluster(1, 8))
-    _, two = run_timed(CFG, 8, schedule=schedule, cluster=k80_cluster(2, 4))
+    _, one = run_timed(CFG, RuntimeConfig(schedule=schedule), k80_cluster(1, 8))
+    _, two = run_timed(CFG, RuntimeConfig(schedule=schedule), k80_cluster(2, 4))
     assert _tiers(one)["inter"] == {"hidden": 0.0, "exposed": 0.0}
     assert _tiers(two)["inter"]["exposed"] >= _tiers(one)["inter"]["exposed"]
 
@@ -55,7 +55,7 @@ def test_multi_node_inter_exposure_dominates_one_node(schedule):
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_beta_cluster_runs_record_no_transfers(schedule):
     base = RuntimeConfig(n_gpus=8, schedule=schedule)
-    _, api = run_timed(CFG, 8, config=base.beta(), cluster=k80_cluster(2, 4))
+    _, api = run_timed(CFG, base.beta(), k80_cluster(2, 4))
     assert api.machine.trace.busy_time(Category.TRANSFERS) == 0.0
     # Like sync_bytes, the inter-node counters tally the *logical* coherence
     # traffic, which the β run still computes (it only skips simulating it).
@@ -66,8 +66,8 @@ def test_beta_cluster_runs_record_no_transfers(schedule):
 
 
 def test_overlap_hides_inter_node_halos():
-    _, seq = run_timed(CFG, 8, schedule="sequential", cluster=k80_cluster(2, 4))
-    _, ovl = run_timed(CFG, 8, schedule="overlap", cluster=k80_cluster(2, 4))
+    _, seq = run_timed(CFG, RuntimeConfig(), k80_cluster(2, 4))
+    _, ovl = run_timed(CFG, RuntimeConfig(schedule="overlap"), k80_cluster(2, 4))
     seq_inter = _tiers(seq)["inter"]
     ovl_inter = _tiers(ovl)["inter"]
     seq_total = seq_inter["hidden"] + seq_inter["exposed"]

@@ -119,8 +119,11 @@ def test_one_node_cluster_bitwise_identical(taps, n_gpus, iterations, seed):
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES)
 def test_acceptance_workloads_match_single_node(workload, schedule):
     cfg = next(c for c in table1_configs(workload) if c.size_label == "small")
-    t_flat, flat_api = run_timed(cfg, 8, schedule=schedule)
-    t_clus, clus_api = run_timed(cfg, 8, schedule=schedule, cluster=k80_cluster(1, 8))
+    # The flat node carries no network tier; the calibrated cluster's
+    # NIC and fabric must not matter on one node.
+    flat = ClusterSpec(n_nodes=1, node=K80_NODE_SPEC.with_gpus(8))
+    t_flat, flat_api = run_timed(cfg, RuntimeConfig(schedule=schedule), flat)
+    t_clus, clus_api = run_timed(cfg, RuntimeConfig(schedule=schedule), k80_cluster(1, 8))
     assert t_clus == t_flat
     assert clus_api.stats.inter_node_transfers == 0
     assert clus_api.stats.inter_node_bytes == 0

@@ -9,8 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.harness import benches, overhead, paper
-from repro.harness.experiments import (ClusterPoint, OverheadStats, PipelinePoint,
-                                       RedundancyPoint, SchedulePoint, SpeedupPoint)
+from repro.harness.experiments import OverheadStats, RedundancyPoint, TimedPoint
 from repro.sched.policy import SCHEDULES
 
 #: Fig. 6 speedups at 1/4/12/16 GPUs, as measured at the default grid.
@@ -27,9 +26,21 @@ _CURVES = {
 }
 
 
+def _point(**fields):
+    """A timing point: hotspot/small on 1x4, sequential, window 1, 1 s
+    against a 1 s reference and no transfers, except for ``fields``."""
+    base = dict(
+        workload="hotspot", size_label="small", n_nodes=1, gpus_per_node=4,
+        schedule="sequential", pipeline_window=1, time=1.0, reference=1.0,
+        intra_hidden=0.0, intra_exposed=0.0, inter_hidden=0.0, inter_exposed=0.0,
+        transfers_busy=0.0, inter_node_transfers=0, inter_node_bytes=0,
+    )
+    return TimedPoint(**{**base, **fields})
+
+
 def _figure6(curves=()):
     return [
-        SpeedupPoint(w, size, g, 1.0, speedup)
+        _point(workload=w, size_label=size, gpus_per_node=g, reference=speedup)
         for (w, size), ys in {**_CURVES, **dict(curves)}.items()
         for g, speedup in zip((1, 4, 12, 16), ys)
     ]
@@ -66,7 +77,8 @@ def _schedules(times=()):
         **dict(times),
     }
     return [
-        SchedulePoint("hotspot", "small", g, s, t, 1.0, hidden, exposed)
+        _point(gpus_per_node=g, schedule=s, time=t, intra_hidden=hidden, intra_exposed=exposed,
+               transfers_busy=hidden + exposed)
         for (g, s), (t, hidden, exposed) in cells.items()
     ]
 
@@ -75,8 +87,9 @@ def _cluster(shapes=()):
     # (inter hidden, inter exposed, inter copies, inter bytes) per node count.
     cells = {1: (0.0, 0.0, 0, 0), 2: (0.0, 0.01, 4, 100), 4: (0.0, 0.02, 8, 200), **dict(shapes)}
     return [
-        ClusterPoint("hotspot", "small", n, 4 // n, "sequential", 1.0, 1.0, 0.0, 0.1,
-                     ih, ie, copies, nbytes, 0.1 + ih + ie)
+        _point(n_nodes=n, gpus_per_node=4 // n, intra_exposed=0.1, inter_hidden=ih,
+               inter_exposed=ie, transfers_busy=0.1 + ih + ie, inter_node_transfers=copies,
+               inter_node_bytes=nbytes)
         for n, (ih, ie, copies, nbytes) in cells.items()
     ]
 
@@ -105,8 +118,8 @@ def _redundancy(**changes):
 def _pipeline(**changes):
     def point(schedule, window, time):
         exposed = 0.1 if schedule == "sequential" else 0.05
-        return PipelinePoint("hotspot", "small", "flat", 1, 4, schedule, window, time, 1.0,
-                             0.05, exposed, 0, 0)
+        return _point(schedule=schedule, pipeline_window=window, time=time, intra_hidden=0.05,
+                      intra_exposed=exposed, transfers_busy=0.05 + exposed)
 
     return _changed({
         "seq": point("sequential", 1, 1.0),
@@ -174,7 +187,7 @@ _BROKEN = [
     ("redundancy", _redundancy(broadcast_on={"redundant_bytes_avoided": 0}), "sharers: broadcast"),
     ("redundancy", _redundancy(aligned_off={"steady_bytes": 8}), "steady state: aligned"),
     ("pipeline", _pipeline(w4={"time": 0.9}), "regression: hotspot flat overlap+p2p window=4 takes"),
-    ("pipeline", _pipeline(seq={"hidden_transfer_time": 0.3, "exposed_transfer_time": -0.1}), "accounting: hotspot flat hides"),
+    ("pipeline", _pipeline(seq={"intra_hidden": 0.3, "intra_exposed": -0.1}), "accounting: hotspot flat hides"),
 ]
 
 
@@ -225,11 +238,11 @@ def test_cluster_runs_two_multi_node_shapes_when_it_can(monkeypatch, gpus_per_no
     """An even node size also runs twice the nodes at half the GPUs, so the
     seams check compares two multi-node shapes."""
     seen = []
-    monkeypatch.setattr(benches.ex, "cluster_scaling", lambda workloads, shapes, **kw: seen.append(shapes))
+    monkeypatch.setattr(benches.ex, "timed_sweep", lambda workloads, sizes, shapes, runs: seen.append(shapes))
     args = argparse.Namespace(nodes=2, gpus_per_node=gpus_per_node, workloads=["hotspot"],
                               sizes=["small"], schedule=None)
     benches.BENCHES["cluster"].run(args)
-    assert seen == [shapes]
+    assert [tuple(s) for s in seen] == [shapes]
 
 
 def test_figure7_defaults_to_the_papers_grid():

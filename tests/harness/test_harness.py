@@ -2,19 +2,18 @@
 
 import pytest
 
-from repro.harness.calibration import GPU_COUNTS, K80_NODE_SPEC
 from repro.harness.experiments import (
-    BreakdownRow,
-    SpeedupPoint,
+    TimedPoint,
     compile_time_ratio,
-    figure6,
     measure_breakdown,
     reference_time,
     run_timed,
     single_gpu_overhead,
     table1_rows,
+    timed_sweep,
 )
 from repro.harness.report import format_table, to_csv
+from repro.runtime.config import RuntimeConfig
 from repro.workloads.common import TABLE1, ProblemConfig
 
 # Scaled-down configs keep the timing tests fast; shapes still hold.
@@ -31,14 +30,14 @@ class TestTimingRuns:
 
     def test_speedup_multi_gpu(self):
         ref = reference_time(SMALL_NBODY)
-        t4, api = run_timed(SMALL_NBODY, 4)
+        t4, api = run_timed(SMALL_NBODY, RuntimeConfig(n_gpus=4))
         assert api.stats.fallback_launches == 0
         assert ref / t4 > 2.0  # real scaling at 4 GPUs
 
     def test_speedup_monotone_small_counts(self):
         ref = reference_time(SMALL_NBODY)
-        t1, _ = run_timed(SMALL_NBODY, 1)
-        t2, _ = run_timed(SMALL_NBODY, 2)
+        t1, _ = run_timed(SMALL_NBODY, RuntimeConfig(n_gpus=1))
+        t2, _ = run_timed(SMALL_NBODY, RuntimeConfig(n_gpus=2))
         assert t1 > t2
         assert abs(t1 - ref) / ref < 0.2  # 1-GPU overhead is small
 
@@ -47,15 +46,16 @@ class TestTimingRuns:
         from repro.harness import experiments as ex
 
         direct_cfg = ProblemConfig("hotspot", "functional", 1024, ex._EXTRAPOLATE_M1 + 9)
+        four = RuntimeConfig(n_gpus=4)
         t_direct, _ = ex.run_timed(
-            ProblemConfig("hotspot", "functional", 1024, ex._EXTRAPOLATE_M1), 4
+            ProblemConfig("hotspot", "functional", 1024, ex._EXTRAPOLATE_M1), four
         )
-        t_extra, _ = ex.run_timed(direct_cfg, 4)
+        t_extra, _ = ex.run_timed(direct_cfg, four)
         # Manually simulate the direct count by monkeypatching the cap.
         saved = ex._EXTRAPOLATE_M1, ex._EXTRAPOLATE_M2
         try:
             ex._EXTRAPOLATE_M1 = direct_cfg.iterations + 1  # force direct run
-            t_true, _ = ex.run_timed(direct_cfg, 4)
+            t_true, _ = ex.run_timed(direct_cfg, four)
         finally:
             ex._EXTRAPOLATE_M1, ex._EXTRAPOLATE_M2 = saved
         assert t_extra == pytest.approx(t_true, rel=1e-6)
@@ -80,10 +80,9 @@ class TestBreakdown:
 
 class TestHeadlineExperiments:
     def test_figure6_point_structure(self):
-        pts = figure6(workloads=["nbody"], sizes=["functional"] if False else ["small"],
-                      gpu_counts=(1, 2), spec=K80_NODE_SPEC)
+        pts = timed_sweep(["nbody"], ["small"], [(1, 1), (1, 2)], [("sequential", 1)])
         assert len(pts) == 2
-        assert all(isinstance(p, SpeedupPoint) for p in pts)
+        assert all(isinstance(p, TimedPoint) for p in pts)
         assert pts[0].n_gpus == 1 and pts[0].speedup == pytest.approx(1.0, rel=0.05)
 
     def test_single_gpu_overhead_small(self):

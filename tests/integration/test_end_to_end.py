@@ -141,12 +141,10 @@ class TestTimingIntegration:
     def test_alpha_beta_gamma_ordering(self):
         """α >= β >= γ by construction (each disables strictly more work)."""
         from repro.harness.experiments import measure_breakdown
-        from repro.sim.topology import MachineSpec
         from repro.workloads.common import ProblemConfig
 
         cfg = ProblemConfig("hotspot", "functional", 512, 12)
-        spec = MachineSpec(n_gpus=8)
-        row = measure_breakdown(cfg, 8, spec)
+        row = measure_breakdown(cfg, 8)
         assert row.alpha >= row.beta >= row.gamma > 0
         assert 0 <= row.t_patterns <= 1
         assert abs(row.t_application + row.t_transfers + row.t_patterns - 1.0) < 1e-9

@@ -1,7 +1,7 @@
 """Interval consumers that trust normalized range lists.
 
 ``trim_copies`` normalizes its ``keep`` list once and bisects each copy's
-window into it; ``TaskGraph._overlap`` intersects footprints — normalized
+window into it; ``TaskGraph.finalize`` intersects footprints — normalized
 when lowered — without normalizing them again. Their predecessors, which
 ran :func:`~repro.poly.intervals.intersect_intervals` (normalize both sides,
 then intersect) per copy and per footprint pair, are kept below verbatim as
@@ -161,6 +161,25 @@ class TestTrimCopies:
 
 class TestOverlap:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(footprints(), max_size=4), st.lists(footprints(), max_size=4))
-    def test_matches_predecessor(self, a, b):
-        assert TaskGraph._overlap(TaskGraph._by_key(a), b) == oracle_overlap(a, b)
+    @given(st.lists(st.tuples(st.lists(footprints(), max_size=3),
+                              st.lists(footprints(), max_size=3)), max_size=4))
+    def test_matches_predecessor(self, tasks):
+        """Every edge ``finalize`` derives carries the kinds, bytes and
+        opaque flag the predecessor gives each earlier/later task pair."""
+        g = TaskGraph()
+        for reads, writes in tasks:
+            t = g.add_task(lambda: None)
+            t.reads, t.writes = reads, writes
+        want = {}
+        for j, (t_reads, t_writes) in enumerate(tasks):
+            for i, (s_reads, s_writes) in enumerate(tasks[:j]):
+                for kind, (a, b) in {"RAW": (s_writes, t_reads), "WAR": (s_reads, t_writes),
+                                     "WAW": (s_writes, t_writes)}.items():
+                    nbytes, opaque_ = oracle_overlap(a, b)
+                    if nbytes:
+                        rec = want.setdefault((i, j), [set(), 0, False])
+                        rec[0].add(kind)
+                        rec[1] += nbytes
+                        rec[2] = rec[2] or opaque_
+        got = {(e.src, e.dst): [set(e.kinds), e.overlap_bytes, e.opaque] for e in g.finalize().edges}
+        assert got == want

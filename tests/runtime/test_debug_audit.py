@@ -153,9 +153,10 @@ def _corrupt_replay_binding(api):
 
 
 def _corrupt_estimate(api):
-    entries = _entries(api.estimates)
-    for key, (transfer, compute) in entries.items():
-        entries[key] = (transfer + 1.0, compute)
+    for record in _entries(api.residual_cache).values():
+        for plan in _entries(record.plans).values():
+            transfer, compute = plan.estimate
+            plan.estimate = (transfer + 1.0, compute)
 
 
 def _corrupt_enumerator_scan(api):

@@ -44,9 +44,9 @@ def test_alpha_beta_gamma_identities(schedule):
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_disabled_categories_record_no_time(schedule):
     base = RuntimeConfig(n_gpus=N_GPUS, schedule=schedule)
-    _, beta_api = run_timed(CFG, N_GPUS, config=base.beta())
+    _, beta_api = run_timed(CFG, base.beta())
     assert beta_api.machine.trace.busy_time(Category.TRANSFERS) == 0.0
-    _, gamma_api = run_timed(CFG, N_GPUS, config=base.gamma())
+    _, gamma_api = run_timed(CFG, base.gamma())
     assert gamma_api.machine.trace.busy_time(Category.TRANSFERS) == 0.0
     # γ keeps only the per-partition setup charge (the launch replacement
     # itself); all enumerator/tracker-query work must be gone.
@@ -63,7 +63,7 @@ def test_disabled_categories_record_no_time(schedule):
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_exposure_partitions_transfer_time(schedule):
-    _, api = run_timed(CFG, N_GPUS, schedule=schedule)
+    _, api = run_timed(CFG, RuntimeConfig(n_gpus=N_GPUS, schedule=schedule))
     trace = api.machine.trace
     exposure = trace.transfer_exposure()
     assert exposure["hidden"] >= 0 and exposure["exposed"] >= 0
@@ -73,13 +73,13 @@ def test_exposure_partitions_transfer_time(schedule):
 
 
 def test_overlap_never_slower():
-    times = {s: run_timed(CFG, N_GPUS, schedule=s)[0] for s in SCHEDULES}
+    times = {s: run_timed(CFG, RuntimeConfig(n_gpus=N_GPUS, schedule=s))[0] for s in SCHEDULES}
     eps = 1e-9
     assert times["overlap"] <= times["sequential"] + eps
     assert times["overlap+p2p"] <= times["overlap"] + eps
     # With real coherence traffic the DAG schedule hides most of it.
-    _, seq_api = run_timed(CFG, N_GPUS, schedule="sequential")
-    _, ovl_api = run_timed(CFG, N_GPUS, schedule="overlap")
+    _, seq_api = run_timed(CFG, RuntimeConfig(n_gpus=N_GPUS))
+    _, ovl_api = run_timed(CFG, RuntimeConfig(n_gpus=N_GPUS, schedule="overlap"))
     seq_x = seq_api.machine.trace.transfer_exposure()
     ovl_x = ovl_api.machine.trace.transfer_exposure()
     assert seq_x["hidden"] + seq_x["exposed"] > 0

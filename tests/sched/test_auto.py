@@ -137,36 +137,45 @@ class TestAutoRuns:
 
     def test_auto_never_slower_than_sequential_on_workload(self):
         cfg = next(c for c in table1_configs("hotspot") if c.size_label == "small")
-        t_seq, _ = run_timed(cfg, 4, schedule="sequential")
-        t_auto, auto_api = run_timed(cfg, 4, schedule="auto")
+        t_seq, _ = run_timed(cfg, RuntimeConfig(n_gpus=4))
+        t_auto, auto_api = run_timed(cfg, RuntimeConfig(n_gpus=4, schedule="auto"))
         assert t_auto <= t_seq + 1e-9
         assert sum(auto_api.stats.auto_choices.values()) > 0
 
 
 class TestEstimateCache:
-    """Plan-time estimates are memoized per (kernel, grid, config) shape."""
+    """A plan's time estimate is computed once and memoized on the plan."""
 
-    def test_pingpong_reestimates_nothing_after_warmup(self):
-        # Ping-pong directions have mirrored transfer shapes; buffer
-        # identity is deliberately excluded from the fingerprint, so the
-        # whole loop converges to at most one slot per parity and every
-        # launch after warm-up is a hit.
-        _, _, api = _run("auto", iterations=5)
-        assert 1 <= api.stats.estimate_cache_misses <= 2
-        assert (
-            api.stats.estimate_cache_hits
-            == 5 - api.stats.estimate_cache_misses
+    @staticmethod
+    def _estimates(monkeypatch):
+        """The plans ``policy._estimate`` is asked about from now on."""
+        from repro.sched import policy
+
+        plans = []
+        real = policy._estimate
+        monkeypatch.setattr(
+            policy, "_estimate", lambda api, plan: plans.append(plan) or real(api, plan)
         )
+        return plans
+
+    def test_pingpong_reestimates_nothing_after_warmup(self, monkeypatch):
+        # A ping-pong loop replays one plan per buffer binding, and each
+        # plan carries its estimate, so only the first launch of each
+        # binding estimates.
+        plans = self._estimates(monkeypatch)
+        _, _, api = _run("auto", iterations=5)
+        assert 1 <= len(plans) <= 2
+        assert len({id(p) for p in plans}) == len(plans)
+        assert all(p.estimate is not None for p in plans)
         assert sum(api.stats.auto_choices.values()) == 5
 
-    def test_concrete_schedules_never_estimate(self):
+    def test_concrete_schedules_never_estimate(self, monkeypatch):
+        plans = self._estimates(monkeypatch)
         for schedule in SCHEDULES:
-            _, _, api = _run(schedule, iterations=3)
-            assert api.stats.estimate_cache_hits == 0
-            assert api.stats.estimate_cache_misses == 0
+            _run(schedule, iterations=3)
+        assert plans == []
 
-    def test_cached_estimate_is_bit_identical(self):
-        from repro.runtime.fingerprint import plan_estimate_key
+    def test_cached_estimate_is_bit_identical(self, monkeypatch):
         from repro.sched.graph import build_launch_plan
         from repro.sched.policy import estimate_plan_times
 
@@ -184,12 +193,13 @@ class TestEstimateCache:
         ck = app.kernel(kernel.name)
         plan_ab = build_launch_plan(api, ck, GRID, BLOCK, [a, b])
         plan_ba = build_launch_plan(api, ck, GRID, BLOCK, [b, a])
-        # Buffer identity does not enter the key: a symmetric stencil's two
-        # ping-pong directions share one cache slot.
-        assert plan_estimate_key(plan_ab) == plan_estimate_key(plan_ba)
 
+        plans = self._estimates(monkeypatch)
         first = estimate_plan_times(api, plan_ab)
-        assert api.stats.estimate_cache_misses == 1
+        assert plan_ab.estimate == first and plans == [plan_ab]
         again = estimate_plan_times(api, plan_ab)
-        assert api.stats.estimate_cache_hits == 1
+        assert plans == [plan_ab]  # served from the plan
         assert again == first  # bit-identical, not approximately equal
+        # Buffer identity does not enter the estimate: a symmetric
+        # stencil's two ping-pong directions estimate alike.
+        assert estimate_plan_times(api, plan_ba) == first

@@ -132,7 +132,7 @@ class TestBenchPlantedViolations:
         self._fails(["table1"], capsys, "table1: no row ('matmul'")
 
     def test_figure6(self, monkeypatch, capsys):
-        _doctor(monkeypatch, ex, "figure6", lambda pts: _replace_where(
+        _doctor(monkeypatch, ex, "timed_sweep", lambda pts: _replace_where(
             pts, lambda p: p.workload == "nbody", time=1e3
         ))
         self._fails(["figure6", "--gpu-counts", "1", "--sizes", "small"], capsys,
@@ -153,21 +153,21 @@ class TestBenchPlantedViolations:
                     "bound: overall max")
 
     def test_schedules(self, monkeypatch, capsys):
-        _doctor(monkeypatch, ex, "schedule_comparison", lambda pts: _replace_where(
+        _doctor(monkeypatch, ex, "timed_sweep", lambda pts: _replace_where(
             pts, lambda p: p.schedule == "overlap" and p.n_gpus == 4, time=1e3
         ))
         self._fails(["schedules", "--gpu-counts", "1", "4"], capsys, "regression: hotspot overlap")
 
     def test_cluster(self, monkeypatch, capsys):
-        _doctor(monkeypatch, ex, "cluster_scaling", lambda pts: _replace_where(
+        _doctor(monkeypatch, ex, "timed_sweep", lambda pts: _replace_where(
             pts, lambda p: p.n_nodes == 1, inter_node_transfers=3
         ))
         argv = ["cluster", "--gpus-per-node", "2", "--schedule", "sequential"]
         self._fails(argv, capsys, "1-node run reports inter-node traffic")
 
     def test_pipeline(self, monkeypatch, capsys):
-        _doctor(monkeypatch, ex, "pipeline_study", lambda pts: _replace_where(
-            pts, lambda p: p.pipeline_window == 4, exposed_transfer_time=1.0
+        _doctor(monkeypatch, ex, "timed_sweep", lambda pts: _replace_where(
+            pts, lambda p: p.pipeline_window == 4, intra_exposed=1.0
         ))
         argv = ["pipeline", "--workloads", "hotspot", "--gpu-counts", "4", "--nodes", "1"]
         self._fails(argv, capsys, "regression: hotspot flat overlap+p2p window=4")
@@ -228,16 +228,16 @@ class TestBenchPlantedViolations:
         import functools
 
         import repro.harness.overhead as ov
-        from repro.memo import Memo
+        from repro.sched import policy
 
-        put = Memo.put
+        estimate = policy._estimate
 
-        def corrupting(self, key, value):
-            if self.name == "estimate":
-                value = (value[0] + 1.0, value[1])
-            return put(self, key, value)
+        def corrupting(api, plan):
+            # The estimate memoized on a plan is off; a recomputation is not.
+            transfer, compute = estimate(api, plan)
+            return (transfer + 1.0 if plan.estimate is None else transfer), compute
 
-        monkeypatch.setattr(Memo, "put", corrupting)
+        monkeypatch.setattr(policy, "_estimate", corrupting)
         small = dict(windows=(1,), schedules=("auto",), cluster_shape=None)
         monkeypatch.setattr(ov, "cache_sweep", functools.partial(ov.cache_sweep, **small))
         monkeypatch.setattr(ov, "mutation_sweep", lambda: [])
