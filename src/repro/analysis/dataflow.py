@@ -24,8 +24,8 @@ Atomic Irredundant Sets; Ferry et al., see PAPERS.md):
   reader sets (:func:`repro.poly.intervals.atomic_decomposition`).
 * :class:`DataflowPass` — an opt-in lint pass surfacing the waste as
   ``RP601`` (redundant re-transfer), ``RP602`` (bounding-range slack) and
-  ``RP603`` (false cross-launch serialization from the dataflow log's
-  envelope capping).
+  ``RP603`` (false cross-launch serialization from the envelope cap of
+  the dataflow log's event runs).
 * :func:`runtime_exact_read_ranges` — the runtime hook
   :attr:`~repro.runtime.config.RuntimeConfig.irredundant_transfers` uses to
   trim planned synchronization copies to the exact read set.

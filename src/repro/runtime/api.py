@@ -218,10 +218,6 @@ class MultiGpuApi:
         #: Monotone launch index: tags every simulated op a launch issues.
         self._launch_counter = itertools.count()
         self._launch_index: Optional[int] = None
-        #: Dependence wave of the launch being submitted (set by the
-        #: task-graph frontend around footprint-disjoint ready sets; see
-        #: DataflowLog). None outside task-graph execution.
-        self._dataflow_wave: Optional[int] = None
         #: Device-placement hint of the launch being submitted (task-graph
         #: frontend): rotates the partition->device mapping so partition 0
         #: runs on this device. None keeps the default mapping.

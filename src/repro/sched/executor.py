@@ -37,19 +37,21 @@ touches the machine:
 the paper's host code drains every launch (Figure 4).
 
 Cross-launch dependencies are carried by :class:`DataflowLog`: per
-(virtual buffer, device instance) it remembers the last completion events
-that wrote or read each *byte interval* of that instance. A transfer out
+(virtual buffer, device instance) it remembers the latest completion
+event that wrote or read each *byte* of that instance, exactly, as the
+paper's tracker (§8.1) remembers each byte's newest copy. A transfer out
 of an instance must wait for the kernel that produced those bytes (RAW); a
 transfer into an instance must wait for the last reader/writer of the
-overwritten bytes (WAR/WAW). Keying events by interval instead of whole
-buffer means non-overlapping writes to the same instance no longer falsely
+overwritten bytes (WAR/WAW). Keying events by byte instead of whole
+buffer means non-overlapping writes to the same instance never falsely
 serialize — e.g. two partitions' halo copies into disjoint rows of one
-neighbour's buffer proceed concurrently.
+neighbour's buffer proceed concurrently, and so do the launches of
+disjoint tiles of one shared buffer, however many records the instance
+holds.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import HOST
@@ -85,156 +87,95 @@ __all__ = [
     "submit_plan",
 ]
 
-#: Interval lists longer than this collapse to their envelope — sound
-#: (conservative) and keeps per-event queries O(small).
-_MAX_EVENT_INTERVALS = 64
-
 _Key = Tuple[int, int]
-_Event = Tuple[int, int, float, Optional[int]]
+_Event = Tuple[int, int, float]
 #: Indices of the write and read tables in :attr:`DataflowLog._tables`.
 _W, _R = 0, 1
 
 
 class DataflowLog:
-    """Last read/write completion events per (buffer, device, byte interval).
+    """Latest read/write completion event per (buffer, device, byte).
 
-    Each table maps ``(vb_id, dev)`` to a short list of
-    ``(lo, hi, event, wave)`` records. Noting an interval drops records it
-    strictly dominates (contained, no later, same wave); querying takes the
-    max event over overlapping records. A single-GPU fallback plan's
-    whole-buffer scans arrive as one full-range record per array.
-
-    **Waves.** A *dependence wave* groups launches that the task-graph
-    frontend (:mod:`repro.tasks`) proved pairwise footprint-disjoint: any
-    read/write or write/write overlap between two tasks induces a graph
-    edge, so two tasks ready *simultaneously* cannot conflict. Kernel
-    events are recorded under the issuing launch's wave and queries skip
-    records of the *querying* wave — without this, the envelope collapse
-    above would falsely serialize disjoint tiles of one shared buffer (the
-    records of a whole wave collapse to a whole-buffer envelope that every
-    peer then appears to conflict with). Transfer events are always
-    recorded wave-less: a same-wave peer may legitimately consume a copy's
-    bytes (overlapping *reads* carry no edge, and the sharer registry
-    dedups the second copy), so copies must stay visible inside their own
-    wave. Collapse is per-wave so the skip survives it; ``wave=None``
-    everywhere (the default) reproduces the legacy single-envelope
-    behavior bit for bit.
+    Each table maps ``(vb_id, dev)`` to a list of ``(lo, hi, event)``
+    records, exact per byte: a byte's latest event is the max event over
+    the records covering it. Noting ``[lo, hi)`` at ``event`` drops or
+    clips every overlapping record whose event is not later, keeping only
+    its parts outside ``[lo, hi)``, then appends the new record; a later
+    record stays whole, since it still holds its bytes' latest event. A
+    query is the max event over the records overlapping it, so it never
+    sees an event of a byte outside its interval. A single-GPU fallback
+    plan's whole-buffer scans arrive as one full-range record per array.
     """
 
     def __init__(self) -> None:
         self._write: Dict[_Key, List[_Event]] = {}
         self._read: Dict[_Key, List[_Event]] = {}
         self._tables = (self._write, self._read)  # by _W, _R
-        self._waves = itertools.count(1)
-
-    def new_wave(self) -> int:
-        """A fresh wave id, unique and increasing within this log."""
-        return next(self._waves)
 
     @staticmethod
     def _note(
-        table: Dict[_Key, List[_Event]],
-        key: _Key,
-        lo: int,
-        hi: int,
-        event: float,
-        wave: Optional[int],
+        table: Dict[_Key, List[_Event]], key: _Key, lo: int, hi: int, event: float
     ) -> None:
         if lo >= hi:
             return
         records = table.get(key)
         if records is None:
-            table[key] = [(lo, hi, event, wave)]
+            table[key] = [(lo, hi, event)]
             return
-        # Cross-wave domination is unsound: a same-wave query skips the
-        # dominating record but must still see the dominated one.
+        # In place: a clipped record keeps its left part in its slot, and
+        # its right part is appended, to be visited (and kept) by this loop.
         n = 0
         for r in records:
-            if not (lo <= r[0] and r[1] <= hi and r[2] <= event and r[3] == wave):
+            l, h, e = r
+            if h <= lo or l >= hi or e > event:
                 records[n] = r
                 n += 1
+                continue
+            if l < lo:
+                records[n] = (l, lo, e)
+                n += 1
+            if h > hi:
+                records.append((hi, h, e))
         del records[n:]
-        records.append((lo, hi, event, wave))
-        if len(records) > _MAX_EVENT_INTERVALS:
-            by_wave: Dict[Optional[int], List[_Event]] = {}
-            for r in records:
-                by_wave.setdefault(r[3], []).append(r)
-            kept = [
-                (
-                    min(r[0] for r in grp),
-                    max(r[1] for r in grp),
-                    max(r[2] for r in grp),
-                    w,
-                )
-                for w, grp in by_wave.items()
-            ]
-            if len(kept) > _MAX_EVENT_INTERVALS:
-                # Pathologically many distinct waves: fold every wave but
-                # the newest into one never-skipped envelope. Only the
-                # current (newest) wave is ever queried for skipping.
-                newest = max((w for w in by_wave if w is not None), default=None)
-                old = [r for r in kept if r[3] != newest]
-                kept = [r for r in kept if r[3] == newest] + [
-                    (
-                        min(r[0] for r in old),
-                        max(r[1] for r in old),
-                        max(r[2] for r in old),
-                        None,
-                    )
-                ]
-            table[key] = kept
+        records.append((lo, hi, event))
 
-    def _latest(
-        self, t: float, queries: Sequence[Tuple[int, _Key, int, int]], wave: Optional[int]
-    ) -> float:
+    def _latest(self, t: float, queries: Sequence[Tuple[int, _Key, int, int]]) -> float:
         """The latest of ``t`` and the events the ``(table, key, lo, hi)``
-        queries see: overlapping records under ``key``, not of ``wave``."""
+        queries see: the records under ``key`` overlapping ``[lo, hi)``."""
         tables = self._tables
         for table, key, lo, hi in queries:
-            for l, h, e, w in tables[table].get(key, ()):
-                if e > t and l < hi and h > lo and (w is None or w != wave):
+            for l, h, e in tables[table].get(key, ()):
+                if e > t and l < hi and h > lo:
                     t = e
         return t
 
-    def note_write(
-        self, vb_id: int, dev: int, lo: int, hi: int, event: float,
-        wave: Optional[int] = None,
-    ) -> None:
-        self._note(self._write, (vb_id, dev), lo, hi, event, wave)
+    def note_write(self, vb_id: int, dev: int, lo: int, hi: int, event: float) -> None:
+        self._note(self._write, (vb_id, dev), lo, hi, event)
 
-    def note_read(
-        self, vb_id: int, dev: int, lo: int, hi: int, event: float,
-        wave: Optional[int] = None,
-    ) -> None:
-        self._note(self._read, (vb_id, dev), lo, hi, event, wave)
+    def note_read(self, vb_id: int, dev: int, lo: int, hi: int, event: float) -> None:
+        self._note(self._read, (vb_id, dev), lo, hi, event)
 
-    def write_event(
-        self, vb_id: int, dev: int, lo: int, hi: int, wave: Optional[int] = None
-    ) -> float:
+    def write_event(self, vb_id: int, dev: int, lo: int, hi: int) -> float:
         """Event after which the newest data in ``[lo, hi)`` is ready (RAW)."""
-        return self._latest(0.0, ((_W, (vb_id, dev), lo, hi),), wave)  # events are >= 0
+        return self._latest(0.0, ((_W, (vb_id, dev), lo, hi),))  # events are >= 0
 
-    def instance_free(
-        self, vb_id: int, dev: int, lo: int, hi: int, wave: Optional[int] = None
-    ) -> List[float]:
+    def instance_free(self, vb_id: int, dev: int, lo: int, hi: int) -> List[float]:
         """Events after which ``[lo, hi)`` may be overwritten (WAR + WAW)."""
         return [
-            self._latest(0.0, ((_R, (vb_id, dev), lo, hi),), wave),
-            self._latest(0.0, ((_W, (vb_id, dev), lo, hi),), wave),
+            self._latest(0.0, ((_R, (vb_id, dev), lo, hi),)),
+            self._latest(0.0, ((_W, (vb_id, dev), lo, hi),)),
         ]
 
-    def copy_deps(
-        self, vb_id: int, src: int, dst: int, lo: int, hi: int, wave: Optional[int] = None
-    ) -> List[float]:
+    def copy_deps(self, vb_id: int, src: int, dst: int, lo: int, hi: int) -> List[float]:
         """Dependency events of one stale-segment copy of ``[lo, hi)``, ``src`` -> ``dst``.
 
         :meth:`write_event` on the source plus :meth:`instance_free` on the
         destination, queried directly.
         """
         return [
-            self._latest(0.0, ((_W, (vb_id, src), lo, hi),), wave),
-            self._latest(0.0, ((_R, (vb_id, dst), lo, hi),), wave),
-            self._latest(0.0, ((_W, (vb_id, dst), lo, hi),), wave),
+            self._latest(0.0, ((_W, (vb_id, src), lo, hi),)),
+            self._latest(0.0, ((_R, (vb_id, dst), lo, hi),)),
+            self._latest(0.0, ((_W, (vb_id, dst), lo, hi),)),
         ]
 
 
@@ -581,7 +522,6 @@ def _run_issue_program(
     plan: LaunchPlan,
     program: IssueProgram,
     launch: Optional[int],
-    wave: Optional[int],
     events: List[float],
 ) -> None:
     """Issue one lowered program onto the machine in one pass.
@@ -612,7 +552,7 @@ def _run_issue_program(
             _, src, dst, _, _, route, queries, notes = op
             t = host
             if kind == _STREAM_COPY:
-                t = latest(t, queries, wave)
+                t = latest(t, queries)
             else:  # barrier-era: the endpoints' compute queues must drain
                 for dev in (src, dst):
                     if dev != HOST and dev_avail[dev] > t:
@@ -624,9 +564,8 @@ def _run_issue_program(
                 start, end = _place(lanes, route_lanes, t, duration, what)
                 begin(start)
                 finish(end)
-            # Copy events are recorded wave-less (see DataflowLog).
             for table, key, lo, hi in notes:
-                note(tables[table], key, lo, hi, end, None)
+                note(tables[table], key, lo, hi, end)
             events.append(end)
         elif kind == _KERNEL:
             _, gpu, n_blocks, dep_slots, queries, notes = op
@@ -644,13 +583,13 @@ def _run_issue_program(
                 if events[slot] > t:
                     t = events[slot]
             if queries:
-                t = latest(t, queries, wave)
+                t = latest(t, queries)
             end = t + duration
             dev_avail[gpu] = end
             begin(t)
             finish(end)
             for table, key, lo, hi in notes:
-                note(tables[table], key, lo, hi, end, wave)
+                note(tables[table], key, lo, hi, end)
         elif kind == _SYNC:
             host = max(host, *dev_avail, *[lane.avail for lane in lanes])
         elif kind == _GANG_SYNC:
@@ -672,8 +611,8 @@ def _run_issue_program(
                     barriers[n] = end
         for node, group in sorted(groups, key=lambda g: (barriers[g[0]], g[0])):
             machine.host_time = max(machine.host_time, barriers[node])
-            _run_issue_program(api, plan, group, launch, wave, events)
-        _run_issue_program(api, plan, tail, launch, wave, events)
+            _run_issue_program(api, plan, group, launch, events)
+        _run_issue_program(api, plan, tail, launch, events)
 
 
 def issue_plan_sim(
@@ -682,7 +621,6 @@ def issue_plan_sim(
     policy: SchedulePolicy,
     *,
     launch: Optional[int] = None,
-    wave: Optional[int] = None,
 ) -> None:
     """The simulated half of one launch: host charges + device ops.
 
@@ -690,8 +628,7 @@ def issue_plan_sim(
     lowering it on the plan's first issue under that policy: a replayed
     plan is the same object every iteration, so a steady loop lowers once
     and only runs afterwards. ``launch`` tags every device op for
-    per-launch trace attribution; ``wave`` is the launch's dependence wave
-    (see :class:`DataflowLog`).
+    per-launch trace attribution.
     """
     program = plan.issue_programs.get(policy)
     if program is None:
@@ -704,7 +641,7 @@ def issue_plan_sim(
                 f"program for schedule {policy.name!r}"
             )
     if program:
-        _run_issue_program(api, plan, program, launch, wave, [])
+        _run_issue_program(api, plan, program, launch, [])
 
 
 def submit_plan(api: "MultiGpuApi", plan: LaunchPlan) -> None:
@@ -719,7 +656,7 @@ def submit_plan(api: "MultiGpuApi", plan: LaunchPlan) -> None:
     if api.auto_schedule:
         policy = select_policy(auto_schedule_name(*estimate_plan_times(api, plan)))
         api.stats.auto_choices[policy.name] = api.stats.auto_choices.get(policy.name, 0) + 1
-    issue_plan_sim(api, plan, policy, launch=api._launch_index, wave=api._dataflow_wave)
+    issue_plan_sim(api, plan, policy, launch=api._launch_index)
 
 
 def _audit_write_scan(api: "MultiGpuApi", plan: LaunchPlan, part, trace) -> None:

@@ -105,11 +105,13 @@ def merge_event_ranges(
 ) -> List[Tuple[int, int]]:
     """Sorted byte ranges compressed into contiguous runs for dataflow events.
 
-    The :class:`~repro.sched.executor.DataflowLog` keys events by byte
-    interval; a stencil's thousands of per-row ranges would make every
-    event query linear in that count. Adjacent/overlapping ranges merge
-    into runs, and more than ``cap`` runs collapse to their envelope — a
-    conservative (sound) over-approximation of the accessed bytes.
+    The :class:`~repro.sched.executor.DataflowLog` is exact per byte and
+    keeps one record per noted run; a stencil's thousands of per-row
+    ranges would make every note and query linear in that count.
+    Adjacent/overlapping ranges merge into runs, and more than ``cap`` runs
+    collapse to their envelope — a conservative (sound) over-approximation
+    of one access's bytes, and the only place an event covers bytes its
+    launch did not touch.
     """
     runs: List[Tuple[int, int]] = []
     for lo, hi in ranges:

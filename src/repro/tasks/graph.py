@@ -18,17 +18,15 @@ Execution turns the graph into a stream of launches against an existing
 runtime API.  ``mode="graph"`` executes the graph as *dependence waves*:
 every currently-ready task (in deterministic creation-index order) runs as
 one wave with *no* inter-task barriers — each body's launches flow through
-the normal ``api.launch`` path into the scheduler's executor.  Because any
+the normal ``api.launch`` path into the scheduler's executor.  Waves are
+only the issue order: no wave id reaches the scheduler.  Because any
 read/write overlap between two tasks induces an edge, the members of a
-wave are provably pairwise footprint-disjoint; the wave id is stamped onto
-their launches so the scheduler's dataflow log
-(:class:`~repro.sched.executor.DataflowLog`) can let them overlap instead
-of conservatively serializing disjoint tiles of one shared buffer.  The
-machine keeps cross-wave ordering through the interval-precise dataflow
-events, so any topological order is bitwise-identical to
-``mode="serialized"``, which runs one task at a time behind a device
-barrier — the baseline the ``repro bench taskgraph`` self-checks compare
-against.
+wave are pairwise footprint-disjoint, and the scheduler's dataflow log
+(:class:`~repro.sched.executor.DataflowLog`), exact per byte, lets their
+launches overlap while keeping every true dependence.  Any topological
+order is therefore bitwise-identical to ``mode="serialized"``, which runs
+one task at a time behind a device barrier — the baseline the
+``repro bench taskgraph`` self-checks compare against.
 
 Non-affine tasks (opaque footprints, ``RP701``) degrade to whole-buffer
 synchronization: the graph synchronizes the device before and after the
@@ -347,7 +345,8 @@ class TaskGraph:
         """Execute every task against ``api``.
 
         ``mode="graph"`` streams dependence waves (every currently-ready
-        task, creation-index order) with no inter-task barriers;
+        task, creation-index order) with no inter-task barriers, leaving
+        the ordering of their launches to the dataflow log;
         ``mode="serialized"`` runs one task at a time behind a device
         barrier (the identity baseline).  ``order`` (graph mode only)
         overrides the default wave schedule with an explicit execution
@@ -365,25 +364,11 @@ class TaskGraph:
                 self._run_task(api, t)
                 api.cudaDeviceSynchronize()
             return self
-        # A single-device CudaApi keeps no dataflow log and has no waves.
-        log = getattr(api, "dataflow", None)
-        try:
-            for ready in self._waves:
-                self.stats.ready_peak = max(self.stats.ready_peak, len(ready))
-                self.stats.waves += 1
-                # Every member of a wave was ready simultaneously, so any
-                # pair is either footprint-disjoint or RAR-only — there is
-                # no edge between them by construction. The shared wave id
-                # tells the dataflow log their launches may overlap.
-                wave = log.new_wave() if log is not None else None
-                for i in ready:
-                    t = self.tasks[i]
-                    # Opaque tasks barrier anyway; keep them wave-less so
-                    # their whole-buffer events are never skipped.
-                    api._dataflow_wave = wave if t.affine else None
-                    self._run_task(api, t)
-        finally:
-            api._dataflow_wave = None
+        for ready in self._waves:
+            self.stats.ready_peak = max(self.stats.ready_peak, len(ready))
+            self.stats.waves += 1
+            for i in ready:
+                self._run_task(api, self.tasks[i])
         return self
 
     def _run_in_order(self, api, order: Sequence[Any]) -> "TaskGraph":

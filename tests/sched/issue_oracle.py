@@ -107,7 +107,6 @@ def _issue_transfer_sim(
     label: str,
     events: Dict[int, float],
     launch: Optional[int],
-    wave: Optional[int] = None,
 ) -> None:
     """Simulated issue of one stale-segment copy (+ its sharer host cost)."""
     if not api.config.transfers_enabled:
@@ -118,9 +117,7 @@ def _issue_transfer_sim(
                 t.owner,
                 t.gpu,
                 t.nbytes,
-                deps=api.dataflow.copy_deps(
-                    t.vb.vb_id, t.owner, t.gpu, t.start, t.end, wave
-                ),
+                deps=api.dataflow.copy_deps(t.vb.vb_id, t.owner, t.gpu, t.start, t.end),
                 category=Category.TRANSFERS,
                 label=label,
                 p2p=True if policy.p2p else None,
@@ -149,7 +146,6 @@ def issue_plan_sim(
     policy: SchedulePolicy,
     *,
     launch: Optional[int] = None,
-    wave: Optional[int] = None,
     transfer_order: Optional[Sequence[Tuple[ReadSync, TransferTask]]] = None,
 ) -> None:
     """The flush-time half of one launch: simulated host charges + device ops.
@@ -162,8 +158,7 @@ def issue_plan_sim(
     and the kernel launch (lines 10-19); per partition, the update-phase
     pattern charges (lines 21-26), which run on the host concurrently with
     the asynchronous kernels. ``launch`` tags every device op for per-launch
-    trace attribution; ``wave`` is the launch's dependence wave captured at
-    submit time (see :class:`DataflowLog`).
+    trace attribution.
 
     ``transfer_order`` overrides the transfer *issue* order (the pipelined
     executor passes the halo-first tiers on clusters): the per-read-sync
@@ -185,8 +180,7 @@ def issue_plan_sim(
                     _charge_read_sync_sim(api, rs)
                     for t in rs.transfers:
                         _issue_transfer_sim(
-                            api, policy, t, f"sync:{rs.array}", transfer_events,
-                            launch, wave,
+                            api, policy, t, f"sync:{rs.array}", transfer_events, launch
                         )
         else:
             for syncs in plan.reads:
@@ -196,7 +190,7 @@ def issue_plan_sim(
                     _charge_read_sync_sim(api, rs)
             for rs, t in transfer_order:
                 _issue_transfer_sim(
-                    api, policy, t, f"sync:{rs.array}", transfer_events, launch, wave
+                    api, policy, t, f"sync:{rs.array}", transfer_events, launch
                 )
         if machine and policy.barrier:
             node_barriers = _sequential_barrier(api, plan, transfer_events)
@@ -228,12 +222,12 @@ def issue_plan_sim(
                 for vb, runs in ktask.reads:
                     for lo, hi in runs:
                         deps.append(
-                            api.dataflow.write_event(vb.vb_id, ktask.gpu, lo, hi, wave)
+                            api.dataflow.write_event(vb.vb_id, ktask.gpu, lo, hi)
                         )
                 for vb, runs in ktask.writes:
                     for lo, hi in runs:
                         deps.extend(
-                            api.dataflow.instance_free(vb.vb_id, ktask.gpu, lo, hi, wave)
+                            api.dataflow.instance_free(vb.vb_id, ktask.gpu, lo, hi)
                         )
             end = machine.launch_kernel(
                 ktask.gpu, duration, label=label, deps=deps, launch=launch
@@ -241,10 +235,10 @@ def issue_plan_sim(
             # Recorded under every policy (see _issue_transfer_sim).
             for vb, runs in ktask.reads:
                 for lo, hi in runs:
-                    api.dataflow.note_read(vb.vb_id, ktask.gpu, lo, hi, end, wave)
+                    api.dataflow.note_read(vb.vb_id, ktask.gpu, lo, hi, end)
             for vb, runs in ktask.writes:
                 for lo, hi in runs:
-                    api.dataflow.note_write(vb.vb_id, ktask.gpu, lo, hi, end, wave)
+                    api.dataflow.note_write(vb.vb_id, ktask.gpu, lo, hi, end)
 
     if api.config.tracking_enabled:
         for ups in plan.updates:

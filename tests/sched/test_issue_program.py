@@ -275,7 +275,7 @@ def test_halo_first_order_is_computed_once_per_plan(monkeypatch):
 
 
 def test_identical_task_graph_runs_record_equal_event_tables():
-    """Waves are numbered per dataflow log, not per process."""
+    """Two runs of one task graph leave the same dataflow records."""
     wl = EXTRA_WORKLOADS["cholesky"](functional_config("cholesky", size=16))
     inputs = wl.make_inputs(seed=0)
     app = compile_app(wl.build_kernels())
@@ -286,8 +286,6 @@ def test_identical_task_graph_runs_record_equal_event_tables():
         return _state(api)[2]
 
     first = tables()
-    waves = {r[3] for table in first for records in table.values() for r in records}
-    assert waves - {None}, "the graph run recorded no wave-tagged events"
     assert tables() == first
 
 

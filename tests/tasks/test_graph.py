@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import TaskGraphError, exit_code_for
-from repro.sched.executor import DataflowLog
 from repro.tasks import TaskGraph, TaskSpace, opaque, span, task, whole
 
 
@@ -13,13 +12,11 @@ class Buf:
 
 
 class FakeApi:
-    """Just enough API surface for the graph runtime: barriers and waves."""
+    """Just enough API surface for the graph runtime: barriers and placement."""
 
     def __init__(self):
         self.syncs = 0
         self._placement_offset = None
-        self._dataflow_wave = None
-        self.dataflow = DataflowLog()
 
     def cudaDeviceSynchronize(self):
         self.syncs += 1
@@ -153,7 +150,6 @@ class TestExecution:
         assert g.stats.ready_peak == 2
         assert g.stats.executed == 4
         assert api.syncs == 0  # no inter-task barriers in graph mode
-        assert api._dataflow_wave is None  # cleared after the run
 
     def test_serialized_mode_barriers_every_task(self):
         log = []
@@ -216,24 +212,6 @@ class TestOpaqueDegradation:
         assert log == ["w", "gather"]
         assert g.stats.whole_buffer_syncs == 1
         assert api.syncs == 2  # one barrier before + one after the body
-
-    def test_opaque_task_is_never_wave_tagged(self):
-        waves = []
-        buf = Buf(128)
-        g = TaskGraph()
-        g.add_task(
-            lambda api: waves.append(api._dataflow_wave),
-            name="gather",
-            reads=[opaque(buf)],
-        )
-        g.add_task(
-            lambda api: waves.append(api._dataflow_wave),
-            name="fine",
-            writes=[span(buf, 0, 8)],
-        )
-        g.run(FakeApi(), mode="graph")
-        assert waves[0] is None  # opaque: wave-less whole-buffer events
-        assert waves[1] is not None  # affine sibling rides the wave
 
 
 class TestSummary:
